@@ -57,6 +57,7 @@ from .coresep import (
     CoreReport,
     SeparabilityReport,
     SeparatingFamily,
+    VerificationError,
     core_contains,
     core_feasible,
     separability_test,
@@ -108,6 +109,7 @@ __all__ = [
     "CoreReport",
     "SeparabilityReport",
     "SeparatingFamily",
+    "VerificationError",
     "core_contains",
     "core_feasible",
     "separability_test",

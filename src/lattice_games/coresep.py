@@ -2,9 +2,13 @@
 
 The core of a lattice game asks for atom shares that are efficient at
 the top and weakly dominate f everywhere below it.  Feasibility is
-decided by a phase-1 simplex over Fractions; an empty core comes with a
-Farkas certificate, a nonempty one with a witness point, and both are
-re-verified before they are returned.
+decided by a phase-1 simplex with Bland's rule on a fraction-free
+integer tableau: every entry is an int over one common denominator, the
+determinant of the current basis, so each pivot divides exactly and no
+Fraction is built until the answer is read off.  An empty core comes
+with a Farkas certificate, a nonempty one with a witness point, and both
+are re-verified in Fractions before they are returned; a failed check
+raises VerificationError.
 
 Separability asks the converse of building a partition game from a set
 function on the affected groups: which games arise that way?  The test
@@ -16,11 +20,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .lattice import EmbeddedSubset, Partition
 from .transform import format_fraction, parse_fraction
 from .games import PredicateReport
 from .solutions import Solution
+
+
+class VerificationError(RuntimeError):
+    """A proof object failed the check made before it is returned.
+
+    That is a fault in this package, never in the input, so it is not a
+    ValueError (which the command line reports as malformed input).  The
+    checks are explicit raises, not asserts, so they also run under
+    ``python -O``.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -63,81 +78,104 @@ class CoreSystem:
 def _phase1(inequalities, equality, nvars):
     """Decide {x : Ax >= b, cx = d} by minimizing artificial slack.
 
-    inequalities is a list of (coeffs, rhs); equality a single pair.
-    Returns ("feasible", point) or ("infeasible", (y, lam)) where y >= 0
-    pairs with the inequalities, lam with the equality, and
-    sum y_i a_i + lam c = 0 while sum y_i b_i + lam d > 0.
+    inequalities is a list of (coeffs, rhs) with integer coeffs and
+    rational rhs; equality a single such pair.  Returns ("feasible",
+    point) or ("infeasible", (y, lam)) where y >= 0 pairs with the
+    inequalities, lam with the equality, and sum y_i a_i + lam c = 0
+    while sum y_i b_i + lam d > 0.
+
+    The tableau holds only ints (Edmonds 1967; Bareiss 1968).  The right-
+    hand sides are scaled by the lcm of their denominators, and the stored
+    rows are det(B) times the rational tableau of the current basis B,
+    reduced costs included.  By Cramer's rule that is adj(B) times an
+    integer matrix, so every entry is an integer minor and each pivot's
+    update (p*t - f*e) // det divides exactly.  det starts at 1 and stays
+    positive: the pivot p is det(B) for the new basis, and the ratio test
+    only pivots on positive entries.  Signs and ratio comparisons are
+    therefore those of the rational tableau, so Bland's rule (first
+    negative reduced cost; ties in the ratio test to the smallest basis
+    index) makes the same pivots and the same proof objects.
     """
+    pairs = list(inequalities) + [equality]
     n_ineq = len(inequalities)
+    m = len(pairs)
     ncols = 2 * nvars + n_ineq  # x = u - w, one surplus per inequality
+    total = ncols + m           # then one artificial per row; rhs last
+    rhs = [Fraction(b) for _, b in pairs]
+    scale = lcm(*(b.denominator for b in rhs))
     rows = []
-    rhs = []
     sigma = []
-    for k, (coeffs, b) in enumerate(list(inequalities) + [equality]):
-        row = [Fraction(0)] * ncols
+    for k, ((coeffs, _), b) in enumerate(zip(pairs, rhs)):
+        s = -1 if b < 0 else 1
+        row = [0] * (total + 1)
         for j, c in enumerate(coeffs):
-            row[j] = Fraction(c)
-            row[nvars + j] = -Fraction(c)
+            c = Fraction(c)
+            if c.denominator != 1:
+                raise ValueError(f"phase-1 coefficients must be integers, got {c}")
+            row[j] = s * c.numerator
+            row[nvars + j] = -s * c.numerator
         if k < n_ineq:
-            row[2 * nvars + k] = Fraction(-1)
-        b = Fraction(b)
-        if b < 0:
-            row = [-c for c in row]
-            b = -b
-            sigma.append(-1)
-        else:
-            sigma.append(1)
+            row[2 * nvars + k] = -s
+        row[ncols + k] = 1
+        row[total] = s * b.numerator * (scale // b.denominator)
         rows.append(row)
-        rhs.append(b)
-    m = len(rows)
-    for i, row in enumerate(rows):  # artificial identity
-        row.extend(Fraction(1 if k == i else 0) for k in range(m))
-    total = ncols + m
-    basis = [ncols + i for i in range(m)]
+        sigma.append(s)
     # reduced costs for min sum(artificials) with the artificial basis
-    red = [-sum(rows[i][j] for i in range(m)) for j in range(ncols)]
-    red += [Fraction(0)] * m
+    red = [-sum(col) for col in zip(*rows)]
+    red[ncols:total] = [0] * m
+    basis = list(range(ncols, total))
+    det = 1
 
     while True:
         enter = next((j for j in range(total) if red[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
-        for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rhs[i] / rows[i][enter]
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        assert leave is not None, "phase-1 objective is bounded below by zero"
-        piv = rows[leave][enter]
-        rows[leave] = [c / piv for c in rows[leave]]
-        rhs[leave] /= piv
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [c - f * d for c, d in zip(rows[i], rows[leave])]
-                rhs[i] -= f * rhs[leave]
-        if red[enter] != 0:
-            f = red[enter]
-            red = [c - f * d for c, d in zip(red, rows[leave])]
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                if leave is not None:
+                    # compare rhs_i / a with num / den; a, den > 0
+                    here, best = row[total] * den, num * a
+                    if here > best or (here == best and basis[i] > basis[leave]):
+                        continue
+                leave, num, den = i, row[total], a
+        if leave is None:
+            raise VerificationError(
+                "phase-1 ratio test found no pivot, yet the objective is "
+                "bounded below by zero")
+        pivot = rows[leave]
+        for i, row in enumerate(rows):
+            if i != leave:
+                rows[i] = _eliminate(row, pivot, enter, det)
+        red = _eliminate(red, pivot, enter, det)
+        det = pivot[enter]
         basis[leave] = enter
 
-    slack = sum(rhs[i] for i in range(m) if basis[i] >= ncols)
-    if slack == 0:
-        x = [Fraction(0)] * ncols
+    denom = det * scale
+    if sum(rows[i][total] for i in range(m) if basis[i] >= ncols) == 0:
+        x = [0] * ncols
         for i, bv in enumerate(basis):
             if bv < ncols:
-                x[bv] = rhs[i]
-        point = [x[j] - x[nvars + j] for j in range(nvars)]
+                x[bv] = rows[i][total]
+        point = [Fraction(x[j] - x[nvars + j], denom) for j in range(nvars)]
         return "feasible", point
     # optimal duals of the phase-1 problem, read off the artificial columns
-    y = [Fraction(1) - red[ncols + i] for i in range(m)]
+    y = [Fraction(det - red[ncols + i], det) for i in range(m)]
     multipliers = [sigma[i] * y[i] for i in range(n_ineq)]
     lam = sigma[n_ineq] * y[n_ineq]
     return "infeasible", (multipliers, lam)
+
+
+def _eliminate(row, pivot, enter, det):
+    """One fraction-free pivot step on a row other than the pivot row:
+    clear its entry in the entering column and move it from the old
+    common denominator det to the new one, the pivot element."""
+    p = pivot[enter]
+    f = row[enter]
+    if f == 0:
+        return row if p == det else [p * t // det for t in row]
+    return [(p * t - f * e) // det for t, e in zip(row, pivot)]
 
 
 class CoreReport:
@@ -177,7 +215,8 @@ def core_feasible(game):
     status, proof = _phase1(ineq, system.equality, len(system.atoms))
     if status == "feasible":
         shares = dict(zip(system.atoms, proof))
-        assert not system.check(shares), "simplex returned an infeasible point"
+        if system.check(shares):
+            raise VerificationError("simplex returned an infeasible point")
         return CoreReport(game, "nonempty", witness=Solution(game.lattice, shares))
     multipliers, lam = proof
     _check_certificate(system, multipliers, lam)
@@ -188,17 +227,20 @@ def core_feasible(game):
 def _check_certificate(system, multipliers, lam):
     """Farkas check: the combination cancels every variable yet demands a
     positive total, so no shares can satisfy the system."""
-    assert all(q >= 0 for q in multipliers), "negative inequality multiplier"
+    if any(q < 0 for q in multipliers):
+        raise VerificationError("negative inequality multiplier")
     eq_coeffs, eq_rhs = system.equality
     for j in range(len(system.atoms)):
         acc = lam * eq_coeffs[j]
         for (_, coeffs, _), q in zip(system.inequalities, multipliers):
             acc += q * coeffs[j]
-        assert acc == 0, "certificate does not cancel the shares"
+        if acc != 0:
+            raise VerificationError("certificate does not cancel the shares")
     value = lam * eq_rhs
     for (_, _, rhs), q in zip(system.inequalities, multipliers):
         value += q * rhs
-    assert value > 0, "certificate combination is not positive"
+    if value <= 0:
+        raise VerificationError("certificate combination is not positive")
 
 
 def core_contains(game, shares):
@@ -279,8 +321,8 @@ class SeparatingFamily:
                 f"need {self.singleton_total()}")
         v = _recover(self.game, chosen)
         v[frozenset()] = Fraction(0)
-        assert _first_violation(self.game, v) is None, \
-            "member of a verified family fails to separate"
+        if _first_violation(self.game, v) is not None:
+            raise VerificationError("member of a verified family fails to separate")
         return v
 
     def contains(self, v):

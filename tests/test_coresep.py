@@ -1,12 +1,18 @@
 """Core feasibility with proof objects, and separability recoveries."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
 
+import lattice_games
 from lattice_games.lattice import lattice_for
 from lattice_games.transform import LatticeGame, MobiusCoefficients, zeta_game
 from lattice_games.games import (
@@ -18,6 +24,7 @@ from lattice_games.games import (
 from lattice_games.solutions import Solution, shapley_dividends, su
 from lattice_games.coresep import (
     CoreSystem,
+    _phase1,
     core_contains,
     core_feasible,
     pff_value,
@@ -56,6 +63,96 @@ def verify_certificate(game, certificate):
     for x, q in multipliers.items():
         total += q * game.values[x]
     assert total > 0
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the dense Fraction tableau the integer one replaced
+
+
+def fraction_phase1(inequalities, equality, nvars):
+    """Decide {x : Ax >= b, cx = d} by minimizing artificial slack.
+
+    inequalities is a list of (coeffs, rhs); equality a single pair.
+    Returns ("feasible", point) or ("infeasible", (y, lam)) where y >= 0
+    pairs with the inequalities, lam with the equality, and
+    sum y_i a_i + lam c = 0 while sum y_i b_i + lam d > 0.
+    """
+    n_ineq = len(inequalities)
+    ncols = 2 * nvars + n_ineq  # x = u - w, one surplus per inequality
+    rows = []
+    rhs = []
+    sigma = []
+    for k, (coeffs, b) in enumerate(list(inequalities) + [equality]):
+        row = [Fraction(0)] * ncols
+        for j, c in enumerate(coeffs):
+            row[j] = Fraction(c)
+            row[nvars + j] = -Fraction(c)
+        if k < n_ineq:
+            row[2 * nvars + k] = Fraction(-1)
+        b = Fraction(b)
+        if b < 0:
+            row = [-c for c in row]
+            b = -b
+            sigma.append(-1)
+        else:
+            sigma.append(1)
+        rows.append(row)
+        rhs.append(b)
+    m = len(rows)
+    for i, row in enumerate(rows):  # artificial identity
+        row.extend(Fraction(1 if k == i else 0) for k in range(m))
+    total = ncols + m
+    basis = [ncols + i for i in range(m)]
+    # reduced costs for min sum(artificials) with the artificial basis
+    red = [-sum(rows[i][j] for i in range(m)) for j in range(ncols)]
+    red += [Fraction(0)] * m
+
+    while True:
+        enter = next((j for j in range(total) if red[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if rows[i][enter] > 0:
+                ratio = rhs[i] / rows[i][enter]
+                if best is None or ratio < best or \
+                        (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        assert leave is not None, "phase-1 objective is bounded below by zero"
+        piv = rows[leave][enter]
+        rows[leave] = [c / piv for c in rows[leave]]
+        rhs[leave] /= piv
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [c - f * d for c, d in zip(rows[i], rows[leave])]
+                rhs[i] -= f * rhs[leave]
+        if red[enter] != 0:
+            f = red[enter]
+            red = [c - f * d for c, d in zip(red, rows[leave])]
+        basis[leave] = enter
+
+    slack = sum(rhs[i] for i in range(m) if basis[i] >= ncols)
+    if slack == 0:
+        x = [Fraction(0)] * ncols
+        for i, bv in enumerate(basis):
+            if bv < ncols:
+                x[bv] = rhs[i]
+        point = [x[j] - x[nvars + j] for j in range(nvars)]
+        return "feasible", point
+    # optimal duals of the phase-1 problem, read off the artificial columns
+    y = [Fraction(1) - red[ncols + i] for i in range(m)]
+    multipliers = [sigma[i] * y[i] for i in range(n_ineq)]
+    lam = sigma[n_ineq] * y[n_ineq]
+    return "infeasible", (multipliers, lam)
+
+
+def assert_same_phase1(ineq, equality, nvars):
+    got = _phase1(ineq, equality, nvars)
+    assert got == fraction_phase1(ineq, equality, nvars)
+    return got[0]
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +260,132 @@ def test_core_contains_lists_violations():
     with pytest.raises(ValueError, match="lattice"):
         core_contains(g, su(zeta_game(lattice_for("P^N", 4),
                                       lattice_for("P^N", 4).top)))
+
+
+# ---------------------------------------------------------------------------
+# the integer tableau against the Fraction oracle
+
+
+def random_system(rng, nvars, n_ineq, coeff_pool, draw_rhs):
+    def row():
+        return tuple(rng.choice(coeff_pool) for _ in range(nvars))
+    return [(row(), draw_rhs()) for _ in range(n_ineq)], (row(), draw_rhs())
+
+
+def test_integer_tableau_matches_the_oracle_on_random_systems():
+    """0/+-1 rows with rational right-hand sides of both signs, so rows
+    are flipped (sigma = -1) and the rhs needs scaling."""
+    rng = random.Random(71)
+    statuses = set()
+    for _ in range(200):
+        nvars = rng.randint(1, 4)
+        ineq, eq = random_system(
+            rng, nvars, rng.randint(1, 8), (-1, 0, 0, 1),
+            lambda: Fraction(rng.randint(-12, 12), rng.randint(1, 6)))
+        statuses.add(assert_same_phase1(ineq, eq, nvars))
+    assert statuses == {"feasible", "infeasible"}
+
+
+def test_integer_tableau_breaks_ratio_ties_like_the_oracle():
+    """0/1 rows with right-hand sides in {0, 1, 2}: degenerate vertices,
+    where several rows tie in the ratio test and Bland's rule picks the
+    one whose basic variable has the smallest index."""
+    rng = random.Random(73)
+    statuses = set()
+    for _ in range(200):
+        nvars = rng.randint(2, 5)
+        ineq, eq = random_system(
+            rng, nvars, rng.randint(3, 10), (0, 1, 1),
+            lambda: Fraction(rng.choice((0, 1, 1, 2))))
+        statuses.add(assert_same_phase1(ineq, eq, nvars))
+    assert statuses == {"feasible", "infeasible"}
+
+
+def dividend_game(rng, lat):
+    coeffs = {x: Fraction(rng.randint(1, 6)) for x in lat.elements}
+    return MobiusCoefficients(lat, coeffs).zeta_expand()
+
+
+def deficit_game(rng, lat):
+    """A dividend game whose top falls short of the atoms' total gain over
+    the bottom."""
+    values = dict(dividend_game(rng, lat).values)
+    gain = sum((values[a] - values[lat.bottom] for a in lat.atoms), Fraction(0))
+    values[lat.top] = values[lat.bottom] + gain - rng.randint(1, 6)
+    return LatticeGame(lat, values)
+
+
+def test_integer_tableau_matches_the_oracle_on_core_systems():
+    rng = random.Random(79)
+    statuses = set()
+    for tag, sizes in [("2^N", (1, 2, 3, 4)), ("P^N", (1, 2, 3, 4)),
+                       ("E^N", (1, 2, 3))]:
+        for n in sizes:
+            lat = lattice_for(tag, n)
+            for _ in range(3):
+                randomized = LatticeGame(lat, {
+                    x: Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                    for x in lat.elements})
+                for game in (randomized, dividend_game(rng, lat),
+                             deficit_game(rng, lat)):
+                    system = CoreSystem(game)
+                    ineq = [(coeffs, rhs) for _, coeffs, rhs in system.inequalities]
+                    statuses.add(assert_same_phase1(
+                        ineq, system.equality, len(system.atoms)))
+    assert statuses == {"feasible", "infeasible"}
+
+
+def test_proof_checks_run_under_python_O():
+    """Under -O asserts vanish; the checks on a witness, a certificate and
+    a separating family must still raise.  A patched _phase1 hands
+    core_feasible bad proof objects."""
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from lattice_games import coresep
+        from lattice_games.lattice import lattice_for
+        from lattice_games.transform import LatticeGame
+
+        print("optimize", sys.flags.optimize)
+        print("ValueError", issubclass(coresep.VerificationError, ValueError))
+        lat = lattice_for("P^N", 3)  # 5 lower bounds, top value 3
+        game = LatticeGame(lat, {x: lat.size(x) for x in lat.elements})
+        one, zero = Fraction(1), Fraction(0)
+        cases = [
+            ("witness", ("feasible", [Fraction(3), zero, zero])),
+            ("negative", ("infeasible", ([-one, zero, zero, zero, zero], zero))),
+            ("uncancelled", ("infeasible", ([one] * 5, zero))),
+            ("nonpositive", ("infeasible", ([zero] * 5, zero))),
+        ]
+        for name, proof in cases:
+            coresep._phase1 = lambda *args, proof=proof: proof
+            try:
+                coresep.core_feasible(game)
+                print(name, "returned")
+            except Exception as err:
+                print(name, type(err).__name__, err)
+        family = coresep.separability_test(game).family
+        coresep._first_violation = lambda game, v: lat.top
+        try:
+            family.member({1: 1, 2: 1, 3: -2})
+            print("member returned")
+        except Exception as err:
+            print("member", type(err).__name__, err)
+    """)
+    package_root = Path(lattice_games.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimize 1",
+        "ValueError False",
+        "witness VerificationError simplex returned an infeasible point",
+        "negative VerificationError negative inequality multiplier",
+        "uncancelled VerificationError certificate does not cancel the shares",
+        "nonpositive VerificationError certificate combination is not positive",
+        "member VerificationError member of a verified family fails to separate",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,38 @@ def test_totally_positive_games_are_supermodular_here():
         assert is_supermodular(g)
 
 
+def full_pair_scan(game):
+    """First failing pair over all pairs, comparable ones included."""
+    lat = game.lattice
+    vals = game.values
+    elems = lat.elements
+    for i, x in enumerate(elems):
+        for y in elems[i + 1:]:
+            if vals[lat.join(x, y)] + vals[lat.meet(x, y)] < vals[x] + vals[y]:
+                return (x, y)
+    return None
+
+
+def test_supermodular_scan_matches_the_full_pair_scan():
+    """Skipping comparable pairs keeps the verdict and the first witness:
+    totally positive games with one value lowered fail at varied pairs."""
+    rng = random.Random(29)
+    verdicts = set()
+    for tag, n in [("2^N", 4), ("P^N", 4), ("E^N", 3)]:
+        lat = lattice_for(tag, n)
+        for _ in range(12):
+            coeffs = {x: Fraction(rng.randint(0, 4)) for x in lat.elements}
+            values = dict(MobiusCoefficients(lat, coeffs).zeta_expand().values)
+            values[rng.choice(lat.elements)] -= rng.randint(0, 3)
+            g = LatticeGame(lat, values)
+            expected = full_pair_scan(g)
+            report = is_supermodular(g)
+            assert report.holds == (expected is None)
+            assert report.witness == expected
+            verdicts.add(report.holds)
+    assert verdicts == {True, False}
+
+
 def test_monotone_witnesses():
     lat = lattice_for("P^N", 3)
     assert is_monotone(rank_game(lat))
