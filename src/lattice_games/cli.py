@@ -31,6 +31,7 @@ from .transform import (
 from .games import clustering_restrict, is_supermodular, is_totally_positive
 from .solutions import (
     SOLVERS,
+    _atom_pair,
     cu,
     egalitarian,
     is_fixed_point,
@@ -74,10 +75,7 @@ def _approx(text):
 
 
 def _edge_key(atom):
-    for b in atom.blocks:
-        if len(b) == 2:
-            return f"{b[0]},{b[1]}"
-    raise AssertionError("pair atom without a pair block")
+    return "{},{}".format(*_atom_pair(atom))
 
 
 def _parse_weights(path, n):
@@ -306,7 +304,7 @@ def cmd_netshare(args):
     n, periods = _read_trace(args.trace)
     solver = SOLVERS[args.solver]
     lat = lattice_for("P^N", n, args.max_n)
-    atom_of = {_parse_edge(_edge_key(a), n): a for a in lat.atoms}
+    atom_of = {_atom_pair(a): a for a in lat.atoms}
     cluster_of = _cluster_map(args.cluster_file) if args.cluster_file else lambda label: None
     weights = None
     if args.split and args.split != "equal":
@@ -501,7 +499,7 @@ def _check_nonseparable_witness():
 def _check_netshare_volumes():
     lat = lattice_for("P^N", 3)
     volumes = {(1, 2): Fraction(4), (1, 3): Fraction(1), (2, 3): Fraction(0)}
-    atom_of = {_parse_edge(_edge_key(a), 3): a for a in lat.atoms}
+    atom_of = {_atom_pair(a): a for a in lat.atoms}
     game = MobiusCoefficients(
         lat, {atom_of[e]: q for e, q in volumes.items()}).zeta_expand()
     sol = su(game)
@@ -513,7 +511,7 @@ def _check_netshare_volumes():
 
 def _check_netshare_clustered():
     lat = lattice_for("P^N", 3)
-    atom_of = {_parse_edge(_edge_key(a), 3): a for a in lat.atoms}
+    atom_of = {_atom_pair(a): a for a in lat.atoms}
     game = MobiusCoefficients(lat, {atom_of[(1, 2)]: 4,
                                     atom_of[(1, 3)]: 1}).zeta_expand()
     cluster = lat.parse_element("1,2|3")

@@ -22,20 +22,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .lattice import EmbeddedSubset, Partition
+from .lattice import EmbeddedSubset, Partition, VerificationError
 from .transform import format_fraction, parse_fraction
 from .games import PredicateReport
 from .solutions import Solution
-
-
-class VerificationError(RuntimeError):
-    """A proof object failed the check made before it is returned.
-
-    That is a fault in this package, never in the input, so it is not a
-    ValueError (which the command line reports as malformed input).  The
-    checks are explicit raises, not asserts, so they also run under
-    ``python -O``.
-    """
 
 
 # ---------------------------------------------------------------------------

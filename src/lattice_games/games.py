@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .lattice import (
     LATTICE_TAGS,
+    VerificationError,
     class_key,
     class_vectors,
     lattice_for,
@@ -200,7 +201,8 @@ def clustering_restrict(game, cluster):
     coeffs = {x: (mu.coefficients[x] if i in keep else Fraction(0))
               for i, x in enumerate(lat.elements)}
     restricted = zeta_expand(MobiusCoefficients(lat, coeffs))
-    assert restricted.top_value == game.values[cluster]
+    if restricted.top_value != game.values[cluster]:
+        raise VerificationError("restricted game does not end at the cluster's value")
     return restricted
 
 

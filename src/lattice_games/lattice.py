@@ -2,14 +2,21 @@
 
 The ground set is {1, ..., n}.  Three graded lattices are supported:
 
-* ``2^N`` - subsets ordered by inclusion,
-* ``P^N`` - set partitions ordered by refinement (bottom = all singletons),
+* ``2^N`` - subsets ordered by inclusion; the atoms are the singletons,
+* ``P^N`` - set partitions ordered by refinement (bottom = all
+  singletons); the atoms are the pairs {i, j}, the edges of a network,
 * ``E^N`` - embedded subsets (A, P) with P a partition and A a block of P
   or the empty set.
 
-E^N is never handled directly: the order isomorphism with P^(n+1) that
-inserts the extra element n+1 into the distinguished block (a fresh
-singleton when A is empty) carries every question over to partitions.
+E^N is P^(n+1) relabelled: the order isomorphism that inserts the extra
+element n+1 into the distinguished block (a fresh singleton when A is
+empty) gives both the same element order, so E^N shares the atom masks
+and order tables of P^(n+1).
+
+All three lattices are atomistic: an element is fixed by the atoms below
+it.  Each element carries them as an integer bitmask, and the order,
+meet, join, size and the up-set/down-set tables are read off the masks.
+Elements are listed in a linear extension of the order, bottom first.
 
 ``rank`` counts covering steps from the bottom, ``size`` counts atoms
 below an element.  Chain counts are exact integers; the pair ratios used
@@ -33,6 +40,16 @@ LATTICE_TAGS = ("2^N", "P^N", "E^N")
 
 class SizeLimitError(ValueError):
     """A requested ground set exceeds the configured size cap."""
+
+
+class VerificationError(RuntimeError):
+    """A proof object failed the check made before it is returned.
+
+    That is a fault in this package, never in the input, so it is not a
+    ValueError (which the command line reports as malformed input).  The
+    checks are explicit raises, not asserts, so they also run under
+    ``python -O``.
+    """
 
 
 def ground_cap(override=None):
@@ -225,12 +242,6 @@ class Partition:
                 owner[x] = idx
         return owner
 
-    def block_containing(self, x):
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise ValueError(f"element {x!r} outside 1..{self.n}")
-
     def refines(self, other):
         """True when every block here sits inside a block of other (self <= other)."""
         if not isinstance(other, Partition) or self.n != other.n:
@@ -242,10 +253,6 @@ class Partition:
                 if owner[x] != first:
                     return False
         return True
-
-    def coarsens(self, other):
-        """True when self >= other in the refinement order."""
-        return other.refines(self)
 
     def meet(self, other):
         """Greatest lower bound: blockwise intersections."""
@@ -461,11 +468,16 @@ def _chains_below(p):
 
 
 class Lattice:
-    """Canonical element order plus cached order tables and chain machinery.
+    """Canonical element order, atom bitmasks, and the order questions
+    answered from them.
 
-    Subclasses fill in ``elements`` (bottom first, top last), ``atoms``,
-    the order test and meet/join; up-sets and down-sets are derived on
-    first use.
+    Subclasses supply ``elements`` (a linear extension of the order,
+    bottom first and top last), ``atoms``, the atom bitmask of every
+    element (handed to ``_finish``), ``rank``, ``covers_of``,
+    ``class_of``, ``key``, ``parse_element`` and the chain counts.  All
+    three lattices are atomistic, so the set of atoms below an element
+    fixes it: ``leq``, ``meet``, ``join``, ``size``, ``atoms_below`` and
+    the up-set/down-set tables are derived here, once, from the masks.
     """
 
     tag = "?"
@@ -474,14 +486,17 @@ class Lattice:
         self.n = n
         self.elements = ()
         self.atoms = ()
-        self._pos = {}
-        self._atom_set = frozenset()
         self._ups = None
         self._downs = None
 
-    def _finish(self):
+    def _finish(self, masks, bit_atoms=None, by_mask=None):
+        """Index the elements; bit k of masks[i] is set when bit_atoms[k]
+        (default: the atoms in order) lies below element i."""
         self._pos = {e: i for i, e in enumerate(self.elements)}
         self._atom_set = frozenset(self.atoms)
+        self._mask = masks
+        self._bit_atoms = bit_atoms or self.atoms
+        self._by_mask = by_mask or {m: i for i, m in enumerate(masks)}
 
     def describe(self):
         return f"{self.tag} with n={self.n}"
@@ -510,19 +525,33 @@ class Lattice:
             raise ValueError(f"{x!r} is not an element of {self.describe()}") from None
 
     def leq(self, x, y):
-        raise NotImplementedError
+        mask = self._mask
+        return not mask[self.index(x)] & ~mask[self.index(y)]
 
     def meet(self, x, y):
-        raise NotImplementedError
+        mask = self._mask
+        return self.elements[self._by_mask[mask[self.index(x)] & mask[self.index(y)]]]
 
     def join(self, x, y):
-        raise NotImplementedError
-
-    def rank(self, x):
-        raise NotImplementedError
+        i, j = self.index(x), self.index(y)
+        mask = self._mask
+        both = mask[i] | mask[j]
+        ups = self._order_tables()[0]
+        # The order is a linear extension, so the first common upper bound
+        # met in either up-set is the least one.
+        return next(self.elements[k] for k in min(ups[i], ups[j], key=len)
+                    if mask[k] & both == both)
 
     def size(self, x):
         """Number of atoms below x."""
+        return self._mask[self.index(x)].bit_count()
+
+    def atoms_below(self, x):
+        """The atoms below x, in mask-bit order."""
+        mask = self._mask[self.index(x)]
+        return tuple(a for k, a in enumerate(self._bit_atoms) if mask >> k & 1)
+
+    def rank(self, x):
         raise NotImplementedError
 
     def covers_of(self, x):
@@ -546,17 +575,19 @@ class Lattice:
     # -- order tables ---------------------------------------------------
 
     def _order_tables(self):
+        # x <= y exactly when x's atoms are among y's, and only earlier
+        # elements can lie below a later one.
         if self._ups is None:
-            size = len(self.elements)
-            ups = [[] for _ in range(size)]
-            downs = [[] for _ in range(size)]
-            for i in range(size):
-                for j in range(size):
-                    if i == j or self.leq(self.elements[i], self.elements[j]):
-                        ups[i].append(j)
-                        downs[j].append(i)
-            self._ups = tuple(tuple(u) for u in ups)
-            self._downs = tuple(tuple(d) for d in downs)
+            masks = self._mask
+            ups = [[] for _ in masks]
+            downs = []
+            for j, m in enumerate(masks):
+                below = tuple(i for i in range(j + 1) if not masks[i] & ~m)
+                for i in below:
+                    ups[i].append(j)
+                downs.append(below)
+            self._ups = tuple(map(tuple, ups))
+            self._downs = tuple(downs)
         return self._ups, self._downs
 
     def upset_indices(self, i):
@@ -564,9 +595,6 @@ class Lattice:
 
     def downset_indices(self, i):
         return self._order_tables()[1][i]
-
-    def upset(self, x):
-        return tuple(self.elements[j] for j in self.upset_indices(self.index(x)))
 
     def downset(self, x):
         return tuple(self.elements[j] for j in self.downset_indices(self.index(x)))
@@ -617,7 +645,10 @@ class Lattice:
                 trail.pop()
 
         walk(self.bottom)
-        assert len(chains) == self.chain_count_total()
+        if len(chains) != self.chain_count_total():
+            raise VerificationError(
+                f"{len(chains)} maximal chains listed on {self.describe()}, "
+                f"{self.chain_count_total()} counted")
         return chains
 
 
@@ -634,21 +665,9 @@ class SubsetLattice(Lattice):
                 elems.append(frozenset(combo))
         self.elements = tuple(elems)
         self.atoms = tuple(frozenset((i,)) for i in range(1, n + 1))
-        self._finish()
-
-    def leq(self, x, y):
-        return x <= y
-
-    def meet(self, x, y):
-        return x & y
-
-    def join(self, x, y):
-        return x | y
+        self._finish(tuple(sum(1 << (i - 1) for i in x) for x in elems))
 
     def rank(self, x):
-        return len(x)
-
-    def size(self, x):
         return len(x)
 
     def covers_of(self, x):
@@ -690,7 +709,7 @@ class PartitionLattice(Lattice):
 
     Canonical order is descending lexicographic on restricted-growth
     codes, which puts the all-singleton bottom first and the one-block
-    top last.
+    top last.  Atom k is the k-th pair (i, j) in lexicographic order.
     """
 
     tag = "P^N"
@@ -700,24 +719,14 @@ class PartitionLattice(Lattice):
         parts = [Partition.from_rgs(code) for code in _rgs_codes(n)]
         parts.sort(key=Partition.rgs_tuple, reverse=True)
         self.elements = tuple(parts)
-        self.atoms = tuple(Partition.pair(n, i, j)
-                           for i, j in combinations(range(1, n + 1), 2))
-        self._finish()
-
-    def leq(self, x, y):
-        return x.refines(y)
-
-    def meet(self, x, y):
-        return x.meet(y)
-
-    def join(self, x, y):
-        return x.join(y)
+        pairs = list(combinations(range(1, n + 1), 2))
+        self.atoms = tuple(Partition.pair(n, i, j) for i, j in pairs)
+        bit = {pair: 1 << k for k, pair in enumerate(pairs)}
+        self._finish(tuple(sum(bit[pair] for b in p.blocks for pair in combinations(b, 2))
+                           for p in parts))
 
     def rank(self, x):
         return x.rank
-
-    def size(self, x):
-        return x.size
 
     def covers_of(self, x):
         return tuple(x.cover_ups())
@@ -731,29 +740,6 @@ class PartitionLattice(Lattice):
     def parse_element(self, text):
         return Partition.parse(text, self.n)
 
-    def _order_tables(self):
-        # Walk coarsenings directly (group the block list) instead of testing
-        # all pairs: sum over P of Bell(#blocks) merges.
-        if self._ups is None:
-            size = len(self.elements)
-            ups = [None] * size
-            downs = [[] for _ in range(size)]
-            for i, p in enumerate(self.elements):
-                blocks = p.blocks
-                seen = set()
-                for g in _rgs_codes(len(blocks)):
-                    buckets = {}
-                    for b_idx, g_idx in enumerate(g):
-                        buckets.setdefault(g_idx, []).extend(blocks[b_idx])
-                    j = self._pos[Partition(self.n, buckets.values())]
-                    seen.add(j)
-                ups[i] = tuple(sorted(seen))
-                for j in ups[i]:
-                    downs[j].append(i)
-            self._ups = tuple(ups)
-            self._downs = tuple(tuple(sorted(d)) for d in downs)
-        return self._ups, self._downs
-
     def chain_count_total(self):
         return _kappa(self.n)
 
@@ -765,7 +751,12 @@ class PartitionLattice(Lattice):
 
 
 class EmbeddedLattice(Lattice):
-    """Embedded subsets of {1..n}, ordered through their images in P^(n+1)."""
+    """Embedded subsets of {1..n}: P^(n+1) relabelled.
+
+    Element i is the preimage of the inner lattice's element i, so the
+    masks, the mask index and the order tables are the inner lattice's
+    own; only the atom behind each mask bit is relabelled.
+    """
 
     tag = "E^N"
 
@@ -779,31 +770,19 @@ class EmbeddedLattice(Lattice):
         pair_atoms = [EmbeddedSubset((), Partition.pair(n, i, j))
                       for i, j in combinations(range(1, n + 1), 2)]
         self.atoms = tuple(node_atoms + pair_atoms)
-        self._finish()
+        self._finish(inner._mask,
+                     tuple(self.elements[inner.index(a)] for a in inner.atoms),
+                     inner._by_mask)
 
     def _lift(self, x):
-        if not isinstance(x, EmbeddedSubset) or x.n != self.n:
-            raise ValueError(f"{x!r} is not an element of {self.describe()}")
-        return x.to_partition()
-
-    def leq(self, x, y):
-        return self.inner.leq(self._lift(x), self._lift(y))
-
-    def meet(self, x, y):
-        return EmbeddedSubset.from_partition(self.inner.meet(self._lift(x), self._lift(y)))
-
-    def join(self, x, y):
-        return EmbeddedSubset.from_partition(self.inner.join(self._lift(x), self._lift(y)))
+        return self.inner.elements[self.index(x)]
 
     def rank(self, x):
         return x.rank
 
-    def size(self, x):
-        return x.size
-
     def covers_of(self, x):
-        return tuple(EmbeddedSubset.from_partition(q)
-                     for q in self.inner.covers_of(self._lift(x)))
+        inner = self.inner
+        return tuple(self.elements[inner.index(q)] for q in inner.covers_of(self._lift(x)))
 
     def class_of(self, x):
         """Class vector of the image partition in P^(n+1).

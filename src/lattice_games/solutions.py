@@ -60,7 +60,7 @@ class Solution:
         """The lattice function x -> sum of shares over atoms below x."""
         lat = self.lattice
         return LatticeGame(lat, {
-            x: sum((self.shares[a] for a in lat.atoms if lat.leq(a, x)), Fraction(0))
+            x: sum((self.shares[a] for a in lat.atoms_below(x)), Fraction(0))
             for x in lat.elements})
 
     def payload(self):
@@ -119,13 +119,12 @@ def su(game):
         q = mu.coefficients[x]
         if q == 0:
             continue
-        s = lat.size(x)
-        if s == 0:
+        below = lat.atoms_below(x)
+        if not below:
             continue  # the bottom coefficient reaches no atom
-        part = q / s
-        for a in lat.atoms:
-            if lat.leq(a, x):
-                shares[a] += part
+        part = q / len(below)
+        for a in below:
+            shares[a] += part
     return Solution(lat, shares)
 
 

@@ -166,18 +166,17 @@ class MobiusCoefficients(_TableOnLattice):
 
 
 def mobius(game):
-    """Mobius coefficients of a game, by recursion in rank order."""
+    """Mobius coefficients of a game, by recursion in element order (a
+    linear extension, so every element comes after its down-set)."""
     lat = game.lattice
-    n_el = len(lat.elements)
-    order = sorted(range(n_el), key=lambda i: lat.rank(lat.elements[i]))
-    mu = [None] * n_el
-    for i in order:
-        acc = game.values[lat.elements[i]]
+    mu = []
+    for i, x in enumerate(lat.elements):
+        acc = game.values[x]
         for j in lat.downset_indices(i):
             if j != i:
                 acc -= mu[j]
-        mu[i] = acc
-    return MobiusCoefficients(lat, {x: mu[i] for i, x in enumerate(lat.elements)})
+        mu.append(acc)
+    return MobiusCoefficients(lat, dict(zip(lat.elements, mu)))
 
 
 def zeta_expand(coeffs):

@@ -336,18 +336,23 @@ def test_integer_tableau_matches_the_oracle_on_core_systems():
 
 
 def test_proof_checks_run_under_python_O():
-    """Under -O asserts vanish; the checks on a witness, a certificate and
-    a separating family must still raise.  A patched _phase1 hands
-    core_feasible bad proof objects."""
+    """Under -O asserts vanish; the checks on a witness, a certificate, a
+    separating family, a restricted game and a chain listing must still
+    raise.  A patched _phase1 hands core_feasible bad proof objects, a
+    patched zeta_expand a wrong top value, a patched chain count a wrong
+    total."""
     script = textwrap.dedent("""
         import sys
         from fractions import Fraction
-        from lattice_games import coresep
+        import lattice_games
+        from lattice_games import coresep, games, lattice
         from lattice_games.lattice import lattice_for
         from lattice_games.transform import LatticeGame
 
         print("optimize", sys.flags.optimize)
         print("ValueError", issubclass(coresep.VerificationError, ValueError))
+        print("one class", coresep.VerificationError is lattice.VerificationError
+              is lattice_games.VerificationError)
         lat = lattice_for("P^N", 3)  # 5 lower bounds, top value 3
         game = LatticeGame(lat, {x: lat.size(x) for x in lat.elements})
         one, zero = Fraction(1), Fraction(0)
@@ -371,6 +376,19 @@ def test_proof_checks_run_under_python_O():
             print("member returned")
         except Exception as err:
             print("member", type(err).__name__, err)
+        games.zeta_expand = lambda coeffs: LatticeGame(
+            lat, {x: Fraction(99) for x in lat.elements})
+        try:
+            games.clustering_restrict(game, lat.parse_element("1,2|3"))
+            print("restrict returned")
+        except Exception as err:
+            print("restrict", type(err).__name__, err)
+        lat.chain_count_total = lambda: 99
+        try:
+            lat.maximal_chains()
+            print("chains returned")
+        except Exception as err:
+            print("chains", type(err).__name__, err)
     """)
     package_root = Path(lattice_games.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(package_root), PYTHONDONTWRITEBYTECODE="1")
@@ -380,11 +398,14 @@ def test_proof_checks_run_under_python_O():
     assert proc.stdout.splitlines() == [
         "optimize 1",
         "ValueError False",
+        "one class True",
         "witness VerificationError simplex returned an infeasible point",
         "negative VerificationError negative inequality multiplier",
         "uncancelled VerificationError certificate does not cancel the shares",
         "nonpositive VerificationError certificate combination is not positive",
         "member VerificationError member of a verified family fails to separate",
+        "restrict VerificationError restricted game does not end at the cluster's value",
+        "chains VerificationError 3 maximal chains listed on P^N with n=3, 99 counted",
     ]
 
 

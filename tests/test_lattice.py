@@ -3,7 +3,9 @@
 Chain-count formulas are checked against explicit depth-first
 enumeration, meet/join against the defining bound properties, and sizes
 against direct atom counting, so the closed forms never vouch for
-themselves.
+themselves.  The order, meet, join, size and atoms-below that the
+lattices read off their atom bitmasks are checked pair by pair against
+the element objects' own operators.
 """
 
 import random
@@ -152,6 +154,67 @@ def test_meet_join_are_bounds(tag, n):
                     assert lat.leq(z, m)
                 if lat.leq(x, z) and lat.leq(y, z):
                     assert lat.leq(j, z)
+
+
+def _object_oracle(tag):
+    """(leq, meet, join, size) computed on the element objects: frozenset
+    operators on 2^N, Partition methods on P^N, and the Partition methods
+    on the images in P^(n+1) on E^N."""
+    if tag == "2^N":
+        return (lambda x, y: x <= y, lambda x, y: x & y, lambda x, y: x | y, len)
+    if tag == "P^N":
+        return (Partition.refines, Partition.meet, Partition.join, lambda x: x.size)
+    lift, drop = EmbeddedSubset.to_partition, EmbeddedSubset.from_partition
+    return (lambda x, y: lift(x).refines(lift(y)),
+            lambda x, y: drop(lift(x).meet(lift(y))),
+            lambda x, y: drop(lift(x).join(lift(y))),
+            lambda x: x.size)
+
+
+MASK_ORACLE_LATTICES = ([("2^N", n) for n in range(1, 7)]
+                        + [("P^N", n) for n in range(1, 6)]
+                        + [("E^N", n) for n in range(1, 5)])
+
+
+@pytest.mark.parametrize("tag,n", MASK_ORACLE_LATTICES)
+def test_mask_order_matches_the_object_order(tag, n):
+    lat = lattice_for(tag, n)
+    leq, meet, join, size = _object_oracle(tag)
+    elems = lat.elements
+    for x in elems:
+        below = lat.atoms_below(x)
+        assert len(below) == len(set(below)) == lat.size(x) == size(x)
+        assert set(below) == {a for a in lat.atoms if leq(a, x)}
+        for y in elems:
+            assert lat.leq(x, y) == leq(x, y)
+            assert lat.meet(x, y) == meet(x, y)
+            assert lat.join(x, y) == join(x, y)
+
+
+@pytest.mark.parametrize("tag,n", [("2^N", n) for n in range(1, 8)]
+                         + [("P^N", n) for n in range(1, 7)]
+                         + [("E^N", n) for n in range(1, 6)])
+def test_element_order_is_a_linear_extension(tag, n):
+    lat = lattice_for(tag, n)
+    for i in range(len(lat)):
+        assert all(j >= i for j in lat.upset_indices(i))
+        assert all(j <= i for j in lat.downset_indices(i))
+
+
+@pytest.mark.parametrize("tag,n,strangers", [
+    ("2^N", 3, [frozenset({4}), frozenset({0, 1}), "1,2", Partition.top(3)]),
+    ("P^N", 3, [Partition.top(4), frozenset({1}), "1,2|3",
+                EmbeddedSubset((), Partition.top(3))]),
+    ("E^N", 2, [EmbeddedSubset((), Partition.top(3)), Partition.top(3), ";1,2"]),
+])
+def test_order_questions_reject_non_elements(tag, n, strangers):
+    lat = lattice_for(tag, n)
+    for stranger in strangers:
+        for op in (lat.leq, lat.meet, lat.join):
+            with pytest.raises(ValueError):
+                op(stranger, lat.top)
+            with pytest.raises(ValueError):
+                op(lat.bottom, stranger)
 
 
 @pytest.mark.parametrize("tag,n", SMALL_LATTICES)
