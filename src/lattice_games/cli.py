@@ -326,7 +326,7 @@ def cmd_netshare(args):
             "edgeShares": {_edge_key(a): format_fraction(sol[a]) for a in lat.atoms},
             "nodeShares": nodes.payload()["shares"],
             "efficiencyCheck": format_fraction(sol.efficiency()),
-            "fixedPoint": is_fixed_point(solver, game),
+            "fixedPoint": sol.reproduces(game),
         })
     report = {"command": "netshare", "n": n, "solver": args.solver,
               "split": "equal" if weights is None else args.split,

@@ -14,13 +14,12 @@ empty) gives both the same element order, so E^N shares the atom masks
 and order tables of P^(n+1).
 
 All three lattices are atomistic: an element is fixed by the atoms below
-it.  Each element carries them as an integer bitmask, and the order,
-meet, join, size and the up-set/down-set tables are read off the masks.
+it.  Each element carries them as an integer bitmask; the order, meet,
+join, size, covers and up-set/down-set tables are read off the masks.
 Elements are listed in a linear extension of the order, bottom first.
 
 ``rank`` counts covering steps from the bottom, ``size`` counts atoms
-below an element.  Chain counts are exact integers; the pair ratios used
-by the chain-uniform solution are exact rationals.
+below an element.  Chain counts are exact integers.
 """
 
 from __future__ import annotations
@@ -102,6 +101,12 @@ def class_vectors(n):
     return out
 
 
+def _exact_quotient(num, den):
+    if num % den:
+        raise VerificationError(f"count {num}/{den} is not an integer")
+    return num // den
+
+
 def class_count(cvec):
     """How many partitions of {1..n} share the class vector (c_1, ..., c_n)."""
     n = 0
@@ -114,9 +119,7 @@ def class_count(cvec):
     den = 1
     for k, c in enumerate(cvec, start=1):
         den *= factorial(k) ** c * factorial(c)
-    num = factorial(n)
-    assert num % den == 0
-    return num // den
+    return _exact_quotient(factorial(n), den)
 
 
 def class_key(cvec):
@@ -286,19 +289,6 @@ class Partition:
             groups.setdefault(find(x), []).append(x)
         return Partition(self.n, groups.values())
 
-    def covers(self, other):
-        """True when self is exactly one merge above other."""
-        return self.rank == other.rank + 1 and other.refines(self)
-
-    def cover_ups(self):
-        """Partitions obtained by merging one pair of blocks."""
-        out = []
-        for i, j in combinations(range(len(self.blocks)), 2):
-            merged = [b for k, b in enumerate(self.blocks) if k not in (i, j)]
-            merged.append(self.blocks[i] + self.blocks[j])
-            out.append(Partition(self.n, merged))
-        return out
-
     def rgs_tuple(self):
         owner = self._owner_map()
         return tuple(owner[x] for x in range(1, self.n + 1))
@@ -444,11 +434,9 @@ class EmbeddedSubset:
 
 def _kappa(k):
     """Maximal chains of the partition lattice on k elements: k!(k-1)!/2^(k-1)."""
-    assert k >= 1
-    num = factorial(k) * factorial(k - 1)
-    den = 1 << (k - 1)
-    assert num % den == 0
-    return num // den
+    if k < 1:
+        raise ValueError(f"chain count needs k >= 1, got {k}")
+    return _exact_quotient(factorial(k) * factorial(k - 1), 1 << (k - 1))
 
 
 def _chains_below(p):
@@ -462,9 +450,7 @@ def _chains_below(p):
     num = factorial(p.rank)
     for b in p.blocks:
         num *= factorial(len(b))
-    den = 1 << p.rank
-    assert num % den == 0
-    return num // den
+    return _exact_quotient(num, 1 << p.rank)
 
 
 class Lattice:
@@ -473,11 +459,11 @@ class Lattice:
 
     Subclasses supply ``elements`` (a linear extension of the order,
     bottom first and top last), ``atoms``, the atom bitmask of every
-    element (handed to ``_finish``), ``rank``, ``covers_of``,
-    ``class_of``, ``key``, ``parse_element`` and the chain counts.  All
-    three lattices are atomistic, so the set of atoms below an element
-    fixes it: ``leq``, ``meet``, ``join``, ``size``, ``atoms_below`` and
-    the up-set/down-set tables are derived here, once, from the masks.
+    element (handed to ``_finish``), ``class_of``, ``parse_element`` and
+    the chain counts; ``rank`` and ``key`` default to the element's own.
+    The lattices are atomistic, so an element's atoms fix it: ``leq``,
+    ``meet``, ``join``, ``size``, ``atoms_below``, the covers and the
+    up-set/down-set tables are derived here, once, from the masks.
     """
 
     tag = "?"
@@ -536,11 +522,13 @@ class Lattice:
         i, j = self.index(x), self.index(y)
         mask = self._mask
         both = mask[i] | mask[j]
-        ups = self._order_tables()[0]
-        # The order is a linear extension, so the first common upper bound
-        # met in either up-set is the least one.
-        return next(self.elements[k] for k in min(ups[i], ups[j], key=len)
-                    if mask[k] & both == both)
+        # An element holding exactly both sets of atoms is the join; else the
+        # first common upper bound met in either up-set, a linear extension.
+        k = self._by_mask.get(both)
+        if k is None:
+            ups = self._order_tables()[0]
+            k = next(k for k in min(ups[i], ups[j], key=len) if mask[k] & both == both)
+        return self.elements[k]
 
     def size(self, x):
         """Number of atoms below x."""
@@ -552,18 +540,38 @@ class Lattice:
         return tuple(a for k, a in enumerate(self._bit_atoms) if mask >> k & 1)
 
     def rank(self, x):
-        raise NotImplementedError
+        return x.rank
+
+    def cover_indices(self, i):
+        """The covers of element i as (index, mask of the atoms it adds).
+
+        A cover of x is x v a for an atom a not below x (the lattices are
+        atomistic and upper-semimodular): the first element of x's up-set,
+        a linear extension, whose mask holds a.
+        """
+        mask = self._mask
+        below = mask[i]
+        rem = mask[-1] & ~below  # atoms not yet placed in a cover
+        for j in self.upset_indices(i):
+            if mask[j] & rem:
+                group = mask[j] & ~below
+                if group & ~rem:
+                    raise VerificationError(f"covers of element {i} on {self.describe()} overlap")
+                yield j, group
+                rem &= ~group
+                if not rem:
+                    return
 
     def covers_of(self, x):
-        """Elements covering x, in a fixed order."""
-        raise NotImplementedError
+        """Elements covering x, in element order."""
+        return tuple(self.elements[j] for j, _ in self.cover_indices(self.index(x)))
 
     def class_of(self, x):
         """Relabeling-invariant class of x (see each lattice)."""
         raise NotImplementedError
 
     def key(self, x):
-        raise NotImplementedError
+        return x.label()
 
     def parse_element(self, text):
         raise NotImplementedError
@@ -610,7 +618,8 @@ class Lattice:
     def chain_count_through(self, x):
         raise NotImplementedError
 
-    def _chain_pair_count(self, x, a):
+    def _chain_step_count(self, x):
+        """Maximal chains through a covering step out of x, alike for each cover."""
         raise NotImplementedError
 
     def chain_pair_ratio(self, x, a):
@@ -622,7 +631,7 @@ class Lattice:
             raise ValueError(f"{a!r} is not an atom of {self.describe()}")
         if self.leq(a, x):
             raise ValueError("atom already lies below the element, no crossing step")
-        return Fraction(self._chain_pair_count(x, a), self.chain_count_total())
+        return Fraction(self._chain_step_count(x), self.chain_count_total())
 
     def maximal_chains(self):
         """All maximal chains bottom -> top, as tuples of elements."""
@@ -632,19 +641,19 @@ class Lattice:
                 f"maximal-chain listing on {self.describe()} needs ground size "
                 f"{ground}, over the cap {CHAIN_CAP}; counts remain available")
         chains = []
-        trail = [self.bottom]
-        top = self.top
+        trail = [0]
+        top = len(self.elements) - 1
 
-        def walk(x):
-            if x == top:
-                chains.append(tuple(trail))
+        def walk(i):
+            if i == top:
+                chains.append(tuple(self.elements[k] for k in trail))
                 return
-            for y in self.covers_of(x):
-                trail.append(y)
-                walk(y)
+            for j, _ in self.cover_indices(i):
+                trail.append(j)
+                walk(j)
                 trail.pop()
 
-        walk(self.bottom)
+        walk(0)
         if len(chains) != self.chain_count_total():
             raise VerificationError(
                 f"{len(chains)} maximal chains listed on {self.describe()}, "
@@ -669,9 +678,6 @@ class SubsetLattice(Lattice):
 
     def rank(self, x):
         return len(x)
-
-    def covers_of(self, x):
-        return tuple(x | {i} for i in range(1, self.n + 1) if i not in x)
 
     def class_of(self, x):
         return len(x)
@@ -699,7 +705,7 @@ class SubsetLattice(Lattice):
         k = len(x)
         return factorial(k) * factorial(self.n - k)
 
-    def _chain_pair_count(self, x, a):
+    def _chain_step_count(self, x):
         k = len(x)
         return factorial(k) * factorial(self.n - k - 1)
 
@@ -725,17 +731,8 @@ class PartitionLattice(Lattice):
         self._finish(tuple(sum(bit[pair] for b in p.blocks for pair in combinations(b, 2))
                            for p in parts))
 
-    def rank(self, x):
-        return x.rank
-
-    def covers_of(self, x):
-        return tuple(x.cover_ups())
-
     def class_of(self, x):
         return x.class_vector()
-
-    def key(self, x):
-        return x.label()
 
     def parse_element(self, text):
         return Partition.parse(text, self.n)
@@ -746,7 +743,7 @@ class PartitionLattice(Lattice):
     def chain_count_through(self, x):
         return _chains_below(x) * _kappa(len(x.blocks))
 
-    def _chain_pair_count(self, x, a):
+    def _chain_step_count(self, x):
         return _chains_below(x) * _kappa(len(x.blocks) - 1)
 
 
@@ -777,13 +774,6 @@ class EmbeddedLattice(Lattice):
     def _lift(self, x):
         return self.inner.elements[self.index(x)]
 
-    def rank(self, x):
-        return x.rank
-
-    def covers_of(self, x):
-        inner = self.inner
-        return tuple(self.elements[inner.index(q)] for q in inner.covers_of(self._lift(x)))
-
     def class_of(self, x):
         """Class vector of the image partition in P^(n+1).
 
@@ -792,9 +782,6 @@ class EmbeddedLattice(Lattice):
         games holds at exactly this granularity.
         """
         return self._lift(x).class_vector()
-
-    def key(self, x):
-        return x.label()
 
     def parse_element(self, text):
         return EmbeddedSubset.parse(text, self.n)
@@ -812,8 +799,8 @@ class EmbeddedLattice(Lattice):
     def chain_count_through(self, x):
         return self.inner.chain_count_through(self._lift(x))
 
-    def _chain_pair_count(self, x, a):
-        return self.inner._chain_pair_count(self._lift(x), self._lift(a))
+    def _chain_step_count(self, x):
+        return self.inner._chain_step_count(self._lift(x))
 
 
 @lru_cache(maxsize=None)

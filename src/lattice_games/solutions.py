@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
-from .lattice import EmbeddedSubset, lattice_for
+from .lattice import EmbeddedSubset, VerificationError, lattice_for
 from .transform import LatticeGame, format_fraction, mobius, parse_fraction
 from .games import SymmetricGame, is_symmetric
 
@@ -55,6 +55,10 @@ class Solution:
 
     def __repr__(self):
         return f"Solution({self.lattice.describe()}, {self.vector()!r})"
+
+    def reproduces(self, game):
+        """Whether expanding the shares gives the game back, bottom shift removed."""
+        return self.expand() == game.normalize_bottom()[0]
 
     def expand(self):
         """The lattice function x -> sum of shares over atoms below x."""
@@ -129,24 +133,31 @@ def su(game):
 
 
 def cu(game):
-    """Chain-uniform sharing, via the closed-form chain ratios.
+    """Chain-uniform sharing, one pass over the cover edges.
 
     An atom is credited the per-size marginal of the covering step where
-    it first appears under a uniformly random maximal chain.
+    it first appears under a uniformly random maximal chain.  Each cover
+    edge adds one integer marginal to every atom it adds.
     """
     lat = game.lattice
-    vals = game.values
-    shares = {}
-    for a in lat.atoms:
-        acc = Fraction(0)
-        for x in lat.elements:
-            if lat.leq(a, x):
-                continue
-            y = lat.join(x, a)
-            jump = lat.size(y) - lat.size(x)
-            acc += lat.chain_pair_ratio(x, a) * (vals[y] - vals[x]) / jump
-        shares[a] = acc
-    return Solution(lat, shares)
+    vals = [game.values[x] for x in lat.elements]
+    scale = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (scale // v.denominator) for v in vals]
+    common = lcm(*range(1, len(lat.atoms) + 1))  # a multiple of every group size
+    credit = [0] * len(lat.atoms)  # per mask bit
+    for i, x in enumerate(lat.elements[:-1]):  # the top covers nothing
+        weight = lat._chain_step_count(x)
+        for j, group in lat.cover_indices(i):
+            gain = weight * (ints[j] - ints[i]) * (common // group.bit_count())
+            while group:
+                low = group & -group
+                credit[low.bit_length() - 1] += gain
+                group ^= low
+    total = common * lat.chain_count_total()
+    if sum(credit) != total * (ints[-1] - ints[0]):
+        raise VerificationError(f"cu shares on {lat.describe()} do not sum to f(top) - f(bottom)")
+    return Solution(lat, {a: Fraction(c, total * scale)
+                          for a, c in zip(lat.atoms_below(lat.top), credit)})
 
 
 def cu_chain_oracle(game):
@@ -212,8 +223,7 @@ def is_fixed_point(solver, game):
                              f"pick one of {sorted(SOLVERS)}") from None
     else:
         fn = solver
-    base, _ = game.normalize_bottom()
-    return fn(game).expand() == base
+    return fn(game).reproduces(game)
 
 
 def transport_solution(sol):

@@ -337,15 +337,16 @@ def test_integer_tableau_matches_the_oracle_on_core_systems():
 
 def test_proof_checks_run_under_python_O():
     """Under -O asserts vanish; the checks on a witness, a certificate, a
-    separating family, a restricted game and a chain listing must still
-    raise.  A patched _phase1 hands core_feasible bad proof objects, a
-    patched zeta_expand a wrong top value, a patched chain count a wrong
-    total."""
+    separating family, a restricted game, cu shares, a cover walk and a
+    chain listing must still raise.  A patched _phase1 hands core_feasible
+    bad proof objects, a patched zeta_expand a wrong top value, a patched
+    chain-step count wrong cu weights, a patched up-set an order that is
+    no linear extension, a patched chain count a wrong total."""
     script = textwrap.dedent("""
         import sys
         from fractions import Fraction
         import lattice_games
-        from lattice_games import coresep, games, lattice
+        from lattice_games import coresep, games, lattice, solutions
         from lattice_games.lattice import lattice_for
         from lattice_games.transform import LatticeGame
 
@@ -383,6 +384,19 @@ def test_proof_checks_run_under_python_O():
             print("restrict returned")
         except Exception as err:
             print("restrict", type(err).__name__, err)
+        lattice.PartitionLattice._chain_step_count = lambda self, x: 7
+        try:
+            solutions.cu(game)
+            print("cu returned")
+        except Exception as err:
+            print("cu", type(err).__name__, err)
+        subsets = lattice_for("2^N", 2)
+        subsets.upset_indices = lambda i: (0, 1, 3, 2)
+        try:
+            list(subsets.cover_indices(0))
+            print("covers returned")
+        except Exception as err:
+            print("covers", type(err).__name__, err)
         lat.chain_count_total = lambda: 99
         try:
             lat.maximal_chains()
@@ -405,6 +419,8 @@ def test_proof_checks_run_under_python_O():
         "nonpositive VerificationError certificate combination is not positive",
         "member VerificationError member of a verified family fails to separate",
         "restrict VerificationError restricted game does not end at the cluster's value",
+        "cu VerificationError cu shares on P^N with n=3 do not sum to f(top) - f(bottom)",
+        "covers VerificationError covers of element 0 on 2^N with n=2 overlap",
         "chains VerificationError 3 maximal chains listed on P^N with n=3, 99 counted",
     ]
 

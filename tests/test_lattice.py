@@ -217,6 +217,48 @@ def test_order_questions_reject_non_elements(tag, n, strangers):
                 op(lat.bottom, stranger)
 
 
+def cover_ups(p):
+    """Partitions obtained by merging one pair of blocks of p."""
+    out = []
+    for i, j in combinations(range(len(p.blocks)), 2):
+        merged = [b for k, b in enumerate(p.blocks) if k not in (i, j)]
+        merged.append(p.blocks[i] + p.blocks[j])
+        out.append(Partition(p.n, merged))
+    return out
+
+
+def _object_covers(tag, n):
+    """Covers built on the element objects: one more element on 2^N, one
+    merge of two blocks on P^N and on the images in P^(n+1) on E^N."""
+    if tag == "2^N":
+        return lambda x: [x | {i} for i in range(1, n + 1) if i not in x]
+    if tag == "P^N":
+        return cover_ups
+    return lambda x: [EmbeddedSubset.from_partition(q) for q in cover_ups(x.to_partition())]
+
+
+@pytest.mark.parametrize("tag,n", [("2^N", n) for n in range(1, 7)]
+                         + [("P^N", n) for n in range(1, 7)]
+                         + [("E^N", n) for n in range(1, 6)])
+def test_mask_covers_match_the_object_covers(tag, n):
+    lat = lattice_for(tag, n)
+    oracle = _object_covers(tag, n)
+    for i, x in enumerate(lat.elements):
+        found = list(lat.cover_indices(i))
+        covers = [lat.elements[j] for j, _ in found]
+        assert [j for j, _ in found] == sorted({j for j, _ in found})
+        assert set(covers) == set(oracle(x)) and len(covers) == len(oracle(x))
+        assert lat.covers_of(x) == tuple(covers)
+        placed = set()
+        for y, (_, group) in zip(covers, found):
+            atoms = {a for k, a in enumerate(lat.atoms_below(lat.top)) if group >> k & 1}
+            assert atoms == set(lat.atoms_below(y)) - set(lat.atoms_below(x))
+            assert len(atoms) == lat.size(y) - lat.size(x) > 0
+            assert not atoms & placed
+            placed |= atoms
+        assert placed == set(lat.atoms) - set(lat.atoms_below(x))
+
+
 @pytest.mark.parametrize("tag,n", SMALL_LATTICES)
 def test_covers_and_ranks(tag, n):
     lat = lattice_for(tag, n)

@@ -1,9 +1,10 @@
 """Solution layer: frozen worked examples, axioms, and cross-oracles.
 
-The chain-uniform solver is checked against a literal chain census, the
-dividend form of the subset solver against the permutation form, and
-every solver against linearity, efficiency, and the indicator-game
-formulas that characterize them.
+The chain-uniform solver is checked against a literal chain census and
+against the per-atom join formula it replaced, the dividend form of the
+subset solver against the permutation form, and every solver against
+linearity, efficiency, and the indicator-game formulas that
+characterize them.
 """
 
 import random
@@ -280,6 +281,18 @@ def test_su_is_not_fixed_on_top_indicator():
     assert not is_fixed_point(su, zeta_game(lat, lat.top))
 
 
+def test_reproduces_decides_the_fixed_point_from_the_solution():
+    lat = lattice_for("P^N", 3)
+    for g in (zeta_game(lat, lat.atoms[0]), zeta_game(lat, lat.top)):
+        shifted = g + LatticeGame(lat, {x: Fraction(3) for x in lat.elements})
+        for solver in (su, cu):
+            sol = solver(shifted)
+            assert sol.reproduces(shifted) == is_fixed_point(solver, shifted)
+            assert sol.reproduces(shifted) == sol.reproduces(g)
+    assert su(zeta_game(lat, lat.atoms[0])).reproduces(zeta_game(lat, lat.atoms[0]))
+    assert not cu(zeta_game(lat, lat.atoms[0])).reproduces(zeta_game(lat, lat.atoms[0]))
+
+
 def test_fixed_point_rejects_unknown_solver():
     lat = lattice_for("P^N", 3)
     g = LatticeGame(lat, {x: 0 for x in lat.elements})
@@ -300,6 +313,40 @@ def test_cu_matches_chain_census(tag, n):
     for _ in range(5):
         g = random_game(lat, rng)
         assert cu(g) == cu_chain_oracle(g)
+
+
+def cu_join_oracle(game):
+    """Chain-uniform sharing, via the closed-form chain ratios.
+
+    An atom is credited the per-size marginal of the covering step where
+    it first appears under a uniformly random maximal chain.  This is the
+    per-pair form: one join and one chain ratio for every atom and every
+    element not above it.
+    """
+    lat = game.lattice
+    vals = game.values
+    shares = {}
+    for a in lat.atoms:
+        acc = Fraction(0)
+        for x in lat.elements:
+            if lat.leq(a, x):
+                continue
+            y = lat.join(x, a)
+            jump = lat.size(y) - lat.size(x)
+            acc += lat.chain_pair_ratio(x, a) * (vals[y] - vals[x]) / jump
+        shares[a] = acc
+    return Solution(lat, shares)
+
+
+@pytest.mark.parametrize("tag,n", [("2^N", n) for n in range(1, 8)]
+                         + [("P^N", n) for n in range(1, 8)]
+                         + [("E^N", n) for n in range(1, 7)])
+def test_cu_matches_the_join_formula(tag, n):
+    rng = random.Random(120 + 10 * n + len(tag))
+    lat = lattice_for(tag, n)
+    for _ in range(2 if len(lat) <= 300 else 1):
+        g = random_game(lat, rng)
+        assert cu(g) == cu_join_oracle(g)
 
 
 @pytest.mark.parametrize("n", [2, 3])
