@@ -20,7 +20,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .lattice import SizeLimitError, bell, class_count, class_vectors, ground_cap, lattice_for
+from .lattice import (
+    Partition,
+    SizeLimitError,
+    bell,
+    class_count,
+    class_vectors,
+    ground_cap,
+    lattice_for,
+)
 from .transform import (
     LatticeGame,
     MobiusCoefficients,
@@ -32,6 +40,7 @@ from .games import clustering_restrict, is_supermodular, is_totally_positive
 from .solutions import (
     SOLVERS,
     _atom_pair,
+    _edge,
     cu,
     egalitarian,
     is_fixed_point,
@@ -74,21 +83,13 @@ def _approx(text):
         return ""
 
 
+def _rows(kind, values, *lead):
+    """One CSV row (*lead, kind, key, value, approx) per entry of values."""
+    return [(*lead, kind, key, text, _approx(text)) for key, text in values.items()]
+
+
 def _edge_key(atom):
     return "{},{}".format(*_atom_pair(atom))
-
-
-def _parse_weights(path, n):
-    raw = _load_json(path)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: weight file must map edges to weight pairs")
-    weights = {}
-    for key, pair in raw.items():
-        edge = _parse_edge(key, n)
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"weights for edge {key} must be a pair")
-        weights[edge] = (parse_fraction(pair[0]), parse_fraction(pair[1]))
-    return weights
 
 
 def _parse_edge(key, n):
@@ -96,9 +97,37 @@ def _parse_edge(key, n):
         i, j = (int(tok) for tok in str(key).split(","))
     except ValueError:
         raise ValueError(f"bad edge key {key!r}; expected \"i,j\"") from None
-    if i == j or not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"edge {key!r} is not a pair of distinct elements of 1..{n}")
-    return (i, j) if i < j else (j, i)
+    return _edge(i, j, n)
+
+
+def _edge_table(items, n, where):
+    """{(i, j): value} from (edge key, value) pairs, each edge named once."""
+    table = {}
+    for key, value in items:
+        edge = _parse_edge(key, n)
+        if edge in table:
+            raise ValueError(f"{where}: duplicate edge {key}")
+        table[edge] = value
+    return table
+
+
+def _parse_weights(path, n):
+    raw = _load_json(path)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: weight file must map edges to weight pairs")
+    weights = _edge_table(raw.items(), n, path)
+    for (i, j), pair in weights.items():
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"weights for edge {i},{j} must be a pair")
+        weights[i, j] = (parse_fraction(pair[0]), parse_fraction(pair[1]))
+    return weights
+
+
+def _parse_cluster(lat, raw, where):
+    """The element a cluster key names; the key must be a string."""
+    if not isinstance(raw, str):
+        raise ValueError(f"{where}: expected an element key, got {raw!r}")
+    return lat.parse_element(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +141,7 @@ def _load_game(args):
         raw = _load_json(args.cluster_file)
         if isinstance(raw, dict):
             raw = raw.get("cluster")
-        if not isinstance(raw, str):
-            raise ValueError(f"{args.cluster_file}: expected an element key")
-        cluster = game.lattice.parse_element(raw)
+        cluster = _parse_cluster(game.lattice, raw, args.cluster_file)
         game = clustering_restrict(game, cluster)
         cluster_label = game.lattice.key(cluster)
     shift = Fraction(0)
@@ -149,13 +176,10 @@ def cmd_solve(args):
                 ("meta", "n", str(report["n"]), ""),
                 ("meta", "solver", args.solver, ""),
                 ("meta", "bottomShift", report["bottomShift"], "")]
-        for key, text in report["shares"].items():
-            rows.append(("share", key, text, _approx(text)))
-        rows.append(("efficiency", "", report["efficiencyCheck"],
-                     _approx(report["efficiencyCheck"])))
+        rows += _rows("share", report["shares"])
+        rows += _rows("efficiency", {"": report["efficiencyCheck"]})
         if nodes is not None:
-            for key, text in report["nodeShares"].items():
-                rows.append(("node", key, text, _approx(text)))
+            rows += _rows("node", report["nodeShares"])
         _print_csv(("kind", "key", "value", "approx"), rows)
     else:
         _print_json(report)
@@ -198,14 +222,11 @@ def cmd_core(args):
                 ("status", "", report["status"], ""),
                 ("supermodular", "", str(report["supermodular"]).lower(), ""),
                 ("totallyPositive", "", str(report["totallyPositive"]).lower(), "")]
-        for key, text in report.get("witness", {}).items():
-            rows.append(("witness", key, text, _approx(text)))
+        rows += _rows("witness", report.get("witness", {}))
         cert = report.get("certificate")
         if cert:
-            for key, text in cert["lowerBounds"].items():
-                rows.append(("certificateLowerBound", key, text, _approx(text)))
-            rows.append(("certificateEfficiency", "", cert["efficiency"],
-                         _approx(cert["efficiency"])))
+            rows += _rows("certificateLowerBound", cert["lowerBounds"])
+            rows += _rows("certificateEfficiency", {"": cert["efficiency"]})
         _print_csv(("kind", "key", "value", "approx"), rows)
     else:
         _print_json(report)
@@ -218,11 +239,22 @@ def cmd_core(args):
 
 def _read_trace(path):
     """Traffic trace: JSON with a periods array, or CSV period,i,j,volume."""
-    if path.endswith(".csv"):
-        return _read_trace_csv(path)
+    n, raw = (_trace_csv if path.endswith(".csv") else _trace_json)(path)
+    periods = []
+    for label, volumes, clustering in raw:
+        edges = _edge_table(volumes, n, f"period {label}")
+        for (i, j), text in edges.items():
+            edges[i, j] = q = parse_fraction(text)
+            if q < 0:
+                raise ValueError(f"period {label}: negative volume on edge {i},{j}")
+        periods.append({"period": label, "volumes": edges, "clustering": clustering})
+    return n, periods
+
+
+def _trace_json(path):
     raw = _load_json(path)
-    if not isinstance(raw, dict) or "periods" not in raw:
-        raise ValueError(f"{path}: expected an object with \"n\" and \"periods\"")
+    if not isinstance(raw, dict) or not isinstance(raw.get("periods"), list):
+        raise ValueError(f"{path}: expected an object with \"n\" and a \"periods\" list")
     n = raw.get("n")
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"{path}: \"n\" must be an integer")
@@ -234,20 +266,13 @@ def _read_trace(path):
         volumes = entry.get("volumes", {})
         if not isinstance(volumes, dict):
             raise ValueError(f"{path}: period {label}: \"volumes\" must be an object")
-        edges = {}
-        for key, text in volumes.items():
-            edge = _parse_edge(key, n)
-            if edge in edges:
-                raise ValueError(f"period {label}: duplicate edge {key}")
-            edges[edge] = _volume(text, label, key)
-        periods.append({"period": label, "volumes": edges,
-                        "clustering": entry.get("clustering")})
+        periods.append((label, volumes.items(), entry.get("clustering")))
     return n, periods
 
 
-def _read_trace_csv(path):
-    periods = []
-    seen = {}
+def _trace_csv(path):
+    """Rows grouped by period label; n is the largest node id named."""
+    periods = {}
     n = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -261,34 +286,13 @@ def _read_trace_csv(path):
                 raise ValueError(f"{path}:{lineno}: expected 4 columns")
             label, i, j, volume = (cell.strip() for cell in row)
             try:
-                i, j = int(i), int(j)
+                n = max(n, int(i), int(j))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad edge {i!r},{j!r}") from None
-            n = max(n, i, j)
-            if label not in seen:
-                seen[label] = {"period": label, "volumes": {}, "clustering": None}
-                periods.append(seen[label])
-            entry = seen[label]
-            if i == j:
-                raise ValueError(f"{path}:{lineno}: edge {i},{j} is a loop")
-            edge = (i, j) if i < j else (j, i)
-            if edge in entry["volumes"]:
-                raise ValueError(f"period {label}: duplicate edge {i},{j}")
-            entry["volumes"][edge] = _volume(volume, label, f"{i},{j}")
+            periods.setdefault(label, []).append((f"{i},{j}", volume))
     if n < 2:
         raise ValueError(f"{path}: trace names fewer than two network elements")
-    for entry in periods:
-        for i, j in entry["volumes"]:
-            if not (1 <= i < j <= n):
-                raise ValueError(f"edge {i},{j} is out of range for n={n}")
-    return n, periods
-
-
-def _volume(text, label, key):
-    q = parse_fraction(text)
-    if q < 0:
-        raise ValueError(f"period {label}: negative volume on edge {key}")
-    return q
+    return n, [(label, volumes, None) for label, volumes in periods.items()]
 
 
 def _cluster_map(path):
@@ -300,29 +304,33 @@ def _cluster_map(path):
     raise ValueError(f"{path}: expected a partition key or a period-to-key object")
 
 
+def _period_game(lat, volumes, cluster=None):
+    """A period's game: each edge volume is the dividend of its pair atom,
+    restricted to the cluster when one is given."""
+    coeffs = {Partition.pair(lat.n, i, j): q for (i, j), q in volumes.items()}
+    game = MobiusCoefficients(lat, coeffs).zeta_expand()
+    return game if cluster is None else clustering_restrict(game, cluster)
+
+
 def cmd_netshare(args):
     n, periods = _read_trace(args.trace)
     solver = SOLVERS[args.solver]
     lat = lattice_for("P^N", n, args.max_n)
-    atom_of = {_atom_pair(a): a for a in lat.atoms}
     cluster_of = _cluster_map(args.cluster_file) if args.cluster_file else lambda label: None
     weights = None
     if args.split and args.split != "equal":
         weights = _parse_weights(args.split, n)
     out_periods = []
     for entry in periods:
-        coeffs = {atom_of[edge]: q for edge, q in entry["volumes"].items()}
-        game = MobiusCoefficients(lat, coeffs).zeta_expand()
         label = cluster_of(entry["period"]) or entry["clustering"]
-        if label is not None:
-            cluster = lat.parse_element(label)
-            game = clustering_restrict(game, cluster)
-            label = lat.key(cluster)
+        cluster = None if label is None else \
+            _parse_cluster(lat, label, f"period {entry['period']}: clustering")
+        game = _period_game(lat, entry["volumes"], cluster)
         sol = solver(game)
         nodes = split_to_nodes(sol, weights)
         out_periods.append({
             "period": entry["period"],
-            "clustering": label,
+            "clustering": None if cluster is None else lat.key(cluster),
             "edgeShares": {_edge_key(a): format_fraction(sol[a]) for a in lat.atoms},
             "nodeShares": nodes.payload()["shares"],
             "efficiencyCheck": format_fraction(sol.efficiency()),
@@ -336,12 +344,9 @@ def cmd_netshare(args):
         for entry in out_periods:
             label = entry["period"]
             rows.append((label, "clustering", "", entry["clustering"] or "", ""))
-            for key, text in entry["edgeShares"].items():
-                rows.append((label, "edgeShare", key, text, _approx(text)))
-            for key, text in entry["nodeShares"].items():
-                rows.append((label, "nodeShare", key, text, _approx(text)))
-            rows.append((label, "efficiency", "", entry["efficiencyCheck"],
-                         _approx(entry["efficiencyCheck"])))
+            rows += _rows("edgeShare", entry["edgeShares"], label)
+            rows += _rows("nodeShare", entry["nodeShares"], label)
+            rows += _rows("efficiency", {"": entry["efficiencyCheck"]}, label)
             rows.append((label, "fixedPoint", "", str(entry["fixedPoint"]).lower(), ""))
         _print_csv(("period", "kind", "key", "value", "approx"), rows)
     else:
@@ -498,10 +503,7 @@ def _check_nonseparable_witness():
 
 def _check_netshare_volumes():
     lat = lattice_for("P^N", 3)
-    volumes = {(1, 2): Fraction(4), (1, 3): Fraction(1), (2, 3): Fraction(0)}
-    atom_of = {_atom_pair(a): a for a in lat.atoms}
-    game = MobiusCoefficients(
-        lat, {atom_of[e]: q for e, q in volumes.items()}).zeta_expand()
+    game = _period_game(lat, {(1, 2): 4, (1, 3): 1, (2, 3): 0})
     sol = su(game)
     if sol.vector() != (4, 1, 0) or not is_fixed_point(su, game):
         return f"edge shares {sol.vector()}"
@@ -511,11 +513,8 @@ def _check_netshare_volumes():
 
 def _check_netshare_clustered():
     lat = lattice_for("P^N", 3)
-    atom_of = {_atom_pair(a): a for a in lat.atoms}
-    game = MobiusCoefficients(lat, {atom_of[(1, 2)]: 4,
-                                    atom_of[(1, 3)]: 1}).zeta_expand()
-    cluster = lat.parse_element("1,2|3")
-    vec = su(clustering_restrict(game, cluster)).vector()
+    game = _period_game(lat, {(1, 2): 4, (1, 3): 1}, lat.parse_element("1,2|3"))
+    vec = su(game).vector()
     return _expect(vec == (4, 0, 0), f"got {vec}")
 
 

@@ -401,20 +401,10 @@ def _separate_embedded_game(game):
             outside = sum(v[frozenset((i,))]
                           for i in range(1, n + 1) if i not in group)
             v[group] = (at_bottom(group) - outside) / 2
-    bad = _first_pff_violation(game, v)
+    bad = next((x for x in lat.elements if pff_value(v, x) != h[x]), None)
     if bad is not None:
         return SeparabilityReport(False, violated=bad)
     return SeparabilityReport(True, v=v)
-
-
-def _first_pff_violation(game, v):
-    for x in game.lattice.elements:
-        acc = v[frozenset(x.subset)]
-        for b in x.partition.blocks:
-            acc += v[frozenset(b)]
-        if acc != game.values[x]:
-            return x
-    return None
 
 
 def pff_value(v, x):

@@ -100,17 +100,10 @@ def shapley_chain(game):
 
 
 def shapley_dividends(game):
-    """Each Mobius dividend splits evenly among the members of its coalition."""
+    """Each Mobius dividend splits evenly among the members of its coalition,
+    which on 2^N are exactly the atoms below it: su on a subset game."""
     _subset_only(game, "shapley_dividends")
-    mu = mobius(game)
-    shares = {a: Fraction(0) for a in game.lattice.atoms}
-    for coalition, q in mu.coefficients.items():
-        if q == 0 or not coalition:
-            continue
-        part = q / len(coalition)
-        for i in coalition:
-            shares[frozenset((i,))] += part
-    return Solution(game.lattice, shares)
+    return su(game)
 
 
 def su(game):
@@ -290,8 +283,8 @@ def split_to_nodes(sol, weights=None):
     if weights:
         for key, pair in weights.items():
             i, j = key
-            if not (1 <= i < j <= n):
-                raise ValueError(f"weight key {key!r} is not an edge of 1..{n}")
+            if _edge(i, j, n) != key:
+                raise ValueError(f"weight key {key!r} is not an edge i < j of 1..{n}")
             wi, wj = (parse_fraction(w) for w in pair)
             if wi + wj != 1:
                 raise ValueError(f"weights for edge {key!r} sum to {wi + wj}, not 1")
@@ -305,16 +298,20 @@ def split_to_nodes(sol, weights=None):
     return NodeShares(n, totals)
 
 
+def _edge(i, j, n):
+    """The edge between distinct nodes i and j of 1..n, as (low, high)."""
+    if any(isinstance(k, bool) or not isinstance(k, int) for k in (i, j)) \
+            or i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"edge {i!r},{j!r} is not a pair of distinct elements of 1..{n}")
+    return (i, j) if i < j else (j, i)
+
+
 def _adjacency(n, edges):
     adj = {i: set() for i in range(1, n + 1)}
     for edge in edges:
-        pair = tuple(edge)
-        if len(pair) != 2:
-            raise ValueError(f"bad edge {edge!r}")
-        i, j = pair
-        if not (isinstance(i, int) and isinstance(j, int)) or i == j \
-                or not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"bad edge {edge!r} for n={n}")
+        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+            raise ValueError(f"bad edge {edge!r}; expected a pair of nodes")
+        i, j = _edge(*edge, n)
         adj[i].add(j)
         adj[j].add(i)
     return adj
@@ -345,19 +342,15 @@ def graph_restrict(game, edges):
     _subset_only(game, "graph_restrict")
     lat = game.lattice
     adj = _adjacency(lat.n, edges)
-    dividends = {}
+    dividends = []
     values = {}
-    for coalition in lat.elements:  # listed by size, so subsets come first
-        below = Fraction(0)
-        members = sorted(coalition)
-        for k in range(len(members)):
-            for combo in combinations(members, k):
-                below += dividends[frozenset(combo)]
+    for i, coalition in enumerate(lat.elements):  # down-sets come first
+        below = sum((dividends[j] for j in lat.downset_indices(i) if j != i), Fraction(0))
         if _is_connected(coalition, adj):
             values[coalition] = game.values[coalition]
-            dividends[coalition] = values[coalition] - below
+            dividends.append(values[coalition] - below)
         else:
-            dividends[coalition] = Fraction(0)
+            dividends.append(Fraction(0))
             values[coalition] = below
     return LatticeGame(lat, values)
 

@@ -267,6 +267,71 @@ def test_netshare_rejects_bad_traces(tmp_path, capsys):
         assert code == 2, f"case {idx} accepted: {err}"
 
 
+def test_netshare_csv_and_json_traces_give_the_same_report(tmp_path, capsys):
+    volumes = {"t0": {"1,2": "4", "1,3": "1/2", "3,4": "2"},
+               "t1": {"2,4": "3", "1,4": "0"}}
+    json_trace = write_json(tmp_path / "trace.json", {
+        "n": 4, "periods": [{"period": label, "volumes": vols}
+                            for label, vols in volumes.items()]})
+    csv_trace = tmp_path / "trace.csv"
+    csv_trace.write_text("period,i,j,volume\n" + "".join(
+        f"{label},{key},{text}\n"
+        for label, vols in volumes.items() for key, text in vols.items()))
+    clusters = write_json(tmp_path / "clusters.json", {"t1": "1,2,4|3"})
+    for extra in ([], ["--cluster-file", clusters], ["--solver", "cu"]):
+        code, from_json, _ = run_cli(["netshare", json_trace, *extra], capsys)
+        assert code == 0
+        code, from_csv, _ = run_cli(["netshare", str(csv_trace), *extra], capsys)
+        assert code == 0
+        assert from_csv == from_json
+
+
+def test_netshare_rejects_an_edge_named_twice_in_either_form(tmp_path, capsys):
+    json_trace = write_json(tmp_path / "dup.json", {
+        "n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1", "2,1": "2"}}]})
+    csv_trace = tmp_path / "dup.csv"
+    csv_trace.write_text("period,i,j,volume\nt0,1,2,1\nt0,2,1,2\n")
+    for trace in (json_trace, str(csv_trace)):
+        code, out, err = run_cli(["netshare", trace], capsys)
+        assert code == 2
+        assert out == ""
+        assert "duplicate edge 2,1" in err
+
+
+MALFORMED = {
+    "trace-clustering-not-a-key": (
+        "netshare", {"n": 3, "periods": [{"volumes": {"1,2": "1"}, "clustering": 5}]},
+        None, None),
+    "cluster-file-value-not-a-key": (
+        "netshare", {"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1"}}]},
+        "--cluster-file", {"t0": 5}),
+    "periods-not-a-list": ("netshare", {"n": 3, "periods": 5}, None, None),
+    "graph-edge-not-a-pair": (
+        "solve", {"lattice": "2^N", "n": 2, "values": {"": "0", "1": "0", "2": "0", "1,2": "1"}},
+        "--graph-file", {"edges": [1, 2]}),
+    "graph-edge-with-a-bool": (
+        "solve", {"lattice": "2^N", "n": 2, "values": {"": "0", "1": "0", "2": "0", "1,2": "1"}},
+        "--graph-file", {"edges": [[2, True]]}),
+    "weights-name-an-edge-twice": (
+        "netshare", {"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1"}}]},
+        "--split", {"1,2": ["1", "0"], "2,1": ["0", "1"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_inputs_exit_2(tmp_path, capsys, case):
+    command, main_input, flag, side_input = MALFORMED[case]
+    argv = [command, write_json(tmp_path / "input.json", main_input)]
+    if command == "solve":
+        argv += ["--solver", "myerson"]
+    if flag is not None:
+        argv += [flag, write_json(tmp_path / "side.json", side_input)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2, out
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

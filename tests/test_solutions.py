@@ -517,6 +517,8 @@ def test_myerson_on_complete_graph_is_shapley():
 def test_graph_restriction_rejects_bad_edges():
     lat = lattice_for("2^N", 3)
     g = LatticeGame(lat, {x: 0 for x in lat.elements})
-    for bad in [[(1, 1)], [(0, 2)], [(1, 4)], [(1, 2, 3)], [("a", "b")]]:
+    for bad in [[(1, 1)], [(0, 2)], [(1, 4)], [(1, 2, 3)], [("a", "b")],
+                [(2, True)], [(False, 1)], [1, 2], [{1, 2}], ["12"]]:
         with pytest.raises(ValueError, match="edge"):
             graph_restrict(g, bad)
+
