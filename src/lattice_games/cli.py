@@ -79,7 +79,7 @@ def _approx(text):
     """Decimal rendering of a "p/q" string, for the approximate column."""
     try:
         return repr(float(Fraction(text)))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         return ""
 
 
@@ -241,7 +241,11 @@ def _read_trace(path):
     """Traffic trace: JSON with a periods array, or CSV period,i,j,volume."""
     n, raw = (_trace_csv if path.endswith(".csv") else _trace_json)(path)
     periods = []
+    seen = set()  # labels as text, the keys of a --cluster-file object
     for label, volumes, clustering in raw:
+        if str(label) in seen:
+            raise ValueError(f"{path}: period {label} is named twice")
+        seen.add(str(label))
         edges = _edge_table(volumes, n, f"period {label}")
         for (i, j), text in edges.items():
             edges[i, j] = q = parse_fraction(text)
@@ -304,12 +308,12 @@ def _cluster_map(path):
     raise ValueError(f"{path}: expected a partition key or a period-to-key object")
 
 
-def _period_game(lat, volumes, cluster=None):
-    """A period's game: each edge volume is the dividend of its pair atom,
-    restricted to the cluster when one is given."""
-    coeffs = {Partition.pair(lat.n, i, j): q for (i, j), q in volumes.items()}
-    game = MobiusCoefficients(lat, coeffs).zeta_expand()
-    return game if cluster is None else clustering_restrict(game, cluster)
+def _period_dividends(lat, volumes, cluster=None):
+    """A period's Mobius mass: each edge volume sits on its pair atom, and
+    a cluster keeps only the mass below it (the edges inside its blocks)."""
+    mu = MobiusCoefficients(lat, {Partition.pair(lat.n, i, j): q
+                                  for (i, j), q in volumes.items()})
+    return mu if cluster is None else mu.below(cluster)
 
 
 def cmd_netshare(args):
@@ -322,11 +326,13 @@ def cmd_netshare(args):
         weights = _parse_weights(args.split, n)
     out_periods = []
     for entry in periods:
-        label = cluster_of(entry["period"]) or entry["clustering"]
+        label = cluster_of(entry["period"])
+        if label is None:
+            label = entry["clustering"]
         cluster = None if label is None else \
             _parse_cluster(lat, label, f"period {entry['period']}: clustering")
-        game = _period_game(lat, entry["volumes"], cluster)
-        sol = solver(game)
+        mu = _period_dividends(lat, entry["volumes"], cluster)
+        sol = solver(mu.zeta_expand())
         nodes = split_to_nodes(sol, weights)
         out_periods.append({
             "period": entry["period"],
@@ -334,7 +340,7 @@ def cmd_netshare(args):
             "edgeShares": {_edge_key(a): format_fraction(sol[a]) for a in lat.atoms},
             "nodeShares": nodes.payload()["shares"],
             "efficiencyCheck": format_fraction(sol.efficiency()),
-            "fixedPoint": sol.reproduces(game),
+            "fixedPoint": sol.matches(mu),
         })
     report = {"command": "netshare", "n": n, "solver": args.solver,
               "split": "equal" if weights is None else args.split,
@@ -503,7 +509,7 @@ def _check_nonseparable_witness():
 
 def _check_netshare_volumes():
     lat = lattice_for("P^N", 3)
-    game = _period_game(lat, {(1, 2): 4, (1, 3): 1, (2, 3): 0})
+    game = _period_dividends(lat, {(1, 2): 4, (1, 3): 1, (2, 3): 0}).zeta_expand()
     sol = su(game)
     if sol.vector() != (4, 1, 0) or not is_fixed_point(su, game):
         return f"edge shares {sol.vector()}"
@@ -513,8 +519,8 @@ def _check_netshare_volumes():
 
 def _check_netshare_clustered():
     lat = lattice_for("P^N", 3)
-    game = _period_game(lat, {(1, 2): 4, (1, 3): 1}, lat.parse_element("1,2|3"))
-    vec = su(game).vector()
+    mu = _period_dividends(lat, {(1, 2): 4, (1, 3): 1}, lat.parse_element("1,2|3"))
+    vec = su(mu.zeta_expand()).vector()
     return _expect(vec == (4, 0, 0), f"got {vec}")
 
 

@@ -21,7 +21,6 @@ from .lattice import (
 )
 from .transform import (
     LatticeGame,
-    MobiusCoefficients,
     format_fraction,
     mobius,
     parse_fraction,
@@ -195,12 +194,7 @@ def clustering_restrict(game, cluster):
     The restricted game agrees with the original on the down-set of the
     cluster element; in particular its top value is f(cluster).
     """
-    lat = game.lattice
-    keep = set(lat.downset_indices(lat.index(cluster)))
-    mu = mobius(game)
-    coeffs = {x: (mu.coefficients[x] if i in keep else Fraction(0))
-              for i, x in enumerate(lat.elements)}
-    restricted = zeta_expand(MobiusCoefficients(lat, coeffs))
+    restricted = zeta_expand(mobius(game).below(cluster))
     if restricted.top_value != game.values[cluster]:
         raise VerificationError("restricted game does not end at the cluster's value")
     return restricted

@@ -56,9 +56,19 @@ class Solution:
     def __repr__(self):
         return f"Solution({self.lattice.describe()}, {self.vector()!r})"
 
-    def reproduces(self, game):
-        """Whether expanding the shares gives the game back, bottom shift removed."""
-        return self.expand() == game.normalize_bottom()[0]
+    def matches(self, coeffs):
+        """Whether the shares are the Mobius mass: bottom aside, the
+        coefficients equal the shares on the atoms and vanish elsewhere.
+
+        Mobius inversion is unique and a bottom shift moves only the bottom
+        coefficient, so this holds exactly when expanding the shares gives
+        the game back with its bottom shifted to zero.
+        """
+        lat = self.lattice
+        shares = self.shares
+        return coeffs.lattice is lat and all(
+            q == shares.get(x, 0) for x, q in coeffs.coefficients.items()
+            if x != lat.bottom)
 
     def expand(self):
         """The lattice function x -> sum of shares over atoms below x."""
@@ -168,11 +178,15 @@ def cu_chain_oracle(game):
     return Solution(lat, {a: q / total for a, q in credit.items()})
 
 
+def _uniform(lat, surplus):
+    """The same share of surplus for every atom; no atoms, no shares."""
+    atoms = lat.atoms
+    return Solution(lat, {a: surplus / len(atoms) for a in atoms})
+
+
 def egalitarian(game):
     """The structure-blind extreme: the same share for every atom."""
-    lat = game.lattice
-    q = (game.top_value - game.bottom_value) / len(lat.atoms)
-    return Solution(lat, {a: q for a in lat.atoms})
+    return _uniform(game.lattice, game.top_value - game.bottom_value)
 
 
 def symmetric_solution(game):
@@ -188,10 +202,8 @@ def symmetric_solution(game):
         if sym is None:
             raise ValueError("game is not constant on relabeling classes")
     lat = lattice_for(sym.tag, sym.n)
-    top_value = sym.class_values[lat.class_of(lat.top)]
-    bottom_value = sym.class_values[lat.class_of(lat.bottom)]
-    q = (top_value - bottom_value) / len(lat.atoms)
-    return Solution(lat, {a: q for a in lat.atoms})
+    values = sym.class_values
+    return _uniform(lat, values[lat.class_of(lat.top)] - values[lat.class_of(lat.bottom)])
 
 
 SOLVERS = {
@@ -203,10 +215,10 @@ SOLVERS = {
 
 
 def is_fixed_point(solver, game):
-    """Whether expanding the solution reproduces the game itself.
+    """Whether the solution is the game's own Mobius mass (Solution.matches).
 
-    The comparison removes any bottom shift first; solver is a name from
-    SOLVERS or a callable.
+    Any bottom shift is ignored; solver is a name from SOLVERS or a
+    callable.
     """
     if isinstance(solver, str):
         try:
@@ -216,7 +228,7 @@ def is_fixed_point(solver, game):
                              f"pick one of {sorted(SOLVERS)}") from None
     else:
         fn = solver
-    return fn(game).reproduces(game)
+    return fn(game).matches(mobius(game))
 
 
 def transport_solution(sol):

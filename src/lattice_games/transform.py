@@ -107,9 +107,6 @@ class LatticeGame(_TableOnLattice):
         return LatticeGame(self.lattice,
                            {x: q - shift for x, q in self.values.items()}), shift
 
-    def mobius(self):
-        return mobius(self)
-
     def __add__(self, other):
         if not isinstance(other, LatticeGame) or other.lattice is not self.lattice:
             return NotImplemented
@@ -160,6 +157,13 @@ class MobiusCoefficients(_TableOnLattice):
 
     def support(self):
         return tuple(x for x, q in self.coefficients.items() if q != 0)
+
+    def below(self, x):
+        """The mass on the down-set of x; every other coefficient is zero."""
+        lat = self.lattice
+        elems = lat.elements
+        return MobiusCoefficients(lat, {elems[j]: self.coefficients[elems[j]]
+                                        for j in lat.downset_indices(lat.index(x))})
 
     def zeta_expand(self):
         return zeta_expand(self)

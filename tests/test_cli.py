@@ -97,6 +97,37 @@ def test_solve_csv_marks_approximations(tmp_path, capsys):
     assert "efficiency,,1,1.0" in lines
 
 
+def test_csv_leaves_the_approximation_empty_beyond_float_range(tmp_path, capsys):
+    huge = str(10 ** 400)
+    game = write_json(tmp_path / "huge.json", {
+        "lattice": "P^N", "n": 2, "values": {"1|2": "0", "1,2": huge}})
+    code, out, _ = run_cli(["solve", game, "--format", "csv"], capsys)
+    assert code == 0
+    assert f'share,"1,2",{huge},' in out.splitlines()
+    assert f"efficiency,,{huge}," in out.splitlines()
+    trace = write_json(tmp_path / "huge_trace.json", {
+        "n": 2, "periods": [{"period": "t0", "volumes": {"1,2": huge}}]})
+    code, out, _ = run_cli(["netshare", trace, "--format", "csv"], capsys)
+    assert code == 0
+    assert f't0,edgeShare,"1,2",{huge},' in out.splitlines()
+    assert f"t0,nodeShare,1,{10 ** 400 // 2}," in out.splitlines()
+
+
+def test_egalitarian_on_a_lattice_without_atoms(tmp_path, capsys):
+    game = write_json(tmp_path / "one.json", {"lattice": "P^N", "n": 1, "values": {"1": "5"}})
+    code, out, _ = run_cli(["solve", game, "--solver", "egalitarian"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["shares"] == {} and report["efficiencyCheck"] == "0"
+    trace = write_json(tmp_path / "one_trace.json", {
+        "n": 1, "periods": [{"period": "t0", "volumes": {}}]})
+    code, out, _ = run_cli(["netshare", trace, "--solver", "egalitarian"], capsys)
+    assert code == 0
+    (period,) = json.loads(out)["periods"]
+    assert period["edgeShares"] == {} and period["efficiencyCheck"] == "0"
+    assert period["fixedPoint"] is True
+
+
 def test_solve_bottom_normalization_note(tmp_path, capsys):
     game = write_json(tmp_path / "shifted.json", {
         "lattice": "2^N", "n": 2,
@@ -312,6 +343,16 @@ MALFORMED = {
     "graph-edge-with-a-bool": (
         "solve", {"lattice": "2^N", "n": 2, "values": {"": "0", "1": "0", "2": "0", "1,2": "1"}},
         "--graph-file", {"edges": [[2, True]]}),
+    "cluster-file-empty-string": (
+        "netshare", {"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1"}}]},
+        "--cluster-file", ""),
+    "cluster-file-empty-key": (
+        "netshare", {"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1"}}]},
+        "--cluster-file", {"t0": ""}),
+    "trace-names-a-period-twice": (
+        "netshare", {"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1"}},
+                                         {"period": "t0", "volumes": {"1,3": "1"}}]},
+        None, None),
     "weights-name-an-edge-twice": (
         "netshare", {"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1"}}]},
         "--split", {"1,2": ["1", "0"], "2,1": ["0", "1"]}),

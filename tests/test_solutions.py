@@ -9,10 +9,12 @@ characterize them.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from lattice_games.lattice import lattice_for
+from lattice_games.cli import _period_dividends
+from lattice_games.lattice import Partition, lattice_for
 from lattice_games.transform import (
     LatticeGame,
     MobiusCoefficients,
@@ -20,7 +22,7 @@ from lattice_games.transform import (
     zeta_expand,
     zeta_game,
 )
-from lattice_games.games import SymmetricGame, is_symmetric
+from lattice_games.games import SymmetricGame, clustering_restrict, is_symmetric
 from lattice_games.solutions import (
     SOLVERS,
     NodeShares,
@@ -281,16 +283,71 @@ def test_su_is_not_fixed_on_top_indicator():
     assert not is_fixed_point(su, zeta_game(lat, lat.top))
 
 
-def test_reproduces_decides_the_fixed_point_from_the_solution():
+def expands_to(sol, game):
+    """Oracle for the fixed point: the shares, summed over the atoms below
+    each element, give the game back with its bottom shifted to zero."""
+    return sol.expand() == game.normalize_bottom()[0]
+
+
+def old_period_game(lat, volumes, cluster):
+    """Oracle for a netshare period: the volumes expanded by zeta, then
+    restricted to the cluster through the game (Mobius, drop, zeta)."""
+    game = zeta_expand(MobiusCoefficients(lat, {Partition.pair(lat.n, i, j): q
+                                                for (i, j), q in volumes.items()}))
+    return game if cluster is None else clustering_restrict(game, cluster)
+
+
+def test_matches_decides_the_fixed_point_from_the_solution():
     lat = lattice_for("P^N", 3)
     for g in (zeta_game(lat, lat.atoms[0]), zeta_game(lat, lat.top)):
         shifted = g + LatticeGame(lat, {x: Fraction(3) for x in lat.elements})
         for solver in (su, cu):
             sol = solver(shifted)
-            assert sol.reproduces(shifted) == is_fixed_point(solver, shifted)
-            assert sol.reproduces(shifted) == sol.reproduces(g)
-    assert su(zeta_game(lat, lat.atoms[0])).reproduces(zeta_game(lat, lat.atoms[0]))
-    assert not cu(zeta_game(lat, lat.atoms[0])).reproduces(zeta_game(lat, lat.atoms[0]))
+            assert sol.matches(mobius(shifted)) == is_fixed_point(solver, shifted)
+            assert sol.matches(mobius(shifted)) == sol.matches(mobius(g))
+    assert su(zeta_game(lat, lat.atoms[0])).matches(mobius(zeta_game(lat, lat.atoms[0])))
+    assert not cu(zeta_game(lat, lat.atoms[0])).matches(mobius(zeta_game(lat, lat.atoms[0])))
+
+
+@pytest.mark.parametrize("tag, n", SMALL_LATTICES)
+def test_is_fixed_point_is_the_expansion_test(tag, n):
+    rng = random.Random(f"fixed {tag} {n}")
+    lat = lattice_for(tag, n)
+    seen = set()
+    for _ in range(6):
+        on_atoms = MobiusCoefficients(lat, {a: Fraction(rng.randint(0, 3)) for a in lat.atoms})
+        for g in (random_game(lat, rng), zeta_expand(on_atoms)):
+            shift = LatticeGame(lat, dict.fromkeys(lat.elements, Fraction(rng.randint(1, 9), 2)))
+            for game in (g, g + shift):
+                for solver in (su, cu, egalitarian):
+                    verdict = is_fixed_point(solver, game)
+                    assert verdict == expands_to(solver(game), game)
+                    seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_netshare_periods_decide_the_fixed_point_on_the_mass():
+    rng = random.Random(8)
+    outcomes = {name: set() for name in ("su", "cu", "egalitarian")}
+    for n in range(2, 7):
+        lat = lattice_for("P^N", n)
+        edges = list(combinations(range(1, n + 1), 2))
+        for _ in range(10):
+            if rng.random() < 0.3:  # equal volumes on every edge
+                volumes = dict.fromkeys(edges, Fraction(rng.randint(0, 4)))
+            else:
+                volumes = {e: Fraction(rng.randint(0, 9), rng.randint(1, 3))
+                           for e in edges if rng.random() < 0.7}
+            cluster = rng.choice([None, rng.choice(lat.elements)])
+            mu = _period_dividends(lat, volumes, cluster)
+            game = mu.zeta_expand()
+            assert game == old_period_game(lat, volumes, cluster)
+            for name, verdicts in outcomes.items():
+                sol = SOLVERS[name](game)
+                assert sol.matches(mu) == expands_to(sol, game)
+                verdicts.add(sol.matches(mu))
+    assert outcomes["su"] == {True}
+    assert outcomes["cu"] == outcomes["egalitarian"] == {True, False}
 
 
 def test_fixed_point_rejects_unknown_solver():
@@ -387,6 +444,15 @@ def test_symmetric_games_make_all_solvers_agree():
         assert uniform == su(g) == cu(g) == egalitarian(g)
         share = (g.top_value - g.bottom_value) / len(lat.atoms)
         assert uniform.vector() == (share,) * len(lat.atoms)
+
+
+def test_uniform_solvers_on_a_lattice_without_atoms():
+    lat = lattice_for("P^N", 1)
+    game = LatticeGame(lat, {lat.top: 5})
+    for sol in (egalitarian(game), symmetric_solution(game),
+                symmetric_solution(SymmetricGame("P^N", 1, {(1,): 5}))):
+        assert sol == Solution(lat, {})
+        assert sol.efficiency() == 0
 
 
 def test_symmetric_solution_accepts_class_tables():
