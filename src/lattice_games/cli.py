@@ -299,11 +299,15 @@ def _trace_csv(path):
     return n, [(label, volumes, None) for label, volumes in periods.items()]
 
 
-def _cluster_map(path):
+def _cluster_map(path, periods):
     raw = _load_json(path)
     if isinstance(raw, str):
         return lambda label: raw
     if isinstance(raw, dict):
+        labels = {str(entry["period"]) for entry in periods}
+        for key in raw:
+            if key not in labels:
+                raise ValueError(f"{path}: no period of the trace is labelled {key!r}")
         return lambda label: raw.get(str(label))
     raise ValueError(f"{path}: expected a partition key or a period-to-key object")
 
@@ -320,7 +324,8 @@ def cmd_netshare(args):
     n, periods = _read_trace(args.trace)
     solver = SOLVERS[args.solver]
     lat = lattice_for("P^N", n, args.max_n)
-    cluster_of = _cluster_map(args.cluster_file) if args.cluster_file else lambda label: None
+    cluster_of = (_cluster_map(args.cluster_file, periods) if args.cluster_file
+                  else lambda label: None)
     weights = None
     if args.split and args.split != "equal":
         weights = _parse_weights(args.split, n)

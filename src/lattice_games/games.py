@@ -195,7 +195,7 @@ def clustering_restrict(game, cluster):
     cluster element; in particular its top value is f(cluster).
     """
     restricted = zeta_expand(mobius(game).below(cluster))
-    if restricted.top_value != game.values[cluster]:
+    if restricted.top_value != game[cluster]:
         raise VerificationError("restricted game does not end at the cluster's value")
     return restricted
 

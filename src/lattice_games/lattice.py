@@ -474,6 +474,7 @@ class Lattice:
         self.atoms = ()
         self._ups = None
         self._downs = None
+        self._keys = None
 
     def _finish(self, masks, bit_atoms=None, by_mask=None):
         """Index the elements; bit k of masks[i] is set when bit_atoms[k]
@@ -509,6 +510,18 @@ class Lattice:
             return self._pos[x]
         except (KeyError, TypeError):
             raise ValueError(f"{x!r} is not an element of {self.describe()}") from None
+
+    def key_indices(self):
+        """{key(x): index of x} over the elements, built on first use."""
+        if self._keys is None:
+            self._keys = {self.key(x): i for i, x in enumerate(self.elements)}
+        return self._keys
+
+    @property
+    def masks(self):
+        """The atom bitmask of every element, in element order; bit k
+        stands for atoms_below(top)[k]."""
+        return self._mask
 
     def leq(self, x, y):
         mask = self._mask

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import factorial, lcm
 
 from .lattice import EmbeddedSubset, VerificationError, lattice_for
-from .transform import LatticeGame, format_fraction, mobius, parse_fraction
+from .transform import LatticeGame, _scaled, format_fraction, mobius, parse_fraction
 from .games import SymmetricGame, is_symmetric
 
 
@@ -118,21 +118,23 @@ def shapley_dividends(game):
 
 def su(game):
     """Size-uniform sharing: each dividend spreads evenly over the atoms
-    below its element.  Works on any of the three lattices."""
+    below its element.  Works on any of the three lattices.
+
+    Each dividend, an integer over the dividends' common denominator,
+    credits every atom below it the same integer multiple of 1/C, where
+    C = lcm(1..#atoms) is a multiple of every element's size.
+    """
     lat = game.lattice
-    mu = mobius(game)
-    shares = {a: Fraction(0) for a in lat.atoms}
-    for x in lat.elements:
-        q = mu.coefficients[x]
-        if q == 0:
-            continue
-        below = lat.atoms_below(x)
-        if not below:
-            continue  # the bottom coefficient reaches no atom
-        part = q / len(below)
-        for a in below:
-            shares[a] += part
-    return Solution(lat, shares)
+    ints, scale = _scaled(mobius(game).vector())
+    common = lcm(*range(1, len(lat.atoms) + 1))
+    credit = [0] * len(lat.atoms)  # per mask bit
+    for q, group in zip(ints, lat.masks):
+        if q and group:  # the bottom's mask is empty: its dividend reaches no atom
+            _credit(credit, group, q * (common // group.bit_count()))
+    surplus = game.top_value - game.bottom_value
+    if sum(credit) * surplus.denominator != common * scale * surplus.numerator:
+        raise VerificationError(f"su shares on {lat.describe()} do not sum to f(top) - f(bottom)")
+    return _from_credit(lat, credit, common * scale)
 
 
 def cu(game):
@@ -143,23 +145,30 @@ def cu(game):
     edge adds one integer marginal to every atom it adds.
     """
     lat = game.lattice
-    vals = [game.values[x] for x in lat.elements]
-    scale = lcm(*(v.denominator for v in vals))
-    ints = [v.numerator * (scale // v.denominator) for v in vals]
+    ints, scale = _scaled(game.vector())
     common = lcm(*range(1, len(lat.atoms) + 1))  # a multiple of every group size
     credit = [0] * len(lat.atoms)  # per mask bit
     for i, x in enumerate(lat.elements[:-1]):  # the top covers nothing
         weight = lat._chain_step_count(x)
         for j, group in lat.cover_indices(i):
-            gain = weight * (ints[j] - ints[i]) * (common // group.bit_count())
-            while group:
-                low = group & -group
-                credit[low.bit_length() - 1] += gain
-                group ^= low
+            _credit(credit, group, weight * (ints[j] - ints[i]) * (common // group.bit_count()))
     total = common * lat.chain_count_total()
     if sum(credit) != total * (ints[-1] - ints[0]):
         raise VerificationError(f"cu shares on {lat.describe()} do not sum to f(top) - f(bottom)")
-    return Solution(lat, {a: Fraction(c, total * scale)
+    return _from_credit(lat, credit, total * scale)
+
+
+def _credit(credit, group, gain):
+    """Add gain to the credit of every mask bit set in group."""
+    while group:
+        low = group & -group
+        credit[low.bit_length() - 1] += gain
+        group ^= low
+
+
+def _from_credit(lat, credit, denominator):
+    """The solution giving the atom behind mask bit k credit[k] / denominator."""
+    return Solution(lat, {a: Fraction(c, denominator)
                           for a, c in zip(lat.atoms_below(lat.top), credit)})
 
 

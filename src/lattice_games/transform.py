@@ -3,17 +3,24 @@
 A game assigns an exact rational to every lattice element.  Its Mobius
 coefficients are the unique weights with f(y) = sum of mu(x) over x <= y;
 they are recovered by the usual top-down recursion and inverted back by
-zeta expansion.  All arithmetic stays in fractions.Fraction.
+zeta expansion.
+
+A table holds its rationals in element-index order.  A payload is read
+straight into that order, and Mobius inversion runs on integers over the
+values' common denominator; a Fraction is built once per coefficient.
+Zeta expansion still adds Fractions.  Every value a table hands out is
+an exact Fraction.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .lattice import LATTICE_TAGS, lattice_for
 
-_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def parse_fraction(value):
@@ -22,18 +29,17 @@ def parse_fraction(value):
     Floats and decimal notation are rejected on purpose: every value in
     this package is exact, and "p/q" keeps it that way.
     """
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if _RATIONAL.fullmatch(text):
-            try:
-                return Fraction(text)
-            except ZeroDivisionError:
-                raise ValueError(f"not a rational: {value!r}") from None
-        raise ValueError(f"not a rational: {value!r}")
+        match = _RATIONAL.fullmatch(value.strip())
+        if match:
+            num, den = match.groups()
+            if den is None:
+                return Fraction(int(num))
+            den = int(den)
+            if den:
+                return Fraction(int(num), den)
+    elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
     raise ValueError(f"not a rational: {value!r}")
 
 
@@ -42,9 +48,12 @@ def format_fraction(value):
 
 
 class _TableOnLattice:
-    """Shared plumbing for anything that maps every element to a rational."""
+    """Shared plumbing for anything that maps every element to a rational.
 
-    _field = "values"
+    The rationals are held as a tuple in element-index order; the dict
+    keyed by element (``values`` of a game, ``coefficients`` of a Mobius
+    table) is a view built on first use.
+    """
 
     def __init__(self, lattice, values, fill=None):
         for k in values:
@@ -54,74 +63,89 @@ class _TableOnLattice:
                 ok = False
             if not ok:
                 raise ValueError(f"{k!r} is not an element of {lattice.describe()}")
-        table = {}
+        vector = []
         for x in lattice.elements:
             if x in values:
-                table[x] = parse_fraction(values[x])
+                vector.append(parse_fraction(values[x]))
             elif fill is not None:
-                table[x] = fill
+                vector.append(fill)
             else:
                 raise ValueError(f"missing value for {lattice.key(x)}")
+        self._set(lattice, vector)
+
+    @classmethod
+    def _from_vector(cls, lattice, vector):
+        """A table from rationals this package computed, already in
+        element-index order; nothing is checked or parsed."""
+        table = cls.__new__(cls)
+        table._set(lattice, vector)
+        return table
+
+    def _set(self, lattice, vector):
         self.lattice = lattice
-        setattr(self, self._field, table)
+        self._vector = tuple(vector)
+        self._view = None
 
     def _table(self):
-        return getattr(self, self._field)
+        if self._view is None:
+            self._view = dict(zip(self.lattice.elements, self._vector))
+        return self._view
+
+    def vector(self):
+        """The rationals in element-index order."""
+        return self._vector
 
     def value(self, x):
-        try:
-            return self._table()[x]
-        except (KeyError, TypeError):
-            raise ValueError(f"{x!r} is not an element of {self.lattice.describe()}") from None
+        return self._vector[self.lattice.index(x)]
 
     __getitem__ = value
 
     def __eq__(self, other):
         return (type(other) is type(self)
                 and other.lattice is self.lattice
-                and other._table() == self._table())
+                and other._vector == self._vector)
 
     def __repr__(self):
         lat = self.lattice
-        return f"{type(self).__name__}({lat.describe()}, {len(self._table())} entries)"
+        return f"{type(self).__name__}({lat.describe()}, {len(self._vector)} entries)"
 
 
 class LatticeGame(_TableOnLattice):
     """A rational-valued function on every element of one lattice."""
 
-    _field = "values"
+    values = property(_TableOnLattice._table, doc="{element: value}")
 
     @property
     def bottom_value(self):
-        return self.values[self.lattice.bottom]
+        return self._vector[0]
 
     @property
     def top_value(self):
-        return self.values[self.lattice.top]
+        return self._vector[-1]
 
     def normalize_bottom(self):
         """Shift so the bottom sits at zero; returns (game, shift removed)."""
         shift = self.bottom_value
         if shift == 0:
             return self, Fraction(0)
-        return LatticeGame(self.lattice,
-                           {x: q - shift for x, q in self.values.items()}), shift
+        return LatticeGame._from_vector(self.lattice,
+                                        [q - shift for q in self._vector]), shift
 
     def __add__(self, other):
         if not isinstance(other, LatticeGame) or other.lattice is not self.lattice:
             return NotImplemented
-        return LatticeGame(self.lattice,
-                           {x: q + other.values[x] for x, q in self.values.items()})
+        return LatticeGame._from_vector(self.lattice,
+                                        [p + q for p, q in zip(self._vector, other._vector)])
 
     def __sub__(self, other):
         if not isinstance(other, LatticeGame) or other.lattice is not self.lattice:
             return NotImplemented
-        return LatticeGame(self.lattice,
-                           {x: q - other.values[x] for x, q in self.values.items()})
+        return LatticeGame._from_vector(self.lattice,
+                                        [p - q for p, q in zip(self._vector, other._vector)])
 
     def __mul__(self, scalar):
         c = parse_fraction(scalar)
-        return LatticeGame(self.lattice, {x: c * q for x, q in self.values.items()})
+        return LatticeGame._from_vector(self.lattice, [c * q for q in self._vector])
 
     __rmul__ = __mul__
 
@@ -133,24 +157,34 @@ class LatticeGame(_TableOnLattice):
 
     @classmethod
     def from_payload(cls, payload, max_n=None):
-        """Read {"lattice", "n", "values": {element key: "p/q"}}; strict totality."""
+        """Read {"lattice", "n", "values": {element key: "p/q"}}; strict totality.
+
+        A canonical key is found in the lattice's key table; any other
+        spelling is parsed.
+        """
         lat = _lattice_from_payload(payload, max_n)
         raw = payload.get("values")
         if not isinstance(raw, dict):
             raise ValueError("payload needs a \"values\" object")
-        values = {}
+        keys = lat.key_indices()
+        vector = [None] * len(lat)
         for key, text in raw.items():
-            x = lat.parse_element(key)
-            if x in values:
-                raise ValueError(f"duplicate value for element {lat.key(x)}")
-            values[x] = parse_fraction(text)
-        return cls(lat, values)
+            i = keys.get(key)
+            if i is None:
+                i = lat.index(lat.parse_element(key))
+            if vector[i] is not None:
+                raise ValueError(f"duplicate value for element {lat.key(lat.elements[i])}")
+            vector[i] = parse_fraction(text)
+        if len(raw) != len(vector):  # keys are distinct elements, so some are missing
+            i = next(i for i, q in enumerate(vector) if q is None)
+            raise ValueError(f"missing value for {lat.key(lat.elements[i])}")
+        return cls._from_vector(lat, vector)
 
 
 class MobiusCoefficients(_TableOnLattice):
     """Mobius coefficients on a lattice; missing entries count as zero."""
 
-    _field = "coefficients"
+    coefficients = property(_TableOnLattice._table, doc="{element: coefficient}")
 
     def __init__(self, lattice, coefficients):
         super().__init__(lattice, coefficients, fill=Fraction(0))
@@ -169,18 +203,24 @@ class MobiusCoefficients(_TableOnLattice):
         return zeta_expand(self)
 
 
+def _scaled(vector):
+    """(ints, d): the rationals as integers over d, the lcm of their denominators."""
+    d = lcm(*(q.denominator for q in vector))
+    return [q.numerator * (d // q.denominator) for q in vector], d
+
+
 def mobius(game):
     """Mobius coefficients of a game, by recursion in element order (a
-    linear extension, so every element comes after its down-set)."""
+    linear extension, so every element comes after its down-set), on
+    integers over the values' common denominator."""
     lat = game.lattice
-    mu = []
-    for i, x in enumerate(lat.elements):
-        acc = game.values[x]
-        for j in lat.downset_indices(i):
-            if j != i:
-                acc -= mu[j]
-        mu.append(acc)
-    return MobiusCoefficients(lat, dict(zip(lat.elements, mu)))
+    ints, d = _scaled(game.vector())
+    mu = [0] * len(ints)
+    entry = mu.__getitem__
+    for i, v in enumerate(ints):
+        # the down-set of i ends with i itself, whose entry is still 0
+        mu[i] = v - sum(map(entry, lat.downset_indices(i)))
+    return MobiusCoefficients._from_vector(lat, [Fraction(m, d) for m in mu])
 
 
 def zeta_expand(coeffs):

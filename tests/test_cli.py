@@ -244,6 +244,21 @@ def test_netshare_cluster_file_overrides_trace(tmp_path, capsys):
     assert t0["edgeShares"] == {"1,2": "4", "1,3": "0", "2,3": "0"}
 
 
+def test_netshare_cluster_file_keys_must_name_periods(tmp_path, capsys):
+    """A key matches a period by its label as text; an unlabelled JSON
+    period is labelled by its position."""
+    trace = write_json(tmp_path / "trace.json", {"n": 3, "periods": [
+        {"volumes": {"1,2": "4", "1,3": "1"}}]})
+    cluster = write_json(tmp_path / "clusters.json", {"0": "1,2|3"})
+    code, out, _ = run_cli(["netshare", trace, "--cluster-file", cluster], capsys)
+    assert code == 0
+    assert json.loads(out)["periods"][0]["clustering"] == "1,2|3"
+    cluster = write_json(tmp_path / "clusters.json", {"0": "1,2|3", "t9": "1|2,3"})
+    code, out, err = run_cli(["netshare", trace, "--cluster-file", cluster], capsys)
+    assert (code, out) == (2, "")
+    assert "'t9'" in err
+
+
 def test_netshare_single_cluster_applies_everywhere(tmp_path, capsys):
     cluster = write_json(tmp_path / "one.json", "1|2,3")
     _, out, _ = run_cli(["netshare", trace_file(tmp_path),
@@ -353,6 +368,9 @@ MALFORMED = {
         "netshare", {"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1"}},
                                          {"period": "t0", "volumes": {"1,3": "1"}}]},
         None, None),
+    "cluster-file-names-no-period": (
+        "netshare", {"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1"}}]},
+        "--cluster-file", {"t9": "1,2|3"}),
     "weights-name-an-edge-twice": (
         "netshare", {"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1"}}]},
         "--split", {"1,2": ["1", "0"], "2,1": ["0", "1"]}),
@@ -371,6 +389,40 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, case):
     assert code == 2, out
     assert out == ""
     assert err.startswith("error: ")
+
+
+PAIR_VALUES = {"1|2|3": "0", "1,2|3": "1", "1,3|2": "0", "1|2,3": "0", "1,2,3": "1"}
+
+BAD_KEYS = {
+    "one-element-under-two-spellings": (
+        {**PAIR_VALUES, " 2, 1 | 3": "1"}, "duplicate value for element 1,2|3"),
+    "one-element-as-code-and-blocks": (
+        {"001": "1", **PAIR_VALUES}, "duplicate value for element 1,2|3"),
+    "missing": (
+        {k: v for k, v in PAIR_VALUES.items() if k != "1,3|2"}, "missing value for 1,3|2"),
+    "stray": (
+        {**PAIR_VALUES, "1,2": "0"}, "partition '1,2' covers 2 elements, expected 3"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "core"])
+@pytest.mark.parametrize("case", sorted(BAD_KEYS))
+def test_game_keys_that_are_stray_missing_or_twice_exit_2(tmp_path, capsys, case, command):
+    values, message = BAD_KEYS[case]
+    game = write_json(tmp_path / "game.json", {"lattice": "P^N", "n": 3, "values": values})
+    code, out, err = run_cli([command, game], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_solve_reads_any_spelling_of_a_key(tmp_path, capsys):
+    respelt = write_json(tmp_path / "respelt.json", {
+        "lattice": "P^N", "n": 3,
+        "values": {"012": "0", " 2,1 | 3 ": "1", "2|3,1": "0", "011": "0", "3,2,1": "1"}})
+    _, want, _ = run_cli(["solve", pair_game_file(tmp_path), "--solver", "cu"], capsys)
+    code, got, _ = run_cli(["solve", respelt, "--solver", "cu"], capsys)
+    assert code == 0
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -337,16 +337,17 @@ def test_integer_tableau_matches_the_oracle_on_core_systems():
 
 def test_proof_checks_run_under_python_O():
     """Under -O asserts vanish; the checks on a witness, a certificate, a
-    separating family, a restricted game, cu shares, a cover walk and a
-    chain listing must still raise.  A patched _phase1 hands core_feasible
-    bad proof objects, a patched zeta_expand a wrong top value, a patched
-    chain-step count wrong cu weights, a patched up-set an order that is
-    no linear extension, a patched chain count a wrong total."""
+    separating family, a restricted game, cu shares, su shares, a cover
+    walk and a chain listing must still raise.  A patched _phase1 hands
+    core_feasible bad proof objects, a patched zeta_expand a wrong top
+    value, a patched chain-step count wrong cu weights, a patched mobius
+    another game's dividends to su, a patched up-set an order that is no
+    linear extension, a patched chain count a wrong total."""
     script = textwrap.dedent("""
         import sys
         from fractions import Fraction
         import lattice_games
-        from lattice_games import coresep, games, lattice, solutions
+        from lattice_games import coresep, games, lattice, solutions, transform
         from lattice_games.lattice import lattice_for
         from lattice_games.transform import LatticeGame
 
@@ -390,6 +391,12 @@ def test_proof_checks_run_under_python_O():
             print("cu returned")
         except Exception as err:
             print("cu", type(err).__name__, err)
+        solutions.mobius = lambda g: transform.mobius(2 * g)
+        try:
+            solutions.su(game)
+            print("su returned")
+        except Exception as err:
+            print("su", type(err).__name__, err)
         subsets = lattice_for("2^N", 2)
         subsets.upset_indices = lambda i: (0, 1, 3, 2)
         try:
@@ -420,6 +427,7 @@ def test_proof_checks_run_under_python_O():
         "member VerificationError member of a verified family fails to separate",
         "restrict VerificationError restricted game does not end at the cluster's value",
         "cu VerificationError cu shares on P^N with n=3 do not sum to f(top) - f(bottom)",
+        "su VerificationError su shares on P^N with n=3 do not sum to f(top) - f(bottom)",
         "covers VerificationError covers of element 0 on 2^N with n=2 overlap",
         "chains VerificationError 3 maximal chains listed on P^N with n=3, 99 counted",
     ]

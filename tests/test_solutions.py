@@ -359,6 +359,41 @@ def test_fixed_point_rejects_unknown_solver():
 
 
 # ---------------------------------------------------------------------------
+# su against its Fraction form
+
+
+def fraction_su(game):
+    """su in Fraction arithmetic, one dividend share at a time: the oracle
+    for the integer su."""
+    lat = game.lattice
+    mu = mobius(game)
+    shares = {a: Fraction(0) for a in lat.atoms}
+    for x in lat.elements:
+        below = lat.atoms_below(x)
+        for a in below:
+            shares[a] += mu.coefficients[x] / len(below)
+    return Solution(lat, shares)
+
+
+@pytest.mark.parametrize("tag,n", [("2^N", n) for n in range(1, 8)]
+                         + [("P^N", n) for n in range(1, 7)]
+                         + [("E^N", n) for n in range(1, 6)])
+def test_su_equals_the_fraction_form(tag, n):
+    rng = random.Random(40 + 10 * n + len(tag))
+    lat = lattice_for(tag, n)
+    for _ in range(2):
+        dense = LatticeGame(lat, {
+            x: 0 if rng.random() < 0.2
+            else Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 7, 9, 12, 25, 97)))
+            for x in lat.elements})
+        for g in (dense, dense.normalize_bottom()[0],
+                  dense + Fraction(5, 7) * zeta_game(lat, lat.bottom)):
+            sol = su(g)
+            assert sol == fraction_su(g)
+            assert all(type(q) is Fraction for q in sol.vector())
+
+
+# ---------------------------------------------------------------------------
 # chain census oracle and transport equivariance
 
 

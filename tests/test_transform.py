@@ -228,3 +228,129 @@ def test_payload_respects_cap():
     payload = {"lattice": "P^N", "n": 4, "values": {}}
     with pytest.raises(Exception, match="cap"):
         LatticeGame.from_payload(payload, max_n=3)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against its Fraction forms
+
+KERNEL_LATTICES = ([("2^N", n) for n in range(1, 8)]
+                   + [("P^N", n) for n in range(1, 7)]
+                   + [("E^N", n) for n in range(1, 6)])
+
+
+def fraction_mobius(game):
+    """The top-down recursion in Fraction arithmetic, one element at a
+    time: the oracle for the integer mobius."""
+    lat = game.lattice
+    mu = []
+    for i, x in enumerate(lat.elements):
+        acc = game.values[x]
+        for j in lat.downset_indices(i):
+            if j != i:
+                acc -= mu[j]
+        mu.append(acc)
+    return MobiusCoefficients(lat, dict(zip(lat.elements, mu)))
+
+
+def mixed_games(lat, rng):
+    """A random game over mixed denominators with zeros and negatives, a
+    game with sparse dividends, and each of them shifted at the bottom."""
+    dense = LatticeGame(lat, {
+        x: 0 if rng.random() < 0.2
+        else Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 7, 9, 12, 25, 97)))
+        for x in lat.elements})
+    sparse = MobiusCoefficients(lat, {
+        x: Fraction(rng.randint(-9, 9), rng.choice((1, 5, 6)))
+        for x in rng.sample(lat.elements, min(4, len(lat)))}).zeta_expand()
+    ones = zeta_game(lat, lat.bottom)
+    for g in (dense, sparse):
+        yield g
+        yield g.normalize_bottom()[0]
+        yield g + Fraction(-7, 3) * ones
+
+
+@pytest.mark.parametrize("tag,n", KERNEL_LATTICES)
+def test_mobius_equals_the_fraction_recursion(tag, n):
+    rng = random.Random(31 * n + len(tag) + ord(tag[0]))
+    lat = lattice_for(tag, n)
+    for _ in range(2):
+        for g in mixed_games(lat, rng):
+            mu = mobius(g)
+            assert mu == fraction_mobius(g)
+            assert all(type(q) is Fraction for q in mu.vector())
+
+
+def parsed_then_validated(payload):
+    """Every key parsed to its element, then the validating constructor:
+    the oracle for from_payload."""
+    lat = lattice_for(payload["lattice"], payload["n"])
+    values = {}
+    for key, text in payload["values"].items():
+        x = lat.parse_element(key)
+        if x in values:
+            raise ValueError(f"duplicate value for element {lat.key(x)}")
+        values[x] = parse_fraction(text)
+    return LatticeGame(lat, values)
+
+
+def _spell_partition(p, rng):
+    if rng.random() < 0.3:
+        return p.rgs()
+    blocks = [list(b) for b in p.blocks]
+    for b in blocks:
+        rng.shuffle(b)
+    rng.shuffle(blocks)
+    return " | ".join(", ".join(map(str, b)) for b in blocks)
+
+
+def respell(lat, x, rng):
+    """Another key for x that the lattice's parser reads: members and
+    blocks reordered, spaces added, or the restricted-growth form."""
+    if lat.tag == "2^N":
+        members = sorted(x)
+        rng.shuffle(members)
+        return " " + " , ".join(map(str, members)) + " "
+    if lat.tag == "P^N":
+        return _spell_partition(x, rng)
+    members = list(x.subset)
+    rng.shuffle(members)
+    return ",".join(map(str, members)) + ";" + _spell_partition(x.partition, rng)
+
+
+@pytest.mark.parametrize("tag,n", KERNEL_LATTICES)
+def test_from_payload_equals_parse_then_validate(tag, n):
+    rng = random.Random(17 * n + len(tag))
+    lat = lattice_for(tag, n)
+    game = next(mixed_games(lat, rng))
+    canonical = game.payload()
+    respelt = dict(canonical, values={
+        respell(lat, x, rng) if rng.random() < 0.5 else lat.key(x): game.values[x]
+        for x in rng.sample(lat.elements, len(lat))})
+    for payload in (canonical, respelt):
+        read = LatticeGame.from_payload(payload)
+        assert read == parsed_then_validated(payload) == game
+        assert all(type(q) is Fraction for q in read.vector())
+
+
+def test_from_payload_keeps_the_error_messages():
+    """Stray, missing and duplicate keys, one element under two spellings
+    included, fail with the message the parse-then-validate path gives."""
+    cases = []
+    for tag, n, stray, twin in [("2^N", 3, "1,9", "2 ,1"), ("P^N", 3, "1,2", "001"),
+                                ("E^N", 2, "3;1,2|3", "2,1;1,2")]:
+        lat = lattice_for(tag, n)
+        good = LatticeGame(lat, {x: 0 for x in lat.elements}).payload()
+        values = good["values"]
+        twin_of = lat.key(lat.parse_element(twin))
+        missing = {k: v for k, v in values.items() if k != twin_of}
+        cases += [{**good, "values": {**values, stray: "1"}},
+                  {**good, "values": {**values, twin: "1"}},
+                  {**good, "values": {twin: "1", **values}},
+                  {**good, "values": missing},
+                  {**good, "values": {**missing, "nonsense": "1"}}]
+    for payload in cases:
+        with pytest.raises(ValueError) as want:
+            parsed_then_validated(payload)
+        with pytest.raises(ValueError) as got:
+            LatticeGame.from_payload(payload)
+        assert str(got.value) == str(want.value)
