@@ -17,6 +17,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -151,6 +152,8 @@ def _load_game(args):
 
 
 def cmd_solve(args):
+    if args.graph_file is not None and args.solver != "myerson":
+        raise ValueError("--graph-file applies only to the myerson solver")
     game, shift, cluster_label = _load_game(args)
     if args.solver == "myerson":
         if not args.graph_file:
@@ -655,8 +658,14 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """The parser, built once per process: parsing reads it, never changes it."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SizeLimitError as err:

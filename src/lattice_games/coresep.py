@@ -39,14 +39,13 @@ class CoreSystem:
     def __init__(self, game):
         lat = game.lattice
         atoms = lat.atoms
-        rows = []
-        for x in lat.elements:
-            coeffs = tuple(Fraction(1 if lat.leq(a, x) else 0) for a in atoms)
-            rows.append((x, coeffs, game.values[x]))
+        masks = lat.masks
+        bits = [masks[lat.index(a)] for a in atoms]  # on E^N not the mask-bit order
         self.lattice = lat
         self.atoms = atoms
-        self.inequalities = rows
-        self.equality = (tuple(Fraction(1) for _ in atoms), game.top_value)
+        self.inequalities = [(x, tuple(1 if m & bit else 0 for bit in bits), q)
+                             for x, m, q in zip(lat.elements, masks, game.vector())]
+        self.equality = ((1,) * len(atoms), game.top_value)
 
     def __len__(self):
         return len(self.inequalities)
@@ -268,15 +267,14 @@ def _recover(game, singletons):
         for combo in combinations(range(1, n + 1), size):
             group = frozenset(combo)
             outside = total - sum(singletons[i] for i in combo)
-            v[group] = game.values[_merge_bottom(n, group)] - outside
+            v[group] = game[_merge_bottom(n, group)] - outside
     return v
 
 
 def _first_violation(game, v):
     """First partition (in lattice order) where the blockwise sum misses."""
-    for p in game.lattice.elements:
-        acc = sum((v[frozenset(b)] for b in p.blocks), Fraction(0))
-        if acc != game.values[p]:
+    for p, q in zip(game.lattice.elements, game.vector()):
+        if sum((v[frozenset(b)] for b in p.blocks), Fraction(0)) != q:
             return p
     return None
 
@@ -382,11 +380,10 @@ def _separate_embedded_game(game):
     along the bottom row untangle everything."""
     lat = game.lattice
     n = lat.n
-    h = game.values
 
     def at_bottom(group):
         inner = _merge_bottom(n, group) if len(group) > 1 else Partition.bottom(n)
-        return h[EmbeddedSubset(group, inner)]
+        return game[EmbeddedSubset(group, inner)]
 
     base = at_bottom(frozenset())  # v(empty) + sum of singletons
     diffs = {i: at_bottom(frozenset((i,))) - base for i in range(1, n + 1)}
@@ -401,7 +398,7 @@ def _separate_embedded_game(game):
             outside = sum(v[frozenset((i,))]
                           for i in range(1, n + 1) if i not in group)
             v[group] = (at_bottom(group) - outside) / 2
-    bad = next((x for x in lat.elements if pff_value(v, x) != h[x]), None)
+    bad = next((x for x, q in zip(lat.elements, game.vector()) if pff_value(v, x) != q), None)
     if bad is not None:
         return SeparabilityReport(False, violated=bad)
     return SeparabilityReport(True, v=v)

@@ -21,6 +21,7 @@ from .lattice import (
 )
 from .transform import (
     LatticeGame,
+    _scaled,
     format_fraction,
     mobius,
     parse_fraction,
@@ -55,7 +56,7 @@ def additive_global(v):
     lat = lattice_for("P^N", v.lattice.n)
     values = {}
     for p in lat.elements:
-        values[p] = sum((v.values[frozenset(b)] for b in p.blocks), Fraction(0))
+        values[p] = sum((v[frozenset(b)] for b in p.blocks), Fraction(0))
     return LatticeGame(lat, values)
 
 
@@ -68,9 +69,9 @@ def additive_pff(v):
     lat = lattice_for("E^N", v.lattice.n)
     values = {}
     for e in lat.elements:
-        acc = v.values[frozenset(e.subset)]
+        acc = v[frozenset(e.subset)]
         for b in e.partition.blocks:
-            acc += v.values[frozenset(b)]
+            acc += v[frozenset(b)]
         values[e] = acc
     return LatticeGame(lat, values)
 
@@ -176,9 +177,8 @@ def is_symmetric(game):
     """The per-class table when the game is constant on classes, else None."""
     lat = game.lattice
     seen = {}
-    for x in lat.elements:
+    for x, q in zip(lat.elements, game.vector()):
         cls = lat.class_of(x)
-        q = game.values[x]
         if cls in seen:
             if seen[cls] != q:
                 return None
@@ -205,28 +205,24 @@ def is_supermodular(game):
 
     Quadratic in the lattice size, meant for moderate n.  Comparable
     pairs are skipped: for x <= y the join is y and the meet is x, so
-    they hold with equality.
+    they hold with equality.  In a linear extension a later element is
+    comparable to an earlier one exactly when it holds all its atoms.
     """
     lat = game.lattice
-    vals = game.values
-    elems = lat.elements
-    for i, x in enumerate(elems):
-        comparable = set(lat.upset_indices(i)).union(lat.downset_indices(i))
-        for j in range(i + 1, len(elems)):
-            if j in comparable:
-                continue
-            y = elems[j]
-            lhs = vals[lat.join(x, y)] + vals[lat.meet(x, y)]
-            if lhs < vals[x] + vals[y]:
-                return PredicateReport(False, (x, y))
+    vals, _ = _scaled(game.vector())
+    masks = lat.masks
+    for i, below in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if below & ~masks[j] and (vals[lat.join_index(i, j)] + vals[lat.meet_index(i, j)]
+                                      < vals[i] + vals[j]):
+                return PredicateReport(False, (lat.elements[i], lat.elements[j]))
     return PredicateReport(True)
 
 
 def is_totally_positive(game):
     """All Mobius coefficients nonnegative; witness = first negative element."""
-    mu = mobius(game)
-    for x in game.lattice.elements:
-        if mu.coefficients[x] < 0:
+    for x, q in zip(game.lattice.elements, mobius(game).vector()):
+        if q < 0:
             return PredicateReport(False, x)
     return PredicateReport(True)
 
@@ -234,10 +230,9 @@ def is_totally_positive(game):
 def is_monotone(game):
     """Values never decrease along the order; witness = offending pair."""
     lat = game.lattice
-    vals = game.values
-    for i, x in enumerate(lat.elements):
+    vals = game.vector()
+    for i, q in enumerate(vals):
         for j in lat.upset_indices(i):
-            y = lat.elements[j]
-            if vals[y] < vals[x]:
-                return PredicateReport(False, (x, y))
+            if vals[j] < q:
+                return PredicateReport(False, (lat.elements[i], lat.elements[j]))
     return PredicateReport(True)

@@ -528,11 +528,19 @@ class Lattice:
         return not mask[self.index(x)] & ~mask[self.index(y)]
 
     def meet(self, x, y):
-        mask = self._mask
-        return self.elements[self._by_mask[mask[self.index(x)] & mask[self.index(y)]]]
+        return self.elements[self.meet_index(self.index(x), self.index(y))]
 
     def join(self, x, y):
-        i, j = self.index(x), self.index(y)
+        return self.elements[self.join_index(self.index(x), self.index(y))]
+
+    def mask_index(self, mask):
+        """Index of the element whose atoms are exactly the bits of mask."""
+        return self._by_mask[mask]
+
+    def meet_index(self, i, j):
+        return self._by_mask[self._mask[i] & self._mask[j]]
+
+    def join_index(self, i, j):
         mask = self._mask
         both = mask[i] | mask[j]
         # An element holding exactly both sets of atoms is the join; else the
@@ -541,7 +549,7 @@ class Lattice:
         if k is None:
             ups = self._order_tables()[0]
             k = next(k for k in min(ups[i], ups[j], key=len) if mask[k] & both == both)
-        return self.elements[k]
+        return k
 
     def size(self, x):
         """Number of atoms below x."""

@@ -65,10 +65,10 @@ class Solution:
         the game back with its bottom shifted to zero.
         """
         lat = self.lattice
-        shares = self.shares
-        return coeffs.lattice is lat and all(
-            q == shares.get(x, 0) for x, q in coeffs.coefficients.items()
-            if x != lat.bottom)
+        want = [0] * len(lat)
+        for a, q in self.shares.items():
+            want[lat.index(a)] = q
+        return coeffs.lattice is lat and coeffs.vector()[1:] == tuple(want[1:])  # bottom first
 
     def expand(self):
         """The lattice function x -> sum of shares over atoms below x."""
@@ -94,7 +94,6 @@ def shapley_chain(game):
     """Average marginal contribution over uniformly random player orderings."""
     _subset_only(game, "shapley_chain")
     n = game.lattice.n
-    vals = game.values
     denom = factorial(n)
     shares = {}
     for i in range(1, n + 1):
@@ -104,7 +103,7 @@ def shapley_chain(game):
             weight = Fraction(factorial(k) * factorial(n - k - 1), denom)
             for combo in combinations(rest, k):
                 before = frozenset(combo)
-                acc += weight * (vals[before | {i}] - vals[before])
+                acc += weight * (game[before | {i}] - game[before])
         shares[frozenset((i,))] = acc
     return Solution(game.lattice, shares)
 
@@ -327,53 +326,45 @@ def _edge(i, j, n):
     return (i, j) if i < j else (j, i)
 
 
-def _adjacency(n, edges):
-    adj = {i: set() for i in range(1, n + 1)}
+def _neighbours(n, edges):
+    """Bit j-1 of entry i-1 is set when the graph joins nodes i and j."""
+    near = [0] * n
     for edge in edges:
         if not isinstance(edge, (list, tuple)) or len(edge) != 2:
             raise ValueError(f"bad edge {edge!r}; expected a pair of nodes")
         i, j = _edge(*edge, n)
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
-
-
-def _is_connected(coalition, adj):
-    if len(coalition) <= 1:
-        return True
-    members = set(coalition)
-    seen = set()
-    stack = [next(iter(members))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v] & members - seen)
-    return seen == members
+        near[i - 1] |= 1 << (j - 1)
+        near[j - 1] |= 1 << (i - 1)
+    return near
 
 
 def graph_restrict(game, edges):
-    """Confine cooperation to a communication graph.
+    """Confine cooperation to a communication graph (Myerson 1977).
 
-    The restricted game keeps v on coalitions inducing a connected
-    subgraph; dividends of disconnected coalitions are forced to zero and
-    their values follow by expansion.
+    A coalition earns v(empty) plus v(C) - v(empty) for each connected
+    component C of the subgraph it induces, so connected coalitions keep
+    v and the dividends of disconnected ones vanish.  On 2^N bit i-1 of
+    an element's mask is node i.
     """
     _subset_only(game, "graph_restrict")
     lat = game.lattice
-    adj = _adjacency(lat.n, edges)
-    dividends = []
-    values = {}
-    for i, coalition in enumerate(lat.elements):  # down-sets come first
-        below = sum((dividends[j] for j in lat.downset_indices(i) if j != i), Fraction(0))
-        if _is_connected(coalition, adj):
-            values[coalition] = game.values[coalition]
-            dividends.append(values[coalition] - below)
-        else:
-            dividends.append(Fraction(0))
-            values[coalition] = below
-    return LatticeGame(lat, values)
+    near = _neighbours(lat.n, edges)
+    vals = game.vector()
+    empty = vals[0]
+    restricted = []
+    for rest in lat.masks:
+        acc = empty
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                low = frontier & -frontier
+                grown = near[low.bit_length() - 1] & rest & ~comp
+                comp |= grown
+                frontier = (frontier ^ low) | grown
+            acc += vals[lat.mask_index(comp)] - empty
+            rest &= ~comp
+        restricted.append(acc)
+    return LatticeGame._from_vector(lat, restricted)
 
 
 def myerson(game, edges):

@@ -8,8 +8,8 @@ zeta expansion.
 A table holds its rationals in element-index order.  A payload is read
 straight into that order, and Mobius inversion runs on integers over the
 values' common denominator; a Fraction is built once per coefficient.
-Zeta expansion still adds Fractions.  Every value a table hands out is
-an exact Fraction.
+Zeta expansion sums the index vector over each down-set, still in
+Fractions.  Every value a table hands out is an exact Fraction.
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ class LatticeGame(_TableOnLattice):
     def payload(self):
         lat = self.lattice
         return {"lattice": lat.tag, "n": lat.n,
-                "values": {lat.key(x): format_fraction(self.values[x])
-                           for x in lat.elements}}
+                "values": {lat.key(x): format_fraction(q)
+                           for x, q in zip(lat.elements, self._vector)}}
 
     @classmethod
     def from_payload(cls, payload, max_n=None):
@@ -190,14 +190,15 @@ class MobiusCoefficients(_TableOnLattice):
         super().__init__(lattice, coefficients, fill=Fraction(0))
 
     def support(self):
-        return tuple(x for x, q in self.coefficients.items() if q != 0)
+        return tuple(x for x, q in zip(self.lattice.elements, self._vector) if q != 0)
 
     def below(self, x):
         """The mass on the down-set of x; every other coefficient is zero."""
         lat = self.lattice
-        elems = lat.elements
-        return MobiusCoefficients(lat, {elems[j]: self.coefficients[elems[j]]
-                                        for j in lat.downset_indices(lat.index(x))})
+        kept = [Fraction(0)] * len(self._vector)
+        for j in lat.downset_indices(lat.index(x)):
+            kept[j] = self._vector[j]
+        return MobiusCoefficients._from_vector(lat, kept)
 
     def zeta_expand(self):
         return zeta_expand(self)
@@ -226,12 +227,9 @@ def mobius(game):
 def zeta_expand(coeffs):
     """The game with value sum of coefficients over the down-set of each element."""
     lat = coeffs.lattice
-    table = coeffs.coefficients
-    values = {}
-    for i, y in enumerate(lat.elements):
-        values[y] = sum((table[lat.elements[j]] for j in lat.downset_indices(i)),
-                        Fraction(0))
-    return LatticeGame(lat, values)
+    entry = coeffs.vector().__getitem__
+    return LatticeGame._from_vector(lat, [sum(map(entry, lat.downset_indices(i)), Fraction(0))
+                                          for i in range(len(lat))])
 
 
 def zeta_game(lattice, x):

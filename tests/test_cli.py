@@ -20,6 +20,8 @@ import pytest
 
 import lattice_games
 from lattice_games import cli
+from lattice_games.lattice import Lattice, lattice_for
+from lattice_games.transform import LatticeGame, MobiusCoefficients, _TableOnLattice
 
 
 def run_cli(argv, capsys):
@@ -174,6 +176,17 @@ def test_solve_myerson_needs_a_graph(tmp_path, capsys):
     code, _, err = run_cli(["solve", game, "--solver", "myerson"], capsys)
     assert code == 2
     assert "--graph-file" in err
+
+
+def test_solve_graph_file_needs_myerson(tmp_path, capsys):
+    game = write_json(tmp_path / "g.json", {
+        "lattice": "2^N", "n": 2,
+        "values": {"": "0", "1": "0", "2": "0", "1,2": "1"}})
+    graph = write_json(tmp_path / "graph.json", {"edges": [[1, 2]]})
+    for solver in ([], ["--solver", "su"], ["--solver", "cu"]):
+        code, out, err = run_cli(["solve", game, "--graph-file", graph, *solver], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "--graph-file" in err
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +438,75 @@ def test_solve_reads_any_spelling_of_a_key(tmp_path, capsys):
     assert got == want
 
 
+def _index_only_runs(tmp_path):
+    """Every subcommand path but selfcheck, over all three lattices."""
+    def game_file(name, tag, n, value):
+        lat = lattice_for(tag, n)
+        game = LatticeGame(lat, {x: value(lat, i, x) for i, x in enumerate(lat.elements)})
+        return write_json(tmp_path / f"{name}.json", game.payload())
+
+    def mixed(lat, i, x):
+        return f"{(7 * i) % 11 - 5}/{1 + i % 4}"
+
+    def size(lat, i, x):
+        return lat.size(x)
+
+    def flat(lat, i, x):  # every atom asks for the whole top value: empty core
+        return 0 if i == 0 else 1
+
+    runs = []
+    for tag, n, cluster in [("2^N", 3, "1,2"), ("P^N", 4, "1,2|3,4"), ("E^N", 2, "1;1|2")]:
+        games = [game_file(f"{tag[0]}-{name}", tag, n, value)
+                 for name, value in [("mixed", mixed), ("size", size), ("flat", flat)]]
+        cluster_file = write_json(tmp_path / f"{tag[0]}-cluster.json", {"cluster": cluster})
+        for solver in ["su", "cu", "egalitarian"] + (["shapley"] if tag == "2^N" else []):
+            runs.append(["solve", games[0], "--solver", solver])
+        runs.append(["solve", games[0], "--cluster-file", cluster_file, "--format", "csv"])
+        runs.append(["solve", games[0], "--no-bottom-normalize", "--solver", "cu"])
+        for game in games:
+            runs.append(["core", game])
+        runs.append(["core", games[0], "--cluster-file", cluster_file, "--format", "csv"])
+    subsets = str(tmp_path / "2-mixed.json")
+    graph = write_json(tmp_path / "graph.json", {"edges": [[1, 2], [3, 2]]})
+    runs.append(["solve", subsets, "--solver", "myerson", "--graph-file", graph])
+    partitions = str(tmp_path / "P-mixed.json")
+    weights = write_json(tmp_path / "weights.json", {"1,2": ["1/3", "2/3"]})
+    runs.append(["solve", partitions, "--split", "equal", "--format", "csv"])
+    runs.append(["solve", partitions, "--split", weights, "--solver", "cu"])
+    trace = trace_file(tmp_path)
+    clusters = write_json(tmp_path / "clusters.json", {"t0": "1,3|2"})
+    for solver in ("su", "cu", "egalitarian"):
+        runs.append(["netshare", trace, "--solver", solver])
+        runs.append(["netshare", trace, "--solver", solver, "--cluster-file", clusters,
+                     "--format", "csv"])
+    return runs
+
+
+def test_commands_read_tables_by_index_only(tmp_path, capsys, monkeypatch):
+    """solve, core and netshare print the same reports when the
+    element-keyed table views and Lattice.leq/meet/join all raise."""
+    runs = _index_only_runs(tmp_path)
+    want = [run_cli(argv, capsys) for argv in runs]
+    statuses = {(json.loads(out)["lattice"], json.loads(out)["status"])
+                for argv, (_, out, _) in zip(runs, want)
+                if argv[0] == "core" and "--format" not in argv}
+    assert statuses == {(tag, status) for tag in ("2^N", "P^N", "E^N")
+                        for status in ("empty", "nonempty")}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("element-keyed table or order call on a command path")
+
+    monkeypatch.setattr(_TableOnLattice, "_table", forbidden)
+    monkeypatch.setattr(LatticeGame, "values", property(forbidden))
+    monkeypatch.setattr(MobiusCoefficients, "coefficients", property(forbidden))
+    for name in ("leq", "meet", "join"):
+        monkeypatch.setattr(Lattice, name, forbidden)
+    for argv, expected in zip(runs, want):
+        got = run_cli(argv, capsys)
+        assert got == expected, argv
+        assert got[0] == 0, argv
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -457,6 +539,40 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    """Consecutive calls through one parser print what each prints in a
+    fresh process (a cleared parser cache), a bad argv in between too."""
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    game, trace = rank_game_file(tmp_path), trace_file(tmp_path)
+    runs = [["solve", game, "--no-bottom-normalize", "--format", "csv"],
+            ["solve", game, "--solver", "nope"],
+            ["solve", game],
+            ["core", game, "--format", "csv"],
+            ["frobnicate"],
+            ["netshare", trace, "--solver", "cu"],
+            ["core", game],
+            ["solve", game, "--split", "equal", "--solver", "cu"]]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        return (code, *capsys.readouterr())
+
+    alone = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        alone.append(run(argv))
+    assert [code for code, _, _ in alone] == [0, 2, 0, 0, 2, 0, 0, 0]
+    cli._parser.cache_clear()
+    calls.clear()
+    assert [run(argv) for argv in runs] == alone
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,26 @@ def test_core_system_shapes():
         assert len(system.equality[0]) == 3
 
 
+@pytest.mark.parametrize("tag,n", [("2^N", n) for n in range(1, 6)]
+                         + [("P^N", n) for n in range(1, 6)]
+                         + [("E^N", n) for n in range(1, 5)])
+def test_core_rows_are_the_atoms_below_each_element(tag, n):
+    """Rows read off the masks equal the leq rows, with columns in
+    lattice.atoms order (on E^N the node atoms come first, which is not
+    the mask-bit order)."""
+    rng = random.Random(41 * n + ord(tag[0]))
+    lat = lattice_for(tag, n)
+    game = LatticeGame(lat, {x: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                             for x in lat.elements})
+    system = CoreSystem(game)
+    assert system.atoms == lat.atoms
+    assert [x for x, _, _ in system.inequalities] == list(lat.elements)
+    for x, coeffs, rhs in system.inequalities:
+        assert coeffs == tuple(1 if lat.leq(a, x) else 0 for a in lat.atoms)
+        assert rhs == game[x]
+    assert system.equality == ((1,) * len(lat.atoms), game.top_value)
+
+
 # ---------------------------------------------------------------------------
 # feasibility with proof objects
 

@@ -218,15 +218,17 @@ def full_pair_scan(game):
 
 def test_supermodular_scan_matches_the_full_pair_scan():
     """Skipping comparable pairs keeps the verdict and the first witness:
-    totally positive games with one value lowered fail at varied pairs."""
+    totally positive games with one value lowered fail at varied pairs,
+    over integer and mixed denominators."""
     rng = random.Random(29)
     verdicts = set()
-    for tag, n in [("2^N", 4), ("P^N", 4), ("E^N", 3)]:
+    for tag, n in [("2^N", 4), ("P^N", 4), ("E^N", 3), ("2^N", 5), ("P^N", 5), ("E^N", 4)]:
         lat = lattice_for(tag, n)
-        for _ in range(12):
-            coeffs = {x: Fraction(rng.randint(0, 4)) for x in lat.elements}
+        for k in range(12):
+            dens = (1,) if k % 2 else (1, 2, 3, 5, 12)
+            coeffs = {x: Fraction(rng.randint(0, 4), rng.choice(dens)) for x in lat.elements}
             values = dict(MobiusCoefficients(lat, coeffs).zeta_expand().values)
-            values[rng.choice(lat.elements)] -= rng.randint(0, 3)
+            values[rng.choice(lat.elements)] -= Fraction(rng.randint(0, 3), rng.choice(dens))
             g = LatticeGame(lat, values)
             expected = full_pair_scan(g)
             report = is_supermodular(g)

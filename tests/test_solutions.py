@@ -588,6 +588,65 @@ def test_graph_restriction_matches_component_sums(n):
         assert graph_restrict(g, edges) == components_oracle(g, edges)
 
 
+def dividend_graph_restrict(game, edges):
+    """The restriction by dividend recursion: connected coalitions keep v,
+    disconnected ones get a zero dividend and the sum of those below."""
+    lat = game.lattice
+    adj = {i: set() for i in range(1, lat.n + 1)}
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+
+    def connected(coalition):
+        if len(coalition) <= 1:
+            return True
+        seen, stack = set(), [min(coalition)]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(adj[v] & coalition - seen)
+        return seen == coalition
+
+    dividends = []
+    values = {}
+    for i, coalition in enumerate(lat.elements):  # down-sets come first
+        below = sum((dividends[j] for j in lat.downset_indices(i) if j != i), Fraction(0))
+        if connected(coalition):
+            values[coalition] = game.values[coalition]
+            dividends.append(values[coalition] - below)
+        else:
+            dividends.append(Fraction(0))
+            values[coalition] = below
+    return LatticeGame(lat, values)
+
+
+def graph_family(n, rng):
+    """Empty, path, star, complete and two random graphs on 1..n."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    yield []
+    yield [(i, i + 1) for i in range(1, n)]
+    yield [(1, j) for j in range(2, n + 1)]
+    yield pairs
+    for p in (0.3, 0.6):
+        yield [e if rng.random() < 0.5 else e[::-1] for e in pairs if rng.random() < p]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_graph_restriction_equals_both_oracles(n):
+    """Component sums, the dividend recursion and graph_restrict agree,
+    also when v(empty) is not zero."""
+    rng = random.Random(90 + n)
+    lat = lattice_for("2^N", n)
+    for edges in graph_family(n, rng):
+        g = random_game(lat, rng)
+        if g[frozenset()] == 0:
+            g = g + zeta_game(lat, lat.bottom)
+        restricted = graph_restrict(g, edges)
+        assert restricted == components_oracle(g, edges) == dividend_graph_restrict(g, edges)
+        assert all(type(q) is Fraction for q in restricted.vector())
+
+
 def test_myerson_on_a_path():
     """Ends of a path earn through the middleman: restricting the game
     worth 1 to coalitions containing both ends forces the full path."""

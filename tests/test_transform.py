@@ -280,6 +280,42 @@ def test_mobius_equals_the_fraction_recursion(tag, n):
             assert all(type(q) is Fraction for q in mu.vector())
 
 
+def dict_zeta_expand(coeffs):
+    """Zeta expansion read through the element-keyed dict, one element at
+    a time: the oracle for the index-vector zeta_expand."""
+    lat = coeffs.lattice
+    table = coeffs.coefficients
+    values = {}
+    for i, y in enumerate(lat.elements):
+        values[y] = sum((table[lat.elements[j]] for j in lat.downset_indices(i)),
+                        Fraction(0))
+    return LatticeGame(lat, values)
+
+
+def dict_below(coeffs, x):
+    """MobiusCoefficients.below through the element-keyed dict: the oracle."""
+    lat = coeffs.lattice
+    elems = lat.elements
+    return MobiusCoefficients(lat, {elems[j]: coeffs.coefficients[elems[j]]
+                                    for j in lat.downset_indices(lat.index(x))})
+
+
+@pytest.mark.parametrize("tag,n", KERNEL_LATTICES)
+def test_zeta_and_below_equal_the_dict_forms(tag, n):
+    rng = random.Random(37 * n + len(tag) + ord(tag[0]))
+    lat = lattice_for(tag, n)
+    for g in mixed_games(lat, rng):
+        mu = mobius(g)
+        game = zeta_expand(mu)
+        assert game == dict_zeta_expand(mu) == g
+        assert all(type(q) is Fraction for q in game.vector())
+        for x in {lat.bottom, lat.top, *rng.sample(lat.elements, min(3, len(lat)))}:
+            kept = mu.below(x)
+            assert kept == dict_below(mu, x)
+            assert all(type(q) is Fraction for q in kept.vector())
+            assert zeta_expand(kept) == dict_zeta_expand(kept)
+
+
 def parsed_then_validated(payload):
     """Every key parsed to its element, then the validating constructor:
     the oracle for from_payload."""
