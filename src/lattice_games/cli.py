@@ -205,8 +205,10 @@ def _load_edges(path):
 def cmd_core(args):
     game, shift, _ = _load_game(args)
     result = core_feasible(game)
-    supermod = is_supermodular(game)
+    # f(x v y) + f(x ^ y) - f(x) - f(y) is the Mobius mass on the z below
+    # x v y and below neither x nor y, so nonnegative mass settles it.
     positive = is_totally_positive(game)
+    supermod = positive or is_supermodular(game)
     lat = game.lattice
     report = {"command": "core"}
     report.update(result.payload())

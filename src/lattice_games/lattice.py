@@ -18,6 +18,15 @@ it.  Each element carries them as an integer bitmask; the order, meet,
 join, size, covers and up-set/down-set tables are read off the masks.
 Elements are listed in a linear extension of the order, bottom first.
 
+P^N is enumerated once, by a descending restricted-growth recursion
+that adds each pair to the mask as it places an element; the count and
+the distinctness of the masks are checked after.  The order tables
+take one bitset per atom, over element indices (the elements holding
+that atom): the down-set of element j is every index up to j outside
+the bitsets of the atoms j lacks, read off in ascending order, and the
+up-sets are filled by inverting the down-sets in the same pass.  The
+cost tracks the entries written, not the |L|^2/2 pairs of elements.
+
 ``rank`` counts covering steps from the bottom, ``size`` counts atoms
 below an element.  Chain counts are exact integers.
 """
@@ -145,23 +154,6 @@ def parse_class_key(text, n):
     return tuple(cvec)
 
 
-def _rgs_codes(n):
-    """All restricted-growth codes of length n, one per set partition."""
-    out = []
-    code = [0] * n
-
-    def rec(i, top):
-        if i == n:
-            out.append(tuple(code))
-            return
-        for d in range(top + 2):
-            code[i] = d
-            rec(i + 1, d if d > top else top)
-
-    rec(0, -1)
-    return out
-
-
 class Partition:
     """A set partition of {1, ..., n} in canonical form.
 
@@ -201,6 +193,14 @@ class Partition:
     @classmethod
     def top(cls, n):
         return cls(n, [range(1, n + 1)])
+
+    @classmethod
+    def _canonical(cls, n, blocks):
+        """Wrap a tuple of blocks already in canonical form, unchecked."""
+        p = object.__new__(cls)
+        p.n = n
+        p.blocks = blocks
+        return p
 
     @classmethod
     def pair(cls, n, i, j):
@@ -416,20 +416,56 @@ class EmbeddedSubset:
 
     @classmethod
     def from_partition(cls, part):
-        """Inverse image: the block holding the top element becomes A."""
+        """Inverse image: the block holding the top element becomes A.
+
+        part is canonical, so m is the last entry of its block, dropping it
+        keeps that block's least element (or removes the last block, (m,)),
+        and the result is canonical as it stands: nothing is re-checked.
+        """
         m = part.n
         if m < 2:
             raise ValueError("need at least two elements to peel one off")
-        rest = []
-        subset = ()
-        for b in part.blocks:
-            if m in b:
-                subset = tuple(x for x in b if x != m)
-            else:
-                rest.append(b)
-        if subset:
-            rest.append(subset)
-        return cls(subset, Partition(m - 1, rest))
+        blocks = part.blocks
+        k = next(k for k, b in enumerate(blocks) if b[-1] == m)
+        subset = blocks[k][:-1]
+        rest = blocks[:k] + ((subset,) if subset else ()) + blocks[k + 1:]
+        x = object.__new__(cls)
+        x.subset = subset
+        x.partition = Partition._canonical(m - 1, rest)
+        return x
+
+
+def _partitions(n):
+    """The set partitions of {1..n} in descending restricted-growth order,
+    with their atom masks (bit k for the k-th pair (i, j) in lexicographic
+    order).
+
+    Element x goes into a new block first, then into the existing blocks
+    from the last opened to the first: descending digits at each position.
+    A block's entries are placed in ascending order and blocks open in
+    order of their least entry, so every partition is canonical as built,
+    and placing x adds the pairs (y, x) for y in its block to the mask.
+    """
+    bits = {pair: 1 << k for k, pair in enumerate(combinations(range(1, n + 1), 2))}
+    parts, masks = [], []
+    blocks = []
+
+    def place(x, mask):
+        if x > n:
+            parts.append(Partition._canonical(n, tuple(blocks)))
+            masks.append(mask)
+            return
+        blocks.append((x,))
+        place(x + 1, mask)
+        blocks.pop()
+        for d in range(len(blocks) - 1, -1, -1):
+            block = blocks[d]
+            blocks[d] = block + (x,)
+            place(x + 1, mask | sum(bits[y, x] for y in block))
+            blocks[d] = block
+
+    place(1, 0)
+    return parts, masks
 
 
 def _kappa(k):
@@ -605,16 +641,32 @@ class Lattice:
 
     def _order_tables(self):
         # x <= y exactly when x's atoms are among y's, and only earlier
-        # elements can lie below a later one.
+        # elements can lie below a later one.  holders[k] is the bitset of
+        # the element indices whose mask holds atom k.  Both tables take
+        # their ints from idx, so each index is one object.
         if self._ups is None:
             masks = self._mask
-            ups = [[] for _ in masks]
+            idx = tuple(range(len(masks)))
+            holders = [0] * masks[-1].bit_length()
+            for i, m in zip(idx, masks):
+                for k in range(len(holders)):
+                    if m >> k & 1:
+                        holders[k] |= 1 << i
+            ups = [[] for _ in idx]
             downs = []
-            for j, m in enumerate(masks):
-                below = tuple(i for i in range(j + 1) if not masks[i] & ~m)
-                for i in below:
+            for j, m in zip(idx, masks):
+                outside = 0
+                for k, held in enumerate(holders):
+                    if not m >> k & 1:
+                        outside |= held
+                bits = bin(((2 << j) - 1) & ~outside)[:1:-1]  # bits[i] is index i
+                down = []
+                i = bits.find("1")
+                while i >= 0:
+                    down.append(idx[i])
                     ups[i].append(j)
-                downs.append(below)
+                    i = bits.find("1", i + 1)
+                downs.append(tuple(down))
             self._ups = tuple(map(tuple, ups))
             self._downs = tuple(downs)
         return self._ups, self._downs
@@ -624,9 +676,6 @@ class Lattice:
 
     def downset_indices(self, i):
         return self._order_tables()[1][i]
-
-    def downset(self, x):
-        return tuple(self.elements[j] for j in self.downset_indices(self.index(x)))
 
     # -- chains ---------------------------------------------------------
 
@@ -743,14 +792,14 @@ class PartitionLattice(Lattice):
 
     def __init__(self, n):
         super().__init__(n)
-        parts = [Partition.from_rgs(code) for code in _rgs_codes(n)]
-        parts.sort(key=Partition.rgs_tuple, reverse=True)
+        parts, masks = _partitions(n)
         self.elements = tuple(parts)
-        pairs = list(combinations(range(1, n + 1), 2))
-        self.atoms = tuple(Partition.pair(n, i, j) for i, j in pairs)
-        bit = {pair: 1 << k for k, pair in enumerate(pairs)}
-        self._finish(tuple(sum(bit[pair] for b in p.blocks for pair in combinations(b, 2))
-                           for p in parts))
+        self.atoms = tuple(Partition.pair(n, i, j) for i, j in combinations(range(1, n + 1), 2))
+        self._finish(tuple(masks))
+        if len(masks) != bell(n) or len(self._by_mask) != len(masks):
+            raise VerificationError(
+                f"{len(masks)} partitions with {len(self._by_mask)} distinct masks "
+                f"enumerated on {self.describe()}, Bell number {bell(n)}")
 
     def class_of(self, x):
         return x.class_vector()
@@ -852,18 +901,3 @@ def lattice_for(tag, n, max_n=None):
             f"raise it via max_n or {ENV_MAX_N}")
     return _build(tag, n)
 
-
-def enumerate_subsets(n, max_n=None):
-    return lattice_for("2^N", n, max_n).elements
-
-
-def enumerate_partitions(n, max_n=None):
-    return lattice_for("P^N", n, max_n).elements
-
-
-def enumerate_embedded(n, max_n=None):
-    return lattice_for("E^N", n, max_n).elements
-
-
-def enumerate_maximal_chains(lattice):
-    return lattice.maximal_chains()

@@ -10,6 +10,7 @@ cli.main and pass its exit code through without installing the package.
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -228,6 +229,60 @@ def test_core_csv_lists_certificate_rows(tmp_path, capsys):
     assert lines[0] == "kind,key,value,approx"
     assert "status,,empty," in lines
     assert "certificateEfficiency,,-1,-1.0" in lines
+
+
+# core's reports on this game before it read supermodularity off total
+# positivity, byte for byte.
+DIVIDEND_CORE_JSON = """\
+{
+  "command": "core",
+  "lattice": "E^N",
+  "n": 2,
+  "status": "nonempty",
+  "witness": {
+    "1;1|2": "1",
+    "2;1|2": "2",
+    ";1,2": "2"
+  },
+  "violated": [],
+  "normalized": true,
+  "bottomShift": "0",
+  "supermodular": true,
+  "supermodularWitness": null,
+  "totallyPositive": true,
+  "negativeDividendAt": null
+}
+"""
+DIVIDEND_CORE_CSV = """\
+kind,key,value,approx
+meta,lattice,E^N,
+meta,n,2,
+status,,nonempty,
+supermodular,,true,
+totallyPositive,,true,
+witness,1;1|2,1,1.0
+witness,2;1|2,2,2.0
+witness,";1,2",2,2.0
+"""
+
+
+def test_core_reads_supermodularity_off_total_positivity(tmp_path, capsys, monkeypatch):
+    """A totally positive game (dividends 1/2, 1, 2, 3/2 above the bottom)
+    is reported supermodular with no pair scan, in the same bytes; a game
+    with a negative dividend still runs the scan."""
+    game = write_json(tmp_path / "dividend.json", {
+        "lattice": "E^N", "n": 2,
+        "values": {";1|2": "0", "2;1|2": "1/2", "1;1|2": "1", ";1,2": "2",
+                   "1,2;1,2": "5"}})
+
+    def no_scan(game):
+        raise AssertionError("supermodularity scan")
+
+    monkeypatch.setattr(cli, "is_supermodular", no_scan)
+    assert run_cli(["core", game], capsys) == (0, DIVIDEND_CORE_JSON, "")
+    assert run_cli(["core", game, "--format", "csv"], capsys) == (0, DIVIDEND_CORE_CSV, "")
+    with pytest.raises(AssertionError, match="supermodularity scan"):
+        cli.main(["core", rank_game_file(tmp_path)])
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +703,27 @@ def test_console_script_is_installed(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
+
+
+def test_cold_solve_at_the_cap_matches_the_in_process_report(tmp_path, capsys):
+    """In process the lattice_for cache is warm; a fresh interpreter builds
+    E^7's elements, masks and order tables from nothing.  Under python -O
+    its cu report is byte for byte the in-process one."""
+    lat = lattice_for("E^N", 7)
+    rng = random.Random(41)
+    game = write_json(tmp_path / "e7.json", {
+        "lattice": "E^N", "n": 7,
+        "values": {lat.key(x): f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}"
+                   for x in lat.elements}})
+    argv = ["solve", game, "--solver", "cu"]
+    code, want, _ = run_cli(argv, capsys)
+    assert code == 0
+    package_root = Path(lattice_games.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-O", "-m", "lattice_games.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
 
 
 def test_module_entry_point():

@@ -358,11 +358,13 @@ def test_integer_tableau_matches_the_oracle_on_core_systems():
 def test_proof_checks_run_under_python_O():
     """Under -O asserts vanish; the checks on a witness, a certificate, a
     separating family, a restricted game, cu shares, su shares, a cover
-    walk and a chain listing must still raise.  A patched _phase1 hands
-    core_feasible bad proof objects, a patched zeta_expand a wrong top
-    value, a patched chain-step count wrong cu weights, a patched mobius
-    another game's dividends to su, a patched up-set an order that is no
-    linear extension, a patched chain count a wrong total."""
+    walk, a chain listing and a partition enumeration must still raise.
+    A patched _phase1 hands core_feasible bad proof objects, a patched
+    zeta_expand a wrong top value, a patched chain-step count wrong cu
+    weights, a patched mobius another game's dividends to su, a patched
+    up-set an order that is no linear extension, a patched chain count a
+    wrong total, a patched enumeration one partition short or one mask
+    twice."""
     script = textwrap.dedent("""
         import sys
         from fractions import Fraction
@@ -430,6 +432,15 @@ def test_proof_checks_run_under_python_O():
             print("chains returned")
         except Exception as err:
             print("chains", type(err).__name__, err)
+        parts, masks = lattice._partitions(3)
+        for name, corrupt in [("short", (parts[:-1], masks[:-1])),
+                              ("twice", (parts, masks[:-1] + masks[:1]))]:
+            lattice._partitions = lambda n, corrupt=corrupt: corrupt
+            try:
+                lattice.PartitionLattice(3)
+                print(name, "returned")
+            except Exception as err:
+                print(name, type(err).__name__, err)
     """)
     package_root = Path(lattice_games.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(package_root), PYTHONDONTWRITEBYTECODE="1")
@@ -450,6 +461,10 @@ def test_proof_checks_run_under_python_O():
         "su VerificationError su shares on P^N with n=3 do not sum to f(top) - f(bottom)",
         "covers VerificationError covers of element 0 on 2^N with n=2 overlap",
         "chains VerificationError 3 maximal chains listed on P^N with n=3, 99 counted",
+        "short VerificationError 4 partitions with 4 distinct masks enumerated on "
+        "P^N with n=3, Bell number 5",
+        "twice VerificationError 5 partitions with 4 distinct masks enumerated on "
+        "P^N with n=3, Bell number 5",
     ]
 
 

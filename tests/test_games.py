@@ -195,13 +195,21 @@ def test_rank_game_is_not_supermodular_for_four():
 
 
 def test_totally_positive_games_are_supermodular_here():
+    """f(x v y) + f(x ^ y) - f(x) - f(y) is the Mobius mass on the z below
+    x v y and below neither x nor y, so nonnegative mass passes the full
+    pair scan on every lattice; core relies on this to skip the scan."""
     rng = random.Random(23)
-    for tag, n in [("P^N", 3), ("2^N", 3), ("E^N", 2)]:
-        lat = lattice_for(tag, n)
-        coeffs = {x: Fraction(rng.randint(0, 5)) for x in lat.elements}
-        g = MobiusCoefficients(lat, coeffs).zeta_expand()
-        assert is_totally_positive(g)
-        assert is_supermodular(g)
+    for tag, sizes in [("2^N", range(1, 6)), ("P^N", range(1, 6)), ("E^N", range(1, 5))]:
+        for n in sizes:
+            lat = lattice_for(tag, n)
+            for k in range(4):
+                dens = (1,) if k % 2 else (1, 2, 3, 7)
+                coeffs = {x: Fraction(rng.choice((0, 0, 1, 2, 5)), rng.choice(dens))
+                          for x in lat.elements}
+                g = MobiusCoefficients(lat, coeffs).zeta_expand()
+                assert is_totally_positive(g)
+                assert is_supermodular(g)
+                assert full_pair_scan(g) is None
 
 
 def full_pair_scan(game):

@@ -5,11 +5,15 @@ enumeration, meet/join against the defining bound properties, and sizes
 against direct atom counting, so the closed forms never vouch for
 themselves.  The order, meet, join, size and atoms-below that the
 lattices read off their atom bitmasks are checked pair by pair against
-the element objects' own operators.
+the element objects' own operators.  The elements, masks and order
+tables are checked against the constructions they replaced: a sort of
+all restricted-growth codes, the validating E^N preimage, and the
+|L|^2/2 mask-inclusion scan.
 """
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -24,10 +28,6 @@ from lattice_games.lattice import (
     class_count,
     class_key,
     class_vectors,
-    enumerate_embedded,
-    enumerate_maximal_chains,
-    enumerate_partitions,
-    enumerate_subsets,
     ground_cap,
     lattice_for,
     parse_class_key,
@@ -83,9 +83,9 @@ def test_partition_validation_errors():
 
 
 def test_enumeration_order_and_anchors():
-    assert [p.label() for p in enumerate_partitions(3)] == P3_ORDER
+    assert [p.label() for p in lattice_for("P^N", 3).elements] == P3_ORDER
     for n in range(1, 7):
-        elems = enumerate_partitions(n)
+        elems = lattice_for("P^N", n).elements
         assert len(elems) == BELL[n]
         assert elems[0] == Partition.bottom(n)
         assert elems[-1] == Partition.top(n)
@@ -103,15 +103,15 @@ def test_subset_enumeration():
         lat.parse_element("2,2")
     with pytest.raises(ValueError):
         lat.parse_element("4")
-    assert len(enumerate_subsets(6)) == 64
+    assert len(lattice_for("2^N", 6).elements) == 64
 
 
 def test_embedded_enumeration():
     lat = lattice_for("E^N", 2)
     assert [e.label() for e in lat.elements] == E2_ORDER
     assert [a.label() for a in lat.atoms] == ["1;1|2", "2;1|2", ";1,2"]
-    assert len(enumerate_embedded(3)) == BELL[4]
-    assert len(enumerate_embedded(4)) == BELL[5]
+    assert len(lattice_for("E^N", 3).elements) == BELL[4]
+    assert len(lattice_for("E^N", 4).elements) == BELL[5]
     e = EmbeddedSubset.parse("1,2;1,2|3")
     assert e.subset == (1, 2) and e.partition == Partition.parse("1,2|3")
     assert EmbeddedSubset.parse(";1|2|3").subset == ()
@@ -199,6 +199,109 @@ def test_element_order_is_a_linear_extension(tag, n):
     for i in range(len(lat)):
         assert all(j >= i for j in lat.upset_indices(i))
         assert all(j <= i for j in lat.downset_indices(i))
+
+
+def _rgs_codes(n):
+    """All restricted-growth codes of length n, one per set partition."""
+    out = []
+    code = [0] * n
+
+    def rec(i, top):
+        if i == n:
+            out.append(tuple(code))
+            return
+        for d in range(top + 2):
+            code[i] = d
+            rec(i + 1, d if d > top else top)
+
+    rec(0, -1)
+    return out
+
+
+def scan_tables(masks):
+    """Up-sets and down-sets by testing every pair i <= j for mask inclusion."""
+    ups = [[] for _ in masks]
+    downs = []
+    for j, m in enumerate(masks):
+        below = tuple(i for i in range(j + 1) if not masks[i] & ~m)
+        for i in below:
+            ups[i].append(j)
+        downs.append(below)
+    return tuple(map(tuple, ups)), tuple(downs)
+
+
+def embedded_preimage(part):
+    """E^N element of a P^(n+1) partition, rebuilt through the checking
+    constructors: the block holding n+1 becomes A."""
+    m = part.n
+    rest = []
+    subset = ()
+    for b in part.blocks:
+        if m in b:
+            subset = tuple(x for x in b if x != m)
+        else:
+            rest.append(b)
+    if subset:
+        rest.append(subset)
+    return EmbeddedSubset(subset, Partition(m - 1, rest))
+
+
+@lru_cache(maxsize=None)
+def partition_oracle(n):
+    """Elements, atoms, masks and tables of P^N, built the slow way: every
+    code through from_rgs, sorted by descending code, masks from the pairs
+    inside each block, tables by the pair scan."""
+    parts = sorted((Partition.from_rgs(code) for code in _rgs_codes(n)),
+                   key=Partition.rgs_tuple, reverse=True)
+    pairs = list(combinations(range(1, n + 1), 2))
+    bit = {pair: 1 << k for k, pair in enumerate(pairs)}
+    masks = tuple(sum(bit[pair] for b in p.blocks for pair in combinations(b, 2))
+                  for p in parts)
+    atoms = [Partition.pair(n, i, j) for i, j in pairs]
+    return parts, atoms, atoms, masks, scan_tables(masks)
+
+
+def lattice_oracle(tag, n):
+    """(elements, atoms, atoms in mask-bit order, masks, (ups, downs))."""
+    if tag == "2^N":
+        elems = [frozenset(c) for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
+        masks = tuple(sum(1 << (i - 1) for i in x) for x in elems)
+        atoms = [frozenset((i,)) for i in range(1, n + 1)]
+        return elems, atoms, atoms, masks, scan_tables(masks)
+    if tag == "P^N":
+        return partition_oracle(n)
+    parts, pair_atoms, _, masks, tables = partition_oracle(n + 1)
+    bottom = Partition.bottom(n)
+    atoms = ([EmbeddedSubset((i,), bottom) for i in range(1, n + 1)]
+             + [EmbeddedSubset((), Partition.pair(n, i, j))
+                for i, j in combinations(range(1, n + 1), 2)])
+    return ([embedded_preimage(p) for p in parts], atoms,
+            [embedded_preimage(a) for a in pair_atoms], masks, tables)
+
+
+@pytest.mark.parametrize("tag,n", [("2^N", n) for n in range(1, 9)]
+                         + [("P^N", n) for n in range(1, 9)]
+                         + [("E^N", n) for n in range(1, 8)])
+def test_lattice_build_matches_the_slow_construction(tag, n):
+    """Elements, atoms, masks, both order tables and the key map equal the
+    oracle's, entry by entry, up to the default cap."""
+    lat = lattice_for(tag, n)
+    elems, atoms, bit_atoms, masks, (ups, downs) = lattice_oracle(tag, n)
+    assert list(map(repr, lat.elements)) == list(map(repr, elems))
+    assert list(map(repr, lat.atoms)) == list(map(repr, atoms))
+    assert list(map(repr, lat.atoms_below(lat.top))) == list(map(repr, bit_atoms))
+    assert lat.masks == masks
+    assert tuple(map(lat.upset_indices, range(len(lat)))) == ups
+    assert tuple(map(lat.downset_indices, range(len(lat)))) == downs
+    assert lat.key_indices() == {lat.key(x): i for i, x in enumerate(elems)}
+
+
+def test_order_tables_share_their_index_objects():
+    lat = lattice_for("P^N", 7)
+    ups, downs = lat._order_tables()
+    shared = {id(i) for row in downs for i in row}
+    assert shared == {id(i) for row in ups for i in row}
+    assert len(shared) == len(lat)
 
 
 @pytest.mark.parametrize("tag,n,strangers", [
@@ -314,7 +417,8 @@ def test_embedded_lower_intervals_match_plain_partitions():
     plain = lattice_for("P^N", 3)
     for p in plain.elements:
         e = EmbeddedSubset((), p)
-        assert len(lat.downset(e)) == len(plain.downset(p))
+        assert (len(lat.downset_indices(lat.index(e)))
+                == len(plain.downset_indices(plain.index(p))))
 
 
 CHAIN_TOTALS = {("P^N", 3): 3, ("P^N", 4): 18, ("P^N", 5): 180,
@@ -330,7 +434,7 @@ def test_chain_totals_frozen():
 @pytest.mark.parametrize("tag,n", list(CHAIN_TOTALS))
 def test_chain_enumeration_is_valid(tag, n):
     lat = lattice_for(tag, n)
-    chains = enumerate_maximal_chains(lat)
+    chains = lat.maximal_chains()
     assert len(chains) == CHAIN_TOTALS[(tag, n)]
     for chain in chains:
         assert chain[0] == lat.bottom and chain[-1] == lat.top
@@ -424,7 +528,7 @@ def test_class_vectors_and_counts():
         assert sum(class_count(c) for c in class_vectors(n)) == bell(n)
     for n in range(1, 6):
         tally = {}
-        for p in enumerate_partitions(n):
+        for p in lattice_for("P^N", n).elements:
             cv = p.class_vector()
             tally[cv] = tally.get(cv, 0) + 1
         assert tally == {c: class_count(c) for c in class_vectors(n)}
