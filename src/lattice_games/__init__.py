@@ -61,7 +61,6 @@ from .coresep import (
     core_contains,
     core_feasible,
     separability_test,
-    separating_variant,
 )
 
 __version__ = "0.1.0"
@@ -113,6 +112,5 @@ __all__ = [
     "core_contains",
     "core_feasible",
     "separability_test",
-    "separating_variant",
     "__version__",
 ]

@@ -323,11 +323,6 @@ class SeparatingFamily:
         return _first_violation(self.game, table) is None
 
 
-def separating_variant(family, singletons):
-    """Convenience wrapper: the family member with these singleton values."""
-    return family.member(singletons)
-
-
 class SeparabilityReport:
     """Outcome of a separability test; true iff a decomposition exists."""
 

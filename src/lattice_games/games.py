@@ -99,7 +99,7 @@ class SymmetricGame:
     def __init__(self, tag, n, class_values):
         if tag not in LATTICE_TAGS:
             raise ValueError(f"unknown lattice tag {tag!r}")
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         expected = _expected_classes(tag, n)
         table = {}
@@ -167,10 +167,6 @@ class SymmetricGame:
                 raise ValueError(f"duplicate class key {key!r}")
             values[ckey] = text
         return cls(tag, n, values)
-
-
-def symmetric_expand(sym, max_n=None):
-    return sym.expand(max_n)
 
 
 def is_symmetric(game):

@@ -15,7 +15,9 @@ and order tables of P^(n+1).
 
 All three lattices are atomistic: an element is fixed by the atoms below
 it.  Each element carries them as an integer bitmask; the order, meet,
-join, size, covers and up-set/down-set tables are read off the masks.
+join, size, cover indices and up-set/down-set tables are read off the
+masks, and nothing else answers an order question: ``Partition`` and
+``EmbeddedSubset`` are element types with no order of their own.
 Elements are listed in a linear extension of the order, bottom first.
 
 P^N is enumerated once, by a descending restricted-growth recursion
@@ -28,13 +30,14 @@ up-sets are filled by inverting the down-sets in the same pass.  The
 cost tracks the entries written, not the |L|^2/2 pairs of elements.
 
 ``rank`` counts covering steps from the bottom, ``size`` counts atoms
-below an element.  Chain counts are exact integers.
+below an element.  Chain counts are exact integers: the maximal chains
+in all, and those through one covering step out of an element (alike
+for every cover), the two counts the chain-uniform solution reads.
 """
 
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
@@ -238,59 +241,9 @@ class Partition:
             cvec[len(b) - 1] += 1
         return tuple(cvec)
 
-    def _owner_map(self):
-        owner = {}
-        for idx, b in enumerate(self.blocks):
-            for x in b:
-                owner[x] = idx
-        return owner
-
-    def refines(self, other):
-        """True when every block here sits inside a block of other (self <= other)."""
-        if not isinstance(other, Partition) or self.n != other.n:
-            raise ValueError("mismatched ground sets")
-        owner = other._owner_map()
-        for b in self.blocks:
-            first = owner[b[0]]
-            for x in b[1:]:
-                if owner[x] != first:
-                    return False
-        return True
-
-    def meet(self, other):
-        """Greatest lower bound: blockwise intersections."""
-        if not isinstance(other, Partition) or self.n != other.n:
-            raise ValueError("mismatched ground sets")
-        mine, theirs = self._owner_map(), other._owner_map()
-        groups = {}
-        for x in range(1, self.n + 1):
-            groups.setdefault((mine[x], theirs[x]), []).append(x)
-        return Partition(self.n, groups.values())
-
-    def join(self, other):
-        """Least common coarsening (union the blocks, take connected components)."""
-        if not isinstance(other, Partition) or self.n != other.n:
-            raise ValueError("mismatched ground sets")
-        parent = list(range(self.n + 1))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for p in (self, other):
-            for b in p.blocks:
-                root = find(b[0])
-                for x in b[1:]:
-                    parent[find(x)] = root
-        groups = {}
-        for x in range(1, self.n + 1):
-            groups.setdefault(find(x), []).append(x)
-        return Partition(self.n, groups.values())
-
     def rgs_tuple(self):
-        owner = self._owner_map()
+        """The block number of each element 1..n, blocks counted from 0."""
+        owner = {x: idx for idx, b in enumerate(self.blocks) for x in b}
         return tuple(owner[x] for x in range(1, self.n + 1))
 
     def rgs(self):
@@ -405,15 +358,6 @@ class EmbeddedSubset:
             subset = []
         return cls(subset, part)
 
-    def to_partition(self):
-        """Image in P^(n+1): insert n+1 into A, or add it as a singleton."""
-        m = self.n + 1
-        if self.subset:
-            blocks = [b if b != self.subset else b + (m,) for b in self.partition.blocks]
-        else:
-            blocks = list(self.partition.blocks) + [(m,)]
-        return Partition(m, blocks)
-
     @classmethod
     def from_partition(cls, part):
         """Inverse image: the block holding the top element becomes A.
@@ -496,10 +440,11 @@ class Lattice:
     Subclasses supply ``elements`` (a linear extension of the order,
     bottom first and top last), ``atoms``, the atom bitmask of every
     element (handed to ``_finish``), ``class_of``, ``parse_element`` and
-    the chain counts; ``rank`` and ``key`` default to the element's own.
-    The lattices are atomistic, so an element's atoms fix it: ``leq``,
-    ``meet``, ``join``, ``size``, ``atoms_below``, the covers and the
-    up-set/down-set tables are derived here, once, from the masks.
+    two chain counts, ``chain_count_total`` and ``_chain_step_count``;
+    ``rank`` and ``key`` default to the element's own.  The lattices are
+    atomistic, so an element's atoms fix it: ``leq``, ``meet``, ``join``,
+    ``size``, ``atoms_below``, ``cover_indices`` and the up-set/down-set
+    tables are derived here, once, from the masks.
     """
 
     tag = "?"
@@ -516,7 +461,6 @@ class Lattice:
         """Index the elements; bit k of masks[i] is set when bit_atoms[k]
         (default: the atoms in order) lies below element i."""
         self._pos = {e: i for i, e in enumerate(self.elements)}
-        self._atom_set = frozenset(self.atoms)
         self._mask = masks
         self._bit_atoms = bit_atoms or self.atoms
         self._by_mask = by_mask or {m: i for i, m in enumerate(masks)}
@@ -619,10 +563,6 @@ class Lattice:
                 if not rem:
                     return
 
-    def covers_of(self, x):
-        """Elements covering x, in element order."""
-        return tuple(self.elements[j] for j, _ in self.cover_indices(self.index(x)))
-
     def class_of(self, x):
         """Relabeling-invariant class of x (see each lattice)."""
         raise NotImplementedError
@@ -632,10 +572,6 @@ class Lattice:
 
     def parse_element(self, text):
         raise NotImplementedError
-
-    def covers(self, x, y):
-        """True when x covers y."""
-        return self.rank(x) == self.rank(y) + 1 and self.leq(y, x)
 
     # -- order tables ---------------------------------------------------
 
@@ -685,23 +621,9 @@ class Lattice:
     def chain_count_total(self):
         raise NotImplementedError
 
-    def chain_count_through(self, x):
-        raise NotImplementedError
-
     def _chain_step_count(self, x):
         """Maximal chains through a covering step out of x, alike for each cover."""
         raise NotImplementedError
-
-    def chain_pair_ratio(self, x, a):
-        """Fraction of maximal chains taking the covering step x -> x v a.
-
-        a must be an atom not below x.
-        """
-        if a not in self._atom_set:
-            raise ValueError(f"{a!r} is not an atom of {self.describe()}")
-        if self.leq(a, x):
-            raise ValueError("atom already lies below the element, no crossing step")
-        return Fraction(self._chain_step_count(x), self.chain_count_total())
 
     def maximal_chains(self):
         """All maximal chains bottom -> top, as tuples of elements."""
@@ -771,10 +693,6 @@ class SubsetLattice(Lattice):
     def chain_count_total(self):
         return factorial(self.n)
 
-    def chain_count_through(self, x):
-        k = len(x)
-        return factorial(k) * factorial(self.n - k)
-
     def _chain_step_count(self, x):
         k = len(x)
         return factorial(k) * factorial(self.n - k - 1)
@@ -809,9 +727,6 @@ class PartitionLattice(Lattice):
 
     def chain_count_total(self):
         return _kappa(self.n)
-
-    def chain_count_through(self, x):
-        return _chains_below(x) * _kappa(len(x.blocks))
 
     def _chain_step_count(self, x):
         return _chains_below(x) * _kappa(len(x.blocks) - 1)
@@ -866,9 +781,6 @@ class EmbeddedLattice(Lattice):
     def chain_count_total(self):
         return self.inner.chain_count_total()
 
-    def chain_count_through(self, x):
-        return self.inner.chain_count_through(self._lift(x))
-
     def _chain_step_count(self, x):
         return self.inner._chain_step_count(self._lift(x))
 
@@ -891,7 +803,7 @@ def lattice_for(tag, n, max_n=None):
     """
     if tag not in LATTICE_TAGS:
         raise ValueError(f"unknown lattice tag {tag!r}; expected one of {LATTICE_TAGS}")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     cap = ground_cap(max_n)
     ground = n + 1 if tag == "E^N" else n

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
 
-from .lattice import EmbeddedSubset, VerificationError, lattice_for
+from .lattice import VerificationError, lattice_for
 from .transform import LatticeGame, _scaled, format_fraction, mobius, parse_fraction
 from .games import SymmetricGame, is_symmetric
 
@@ -69,13 +69,6 @@ class Solution:
         for a, q in self.shares.items():
             want[lat.index(a)] = q
         return coeffs.lattice is lat and coeffs.vector()[1:] == tuple(want[1:])  # bottom first
-
-    def expand(self):
-        """The lattice function x -> sum of shares over atoms below x."""
-        lat = self.lattice
-        return LatticeGame(lat, {
-            x: sum((self.shares[a] for a in lat.atoms_below(x)), Fraction(0))
-            for x in lat.elements})
 
     def payload(self):
         lat = self.lattice
@@ -240,25 +233,30 @@ def is_fixed_point(solver, game):
 
 
 def transport_solution(sol):
-    """Relabel shares along the atom bijection between E^n and P^(n+1)."""
+    """Relabel shares along the atom bijection between E^n and P^(n+1).
+
+    E^N element i is the preimage of P^(n+1) element i, so each share
+    moves to the atom at its own index.
+    """
     lat = sol.lattice
     if lat.tag == "E^N":
         target = lattice_for("P^N", lat.n + 1)
-        moved = {a.to_partition(): q for a, q in sol.shares.items()}
     elif lat.tag == "P^N":
         if lat.n < 2:
             raise ValueError("nothing to peel off a one-element ground set")
         target = lattice_for("E^N", lat.n - 1)
-        moved = {EmbeddedSubset.from_partition(a): q for a, q in sol.shares.items()}
     else:
         raise ValueError("transport connects E^N with P^(n+1)")
-    return Solution(target, moved)
+    return Solution(target, {target.elements[lat.index(a)]: q for a, q in sol.shares.items()})
 
 
 class NodeShares:
     """Per-node totals after splitting edge shares between endpoints."""
 
     def __init__(self, n, shares):
+        for k in shares:
+            if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n:
+                raise ValueError(f"node {k!r} is outside 1..{n}")
         self.n = n
         self.shares = {i: parse_fraction(shares.get(i, 0)) for i in range(1, n + 1)}
 

@@ -732,3 +732,48 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "skipped" in proc.stdout
+
+
+PUBLIC = [
+    "EmbeddedSubset", "Partition", "SizeLimitError", "bell", "class_count",
+    "class_vectors", "ground_cap", "lattice_for",
+    "LatticeGame", "MobiusCoefficients", "format_fraction", "mobius",
+    "parse_fraction", "zeta_expand", "zeta_game",
+    "PredicateReport", "SymmetricGame", "additive_global", "additive_pff",
+    "clustering_restrict", "is_monotone", "is_supermodular", "is_symmetric",
+    "is_totally_positive",
+    "SOLVERS", "NodeShares", "Solution", "cu", "cu_chain_oracle", "egalitarian",
+    "graph_restrict", "is_fixed_point", "myerson", "shapley_chain",
+    "shapley_dividends", "split_to_nodes", "su", "symmetric_solution",
+    "transport_solution",
+    "CoreReport", "SeparabilityReport", "SeparatingFamily", "VerificationError",
+    "core_contains", "core_feasible", "separability_test",
+    "__version__",
+]
+
+# routines whose only callers were tests; their oracles live in tests/ now
+REMOVED = [
+    ("lattice.Partition", ["refines", "meet", "join", "_owner_map"]),
+    ("lattice.EmbeddedSubset", ["to_partition"]),
+    ("lattice.Lattice", ["covers", "covers_of", "chain_pair_ratio", "chain_count_through"]),
+    ("lattice.SubsetLattice", ["chain_count_through"]),
+    ("lattice.PartitionLattice", ["chain_count_through"]),
+    ("lattice.EmbeddedLattice", ["chain_count_through"]),
+    ("solutions.Solution", ["expand"]),
+    ("games", ["symmetric_expand"]),
+    ("coresep", ["separating_variant"]),
+    ("", ["separating_variant", "symmetric_expand"]),
+]
+
+
+def test_public_surface_is_pinned():
+    assert lattice_games.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(lattice_games, name) is not None, name
+    for path, names in REMOVED:
+        holder = lattice_games
+        for part in filter(None, path.split(".")):
+            holder = getattr(holder, part)
+        for name in names:
+            assert not hasattr(holder, name), f"{path}.{name}"
+    assert not hasattr(lattice_for("P^N", 3), "_atom_set")  # set per instance

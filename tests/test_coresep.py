@@ -29,7 +29,6 @@ from lattice_games.coresep import (
     core_feasible,
     pff_value,
     separability_test,
-    separating_variant,
 )
 
 
@@ -532,8 +531,7 @@ def test_size_variant_with_alternating_dividends():
             n, lambda k: Fraction((-1) ** (k + 1) if k != 2 else 0))
         assert variant[frozenset()] == -1
         assert fam.contains(variant)
-        member = separating_variant(
-            fam, {i: variant[frozenset((i,))] for i in range(1, n + 1)})
+        member = fam.member({i: variant[frozenset((i,))] for i in range(1, n + 1)})
         for group, q in member.items():
             if group:
                 assert q == variant[group]

@@ -18,7 +18,6 @@ from lattice_games.games import (
     is_supermodular,
     is_symmetric,
     is_totally_positive,
-    symmetric_expand,
 )
 
 
@@ -75,7 +74,6 @@ def test_symmetric_game_expands_to_rank():
     sym = SymmetricGame("P^N", 3, {(3, 0, 0): 0, (1, 1, 0): 1, (0, 0, 1): 2})
     lat = lattice_for("P^N", 3)
     assert sym.expand() == rank_game(lat)
-    assert symmetric_expand(sym) == rank_game(lat)
     assert is_symmetric(rank_game(lat)) == sym
     assert sym.value((1, 1, 0)) == 1
     with pytest.raises(ValueError, match="not a class"):
@@ -123,6 +121,9 @@ def test_symmetric_game_rejects_bad_tables():
         SymmetricGame("Q^N", 3, full)
     with pytest.raises(ValueError):
         SymmetricGame("P^N", 0, {})
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="positive integer"):
+            SymmetricGame("2^N", flag, {0: 0, 1: 1})
 
 
 def test_symmetric_payload_roundtrip():

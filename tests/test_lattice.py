@@ -5,16 +5,21 @@ enumeration, meet/join against the defining bound properties, and sizes
 against direct atom counting, so the closed forms never vouch for
 themselves.  The order, meet, join, size and atoms-below that the
 lattices read off their atom bitmasks are checked pair by pair against
-the element objects' own operators.  The elements, masks and order
-tables are checked against the constructions they replaced: a sort of
-all restricted-growth codes, the validating E^N preimage, and the
-|L|^2/2 mask-inclusion scan.
+operators on the element objects: frozenset operators on 2^N, and on
+P^N and the images of E^N in P^(n+1) the test-local partition algebra
+below (``refines``, ``partition_meet``, ``partition_join``,
+``to_partition``), which the package no longer carries.  The chain
+count through an element is a test-local closed form too.  The
+elements, masks and order tables are checked against the constructions
+they replaced: a sort of all restricted-growth codes, the validating
+E^N preimage, and the |L|^2/2 mask-inclusion scan.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -32,6 +37,7 @@ from lattice_games.lattice import (
     lattice_for,
     parse_class_key,
 )
+from lattice_games.solutions import Solution, transport_solution
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -40,6 +46,70 @@ E2_ORDER = [";1|2", "2;1|2", "1;1|2", ";1,2", "1,2;1,2"]
 SUBSET3_ORDER = ["", "1", "2", "3", "1,2", "1,3", "2,3", "1,2,3"]
 
 SMALL_LATTICES = [("2^N", 3), ("2^N", 4), ("P^N", 3), ("P^N", 4), ("E^N", 2), ("E^N", 3)]
+
+
+# -- the partition algebra on element objects, an oracle for the masks ------
+
+def _owner(p):
+    return {x: k for k, b in enumerate(p.blocks) for x in b}
+
+
+def refines(p, q):
+    """p <= q: every block of p sits inside a block of q."""
+    owner = _owner(q)
+    return all(owner[x] == owner[b[0]] for b in p.blocks for x in b)
+
+
+def partition_meet(p, q):
+    """Greatest lower bound: the nonempty blockwise intersections."""
+    mine, theirs = _owner(p), _owner(q)
+    groups = {}
+    for x in range(1, p.n + 1):
+        groups.setdefault((mine[x], theirs[x]), []).append(x)
+    return Partition(p.n, groups.values())
+
+
+def partition_join(p, q):
+    """Least common coarsening: each block of p and of q merges the groups
+    its elements are in."""
+    group = {x: frozenset((x,)) for x in range(1, p.n + 1)}
+    for b in p.blocks + q.blocks:
+        merged = frozenset().union(*(group[x] for x in b))
+        for x in merged:
+            group[x] = merged
+    return Partition(p.n, set(group.values()))
+
+
+def to_partition(e):
+    """Image of an embedded subset in P^(n+1): insert n+1 into A, or add it
+    as a singleton."""
+    m = e.n + 1
+    if e.subset:
+        blocks = [b if b != e.subset else b + (m,) for b in e.partition.blocks]
+    else:
+        blocks = list(e.partition.blocks) + [(m,)]
+    return Partition(m, blocks)
+
+
+def covers(lat, y, x):
+    """True when y covers x."""
+    return lat.rank(y) == lat.rank(x) + 1 and lat.leq(x, y)
+
+
+def chain_count_through(lat, x):
+    """Maximal chains through x: those of [bottom, x] times those of
+    [x, top].  On 2^N that is |x|!(n-|x|)!; on P^N [bottom, p] has
+    r! prod |b|! / 2^r chains (r the rank of p) and [p, top] is a
+    partition lattice on the k blocks of p, with k!(k-1)!/2^(k-1); E^N
+    reads its image in P^(n+1)."""
+    if lat.tag == "2^N":
+        return factorial(len(x)) * factorial(lat.n - len(x))
+    p = x if lat.tag == "P^N" else to_partition(x)
+    r, k = p.rank, len(p.blocks)
+    below = factorial(r)
+    for b in p.blocks:
+        below *= factorial(len(b))
+    return below // 2 ** r * (factorial(k) * factorial(k - 1) // 2 ** (k - 1))
 
 
 def test_bell_table():
@@ -122,21 +192,25 @@ def test_embedded_enumeration():
 
 
 def test_meet_join_hand_cases():
+    """Hand values, on the oracle and on the lattice alike."""
+    lat3, lat4 = lattice_for("P^N", 3), lattice_for("P^N", 4)
     a12 = Partition.pair(3, 1, 2)
     a13 = Partition.pair(3, 1, 3)
     a23 = Partition.pair(3, 2, 3)
-    assert a12.join(a23) == Partition.top(3)
-    assert a12.meet(a13) == Partition.bottom(3)
-    assert a12.meet(a12) == a12
     p = Partition.parse("1,2,3|4")
     q = Partition.parse("1,2|3,4")
-    assert p.meet(q) == Partition.parse("1,2|3|4")
-    assert p.join(q) == Partition.top(4)
-    assert Partition.parse("1,2|3,4").join(Partition.parse("1,4|2,3")) == Partition.top(4)
+    for meet, join in [(partition_meet, partition_join), (lat3.meet, lat3.join)]:
+        assert join(a12, a23) == Partition.top(3)
+        assert meet(a12, a13) == Partition.bottom(3)
+        assert meet(a12, a12) == a12
+    for meet, join in [(partition_meet, partition_join), (lat4.meet, lat4.join)]:
+        assert meet(p, q) == Partition.parse("1,2|3|4")
+        assert join(p, q) == Partition.top(4)
+        assert join(Partition.parse("1,2|3,4"), Partition.parse("1,4|2,3")) == Partition.top(4)
     with pytest.raises(ValueError):
-        a12.meet(Partition.bottom(4))
+        lat3.meet(a12, Partition.bottom(4))
     with pytest.raises(ValueError):
-        a12.refines(Partition.top(4))
+        lat3.leq(a12, Partition.top(4))
 
 
 @pytest.mark.parametrize("tag,n", [("2^N", 3), ("P^N", 4), ("E^N", 2), ("E^N", 3)])
@@ -158,16 +232,16 @@ def test_meet_join_are_bounds(tag, n):
 
 def _object_oracle(tag):
     """(leq, meet, join, size) computed on the element objects: frozenset
-    operators on 2^N, Partition methods on P^N, and the Partition methods
-    on the images in P^(n+1) on E^N."""
+    operators on 2^N, the partition algebra above on P^N, and the same on
+    the images in P^(n+1) on E^N."""
     if tag == "2^N":
         return (lambda x, y: x <= y, lambda x, y: x & y, lambda x, y: x | y, len)
     if tag == "P^N":
-        return (Partition.refines, Partition.meet, Partition.join, lambda x: x.size)
-    lift, drop = EmbeddedSubset.to_partition, EmbeddedSubset.from_partition
-    return (lambda x, y: lift(x).refines(lift(y)),
-            lambda x, y: drop(lift(x).meet(lift(y))),
-            lambda x, y: drop(lift(x).join(lift(y))),
+        return (refines, partition_meet, partition_join, lambda x: x.size)
+    lift, drop = to_partition, EmbeddedSubset.from_partition
+    return (lambda x, y: refines(lift(x), lift(y)),
+            lambda x, y: drop(partition_meet(lift(x), lift(y))),
+            lambda x, y: drop(partition_join(lift(x), lift(y))),
             lambda x: x.size)
 
 
@@ -337,7 +411,7 @@ def _object_covers(tag, n):
         return lambda x: [x | {i} for i in range(1, n + 1) if i not in x]
     if tag == "P^N":
         return cover_ups
-    return lambda x: [EmbeddedSubset.from_partition(q) for q in cover_ups(x.to_partition())]
+    return lambda x: [EmbeddedSubset.from_partition(q) for q in cover_ups(to_partition(x))]
 
 
 @pytest.mark.parametrize("tag,n", [("2^N", n) for n in range(1, 7)]
@@ -351,7 +425,6 @@ def test_mask_covers_match_the_object_covers(tag, n):
         covers = [lat.elements[j] for j, _ in found]
         assert [j for j, _ in found] == sorted({j for j, _ in found})
         assert set(covers) == set(oracle(x)) and len(covers) == len(oracle(x))
-        assert lat.covers_of(x) == tuple(covers)
         placed = set()
         for y, (_, group) in zip(covers, found):
             atoms = {a for k, a in enumerate(lat.atoms_below(lat.top)) if group >> k & 1}
@@ -365,15 +438,13 @@ def test_mask_covers_match_the_object_covers(tag, n):
 @pytest.mark.parametrize("tag,n", SMALL_LATTICES)
 def test_covers_and_ranks(tag, n):
     lat = lattice_for(tag, n)
-    for x in lat.elements:
-        direct = set(map(lat.key, lat.covers_of(x)))
-        slow = {lat.key(y) for y in lat.elements if lat.covers(y, x)}
-        assert direct == slow
+    for i, x in enumerate(lat.elements):
+        direct = {lat.elements[j] for j, _ in lat.cover_indices(i)}
+        assert direct == {y for y in lat.elements if covers(lat, y, x)}
+        for y in direct:
+            assert lat.rank(y) == lat.rank(x) + 1
     assert lat.rank(lat.bottom) == 0
     top_rank = lat.rank(lat.top)
-    for x in lat.elements:
-        for y in lat.covers_of(x):
-            assert lat.rank(y) == lat.rank(x) + 1
     assert top_rank == (n if tag == "2^N" else (n - 1 if tag == "P^N" else n))
 
 
@@ -402,14 +473,25 @@ def test_transport_roundtrip_and_images():
     lat = lattice_for("E^N", 3)
     inner = lat.inner
     for e, p in zip(lat.elements, inner.elements):
-        assert e.to_partition() == p
+        assert to_partition(e) == p
         assert EmbeddedSubset.from_partition(p) == e
         assert e.rank == inner.rank(p)
         assert e.size == inner.size(p)
     bot = Partition.bottom(3)
-    assert EmbeddedSubset((2,), bot).to_partition() == Partition.parse("1|2,4|3")
-    assert (EmbeddedSubset((), Partition.pair(3, 1, 3)).to_partition()
+    assert to_partition(EmbeddedSubset((2,), bot)) == Partition.parse("1|2,4|3")
+    assert (to_partition(EmbeddedSubset((), Partition.pair(3, 1, 3)))
             == Partition.parse("1,3|2|4"))
+    # transport_solution moves shares by element index; the object images
+    # must agree, both ways, on E^1..E^6 and P^2..P^7
+    rng = random.Random(401)
+    for n in range(1, 7):
+        emb, part = lattice_for("E^N", n), lattice_for("P^N", n + 1)
+        sol = Solution(emb, {a: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for a in emb.atoms})
+        assert transport_solution(sol) == Solution(
+            part, {to_partition(a): q for a, q in sol.shares.items()})
+        sol = Solution(part, {a: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for a in part.atoms})
+        assert transport_solution(sol) == Solution(
+            emb, {EmbeddedSubset.from_partition(a): q for a, q in sol.shares.items()})
 
 
 def test_embedded_lower_intervals_match_plain_partitions():
@@ -441,7 +523,7 @@ def test_chain_enumeration_is_valid(tag, n):
         for k, x in enumerate(chain):
             assert lat.rank(x) == k
         for x, y in zip(chain, chain[1:]):
-            assert lat.covers(y, x)
+            assert covers(lat, y, x)
 
 
 @pytest.mark.parametrize("tag,n", list(CHAIN_TOTALS))
@@ -453,7 +535,7 @@ def test_chain_through_counts_match_enumeration(tag, n):
         for x in chain:
             seen[x] = seen.get(x, 0) + 1
     for x in lat.elements:
-        assert lat.chain_count_through(x) == seen[x], lat.key(x)
+        assert chain_count_through(lat, x) == seen[x], lat.key(x)
     # every chain passes each rank level exactly once
     top_rank = lat.rank(lat.top)
     for r in range(top_rank + 1):
@@ -463,12 +545,12 @@ def test_chain_through_counts_match_enumeration(tag, n):
 
 def test_chain_through_hand_values():
     lat4 = lattice_for("P^N", 4)
-    assert lat4.chain_count_through(Partition.parse("1,2|3,4")) == 2
-    assert lat4.chain_count_through(Partition.parse("1,2,3|4")) == 3
-    assert lat4.chain_count_through(Partition.bottom(4)) == 18
-    assert lat4.chain_count_through(Partition.top(4)) == 18
+    assert chain_count_through(lat4, Partition.parse("1,2|3,4")) == 2
+    assert chain_count_through(lat4, Partition.parse("1,2,3|4")) == 3
+    assert chain_count_through(lat4, Partition.bottom(4)) == 18
+    assert chain_count_through(lat4, Partition.top(4)) == 18
     lat3 = lattice_for("P^N", 3)
-    assert lat3.chain_count_through(Partition.pair(3, 1, 2)) == 1
+    assert chain_count_through(lat3, Partition.pair(3, 1, 2)) == 1
 
 
 @pytest.mark.parametrize("tag,n", list(CHAIN_TOTALS))
@@ -485,23 +567,21 @@ def test_chain_pair_ratios_match_enumeration(tag, n):
             crossing = sum(
                 1 for chain in chains
                 for u, v in zip(chain, chain[1:]) if u == x and v == target)
-            ratio = lat.chain_pair_ratio(x, a)
+            ratio = Fraction(lat._chain_step_count(x), total)
             assert ratio == Fraction(crossing, total), (lat.key(x), lat.key(a))
             ratios += ratio
         assert ratios == 1
 
 
 def test_chain_pair_hand_values():
+    """The share of maximal chains through one covering step out of x."""
+    def share(lat, x):
+        return Fraction(lat._chain_step_count(x), lat.chain_count_total())
+
     lat3 = lattice_for("P^N", 3)
-    a12 = Partition.pair(3, 1, 2)
-    assert lat3.chain_pair_ratio(Partition.bottom(3), a12) == Fraction(1, 3)
-    assert lat3.chain_pair_ratio(Partition.pair(3, 1, 3), a12) == Fraction(1, 3)
-    lat4 = lattice_for("P^N", 4)
-    assert lat4.chain_pair_ratio(Partition.pair(4, 3, 4), Partition.pair(4, 1, 2)) == Fraction(1, 18)
-    with pytest.raises(ValueError):
-        lat3.chain_pair_ratio(Partition.top(3), a12)
-    with pytest.raises(ValueError):
-        lat3.chain_pair_ratio(Partition.bottom(3), Partition.top(3))
+    assert share(lat3, Partition.bottom(3)) == Fraction(1, 3)
+    assert share(lat3, Partition.pair(3, 1, 3)) == Fraction(1, 3)
+    assert share(lattice_for("P^N", 4), Partition.pair(4, 3, 4)) == Fraction(1, 18)
 
 
 @pytest.mark.parametrize("tag,n", list(CHAIN_TOTALS))
@@ -559,6 +639,13 @@ def test_size_caps():
         lattice_for("Q^N", 3)
     with pytest.raises(ValueError):
         lattice_for("P^N", 0)
+    # True and 1 are one key to the lattice cache: a lattice built for
+    # n = True would report n = true on every later n = 1 game
+    for tag in ("2^N", "P^N", "E^N"):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="positive integer"):
+                lattice_for(tag, flag)
+    assert type(lattice_for("2^N", 1).n) is int
 
 
 def test_cap_env_variable(monkeypatch):
@@ -609,15 +696,15 @@ def test_random_partition_consistency():
         n = rng.randint(2, 7)
         p = _random_partition(rng, n)
         q = _random_partition(rng, n)
-        m, j = p.meet(q), p.join(q)
-        assert m.refines(p) and m.refines(q)
-        assert p.refines(j) and q.refines(j)
+        m, j = partition_meet(p, q), partition_join(p, q)
+        assert refines(m, p) and refines(m, q)
+        assert refines(p, j) and refines(q, j)
         z = _random_partition(rng, n)
-        if z.refines(p) and z.refines(q):
-            assert z.refines(m)
-        if p.refines(z) and q.refines(z):
-            assert j.refines(z)
+        if refines(z, p) and refines(z, q):
+            assert refines(z, m)
+        if refines(p, z) and refines(q, z):
+            assert refines(j, z)
         assert Partition.parse(p.label()) == p
         assert Partition.parse(p.rgs()) == p
-        assert p.meet(p) == p and p.join(p) == p
-        assert (p.refines(q) and q.refines(p)) == (p == q)
+        assert partition_meet(p, p) == p and partition_join(p, p) == p
+        assert (refines(p, q) and refines(q, p)) == (p == q)

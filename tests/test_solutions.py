@@ -49,10 +49,29 @@ def random_game(lat, rng):
                              for x in lat.elements})
 
 
+def to_partition(e):
+    """Image of an embedded subset in P^(n+1): insert n+1 into A, or add it
+    as a singleton."""
+    m = e.n + 1
+    if e.subset:
+        blocks = [b if b != e.subset else b + (m,) for b in e.partition.blocks]
+    else:
+        blocks = list(e.partition.blocks) + [(m,)]
+    return Partition(m, blocks)
+
+
 def transported_game(g):
     """Image of an embedded-subset game on the partition lattice above it."""
     target = lattice_for("P^N", g.lattice.n + 1)
-    return LatticeGame(target, {x.to_partition(): q for x, q in g.values.items()})
+    return LatticeGame(target, {to_partition(x): q for x, q in g.values.items()})
+
+
+def expand(sol):
+    """The lattice function x -> sum of shares over the atoms below x."""
+    lat = sol.lattice
+    return LatticeGame(lat, {
+        x: sum((sol.shares[a] for a in lat.atoms_below(x)), Fraction(0))
+        for x in lat.elements})
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +98,7 @@ def test_solution_container():
 def test_solution_expand():
     lat = lattice_for("2^N", 3)
     sol = Solution(lat, {frozenset({1}): 2, frozenset({2}): 3, frozenset({3}): 5})
-    g = sol.expand()
+    g = expand(sol)
     assert g[frozenset()] == 0
     assert g[frozenset({1, 3})] == 7
     assert g[lat.top] == 10
@@ -286,7 +305,7 @@ def test_su_is_not_fixed_on_top_indicator():
 def expands_to(sol, game):
     """Oracle for the fixed point: the shares, summed over the atoms below
     each element, give the game back with its bottom shifted to zero."""
-    return sol.expand() == game.normalize_bottom()[0]
+    return expand(sol) == game.normalize_bottom()[0]
 
 
 def old_period_game(lat, volumes, cluster):
@@ -425,7 +444,8 @@ def cu_join_oracle(game):
                 continue
             y = lat.join(x, a)
             jump = lat.size(y) - lat.size(x)
-            acc += lat.chain_pair_ratio(x, a) * (vals[y] - vals[x]) / jump
+            ratio = Fraction(lat._chain_step_count(x), lat.chain_count_total())
+            acc += ratio * (vals[y] - vals[x]) / jump
         shares[a] = acc
     return Solution(lat, shares)
 
@@ -544,6 +564,9 @@ def test_node_shares_payload():
     nodes = NodeShares(3, {1: Fraction(5, 2), 2: 2, 3: Fraction(1, 2)})
     assert nodes.payload() == {"n": 3, "shares": {"1": "5/2", "2": "2", "3": "1/2"}}
     assert NodeShares(2, {}).vector() == (0, 0)
+    for stray in (4, 0, "1", True, None):
+        with pytest.raises(ValueError, match=f"node {stray!r} is outside 1..3"):
+            NodeShares(3, {stray: 5, 1: 1})
 
 
 # ---------------------------------------------------------------------------
