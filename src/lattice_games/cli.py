@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -22,7 +21,6 @@ from itertools import combinations
 from math import comb
 
 from .lattice import (
-    Partition,
     SizeLimitError,
     bell,
     class_count,
@@ -40,7 +38,6 @@ from .transform import (
 from .games import clustering_restrict, is_supermodular, is_totally_positive
 from .solutions import (
     SOLVERS,
-    _atom_pair,
     _edge,
     cu,
     egalitarian,
@@ -87,10 +84,6 @@ def _approx(text):
 def _rows(kind, values, *lead):
     """One CSV row (*lead, kind, key, value, approx) per entry of values."""
     return [(*lead, kind, key, text, _approx(text)) for key, text in values.items()]
-
-
-def _edge_key(atom):
-    return "{},{}".format(*_atom_pair(atom))
 
 
 def _parse_edge(key, n):
@@ -305,23 +298,26 @@ def _trace_csv(path):
 
 
 def _cluster_map(path, periods):
+    """{period label as text: the raw clustering the file names for it}."""
     raw = _load_json(path)
+    labels = {str(entry["period"]) for entry in periods}
     if isinstance(raw, str):
-        return lambda label: raw
+        return dict.fromkeys(labels, raw)
     if isinstance(raw, dict):
-        labels = {str(entry["period"]) for entry in periods}
         for key in raw:
             if key not in labels:
                 raise ValueError(f"{path}: no period of the trace is labelled {key!r}")
-        return lambda label: raw.get(str(label))
+        return raw
     raise ValueError(f"{path}: expected a partition key or a period-to-key object")
 
 
 def _period_dividends(lat, volumes, cluster=None):
-    """A period's Mobius mass: each edge volume sits on its pair atom, and
-    a cluster keeps only the mass below it (the edges inside its blocks)."""
-    mu = MobiusCoefficients(lat, {Partition.pair(lat.n, i, j): q
-                                  for (i, j), q in volumes.items()})
+    """A period's Mobius mass: edge k's volume sits on the atom of mask bit
+    k, and a cluster keeps only the mass below it (the edges in its blocks)."""
+    mass = [Fraction(0)] * len(lat)
+    for k, edge in enumerate(combinations(range(1, lat.n + 1), 2)):
+        mass[lat.mask_index(1 << k)] = parse_fraction(volumes.get(edge, 0))
+    mu = MobiusCoefficients._from_vector(lat, mass)
     return mu if cluster is None else mu.below(cluster)
 
 
@@ -329,17 +325,16 @@ def cmd_netshare(args):
     n, periods = _read_trace(args.trace)
     solver = SOLVERS[args.solver]
     lat = lattice_for("P^N", n, args.max_n)
-    cluster_of = (_cluster_map(args.cluster_file, periods) if args.cluster_file
-                  else lambda label: None)
+    overrides = _cluster_map(args.cluster_file, periods) if args.cluster_file else {}
     weights = None
     if args.split and args.split != "equal":
         weights = _parse_weights(args.split, n)
     out_periods = []
     for entry in periods:
-        label = cluster_of(entry["period"])
-        if label is None:
-            label = entry["clustering"]
-        cluster = None if label is None else \
+        # a file entry wins, even a null one, which _parse_cluster refuses
+        key = str(entry["period"])
+        label = overrides.get(key, entry["clustering"])
+        cluster = None if label is None and key not in overrides else \
             _parse_cluster(lat, label, f"period {entry['period']}: clustering")
         mu = _period_dividends(lat, entry["volumes"], cluster)
         sol = solver(mu.zeta_expand())
@@ -347,7 +342,8 @@ def cmd_netshare(args):
         out_periods.append({
             "period": entry["period"],
             "clustering": None if cluster is None else lat.key(cluster),
-            "edgeShares": {_edge_key(a): format_fraction(sol[a]) for a in lat.atoms},
+            "edgeShares": {f"{i},{j}": format_fraction(q)  # P^N atoms are in pair order
+                           for (i, j), q in zip(combinations(range(1, n + 1), 2), sol.vector())},
             "nodeShares": nodes.payload()["shares"],
             "efficiencyCheck": format_fraction(sol.efficiency()),
             "fixedPoint": sol.matches(mu),
@@ -378,8 +374,13 @@ def _expect(cond, detail):
     return None if cond else detail
 
 
+def _lattice(tag, n):
+    """A check's lattice, uncapped: the bundle skips checks over the cap."""
+    return lattice_for(tag, n, n + 1)
+
+
 def _check_pair_shares_on_partitions():
-    lat = lattice_for("P^N", 3)
+    lat = _lattice("P^N", 3)
     z = zeta_game(lat, lat.parse_element("1,2|3"))
     su_vec = su(z).vector()
     cu_vec = cu(z).vector()
@@ -389,7 +390,7 @@ def _check_pair_shares_on_partitions():
 
 
 def _check_pair_shares_on_embedded():
-    lat = lattice_for("E^N", 2)
+    lat = _lattice("E^N", 2)
     z = zeta_game(lat, lat.parse_element(";1,2"))
     su_vec = su(z).vector()
     cu_vec = cu(z).vector()
@@ -399,8 +400,8 @@ def _check_pair_shares_on_embedded():
 
 
 def _check_transport_of_pair_example():
-    e2 = lattice_for("E^N", 2)
-    p3 = lattice_for("P^N", 3)
+    e2 = _lattice("E^N", 2)
+    p3 = _lattice("P^N", 3)
     z = zeta_game(e2, e2.parse_element(";1,2"))
     moved = transport_solution(su(z))
     target = su(zeta_game(p3, p3.parse_element("1,2|3")))
@@ -409,7 +410,7 @@ def _check_transport_of_pair_example():
 
 def _check_rank_thirds():
     for tag, n in [("P^N", 3), ("E^N", 2)]:
-        lat = lattice_for(tag, n)
+        lat = _lattice(tag, n)
         g = LatticeGame(lat, {x: lat.rank(x) for x in lat.elements})
         for solver in (su, cu, egalitarian):
             vec = solver(g).vector()
@@ -419,7 +420,7 @@ def _check_rank_thirds():
 
 
 def _check_full_surplus_shares():
-    lat = lattice_for("P^N", 3)
+    lat = _lattice("P^N", 3)
     g = 3 * zeta_game(lat, lat.top)
     for solver in (su, cu, egalitarian, symmetric_solution):
         vec = solver(g).vector()
@@ -429,7 +430,7 @@ def _check_full_surplus_shares():
 
 
 def _check_size_uniform():
-    lat = lattice_for("P^N", 4)
+    lat = _lattice("P^N", 4)
     g = LatticeGame(lat, {x: lat.size(x) for x in lat.elements})
     fast = symmetric_solution(g).vector()
     return _expect(fast == su(g).vector() == cu(g).vector() == (1,) * 6,
@@ -437,7 +438,7 @@ def _check_size_uniform():
 
 
 def _check_empty_core():
-    lat = lattice_for("P^N", 3)
+    lat = _lattice("P^N", 3)
     g = LatticeGame(lat, {x: lat.rank(x) for x in lat.elements})
     report = core_feasible(g)
     return _expect(is_supermodular(g).holds
@@ -448,7 +449,7 @@ def _check_empty_core():
 
 
 def _check_size_core_witness():
-    lat = lattice_for("P^N", 3)
+    lat = _lattice("P^N", 3)
     g = LatticeGame(lat, {x: lat.size(x) for x in lat.elements})
     report = core_feasible(g)
     return _expect(report.status == "nonempty"
@@ -457,7 +458,7 @@ def _check_size_core_witness():
 
 
 def _check_myerson_path():
-    lat = lattice_for("2^N", 3)
+    lat = _lattice("2^N", 3)
     sol = myerson(zeta_game(lat, frozenset({1, 3})), [(1, 2), (2, 3)])
     third = Fraction(1, 3)
     return _expect(sol.vector() == (third, third, third), f"got {sol.vector()}")
@@ -465,7 +466,7 @@ def _check_myerson_path():
 
 def _check_shapley_forms():
     rng = random.Random(2024)
-    lat = lattice_for("2^N", 4)
+    lat = _lattice("2^N", 4)
     g = LatticeGame(lat, {x: Fraction(rng.randint(-20, 20), rng.randint(1, 5))
                           for x in lat.elements})
     if shapley_chain(g) != shapley_dividends(g):
@@ -476,7 +477,7 @@ def _check_shapley_forms():
 
 
 def _check_rank_separation():
-    lat = lattice_for("P^N", 4)
+    lat = _lattice("P^N", 4)
     g = LatticeGame(lat, {x: lat.rank(x) for x in lat.elements})
     report = separability_test(g)
     if not report:
@@ -489,7 +490,7 @@ def _check_rank_separation():
 
 
 def _check_size_separation():
-    lat = lattice_for("P^N", 4)
+    lat = _lattice("P^N", 4)
     g = LatticeGame(lat, {x: lat.size(x) for x in lat.elements})
     report = separability_test(g)
     if not report:
@@ -511,14 +512,14 @@ def _alternating_pattern(n, mu_of_size):
 
 
 def _check_nonseparable_witness():
-    lat = lattice_for("P^N", 4)
+    lat = _lattice("P^N", 4)
     report = separability_test(zeta_game(lat, lat.parse_element("1,2|3,4")))
     return _expect(not report and report.violated == lat.parse_element("1,2|3,4"),
                    "two-pair indicator not flagged")
 
 
 def _check_netshare_volumes():
-    lat = lattice_for("P^N", 3)
+    lat = _lattice("P^N", 3)
     game = _period_dividends(lat, {(1, 2): 4, (1, 3): 1, (2, 3): 0}).zeta_expand()
     sol = su(game)
     if sol.vector() != (4, 1, 0) or not is_fixed_point(su, game):
@@ -528,7 +529,7 @@ def _check_netshare_volumes():
 
 
 def _check_netshare_clustered():
-    lat = lattice_for("P^N", 3)
+    lat = _lattice("P^N", 3)
     mu = _period_dividends(lat, {(1, 2): 4, (1, 3): 1}, lat.parse_element("1,2|3"))
     vec = su(mu.zeta_expand()).vector()
     return _expect(vec == (4, 0, 0), f"got {vec}")
@@ -536,7 +537,7 @@ def _check_netshare_clustered():
 
 def _check_chain_totals():
     for tag, n, total in [("P^N", 4, 18), ("P^N", 5, 180), ("E^N", 3, 18)]:
-        lat = lattice_for(tag, n)
+        lat = _lattice(tag, n)
         if lat.chain_count_total() != total:
             return f"{tag} n={n}: {lat.chain_count_total()} != {total}"
         if len(lat.maximal_chains()) != total:
@@ -545,8 +546,7 @@ def _check_chain_totals():
 
 
 def _check_class_counts():
-    top = min(ground_cap(), 8)
-    for n in range(1, top + 1):
+    for n in range(1, 9):  # arithmetic only, so at every size up to the default cap
         if sum(class_count(c) for c in class_vectors(n)) != bell(n):
             return f"class counts at n={n} do not sum to the Bell number"
     return None
@@ -575,34 +575,22 @@ CHECKS = [
 
 def cmd_selfcheck(args):
     cap = ground_cap(args.max_n)
-    # the checks build their own lattices, so a --max-n flag has to win
-    # through the environment while the bundle runs
-    saved = os.environ.get("LATTICE_GAMES_MAX_N")
-    if args.max_n is not None:
-        os.environ["LATTICE_GAMES_MAX_N"] = str(args.max_n)
-    try:
-        failures = 0
-        skipped = 0
-        for name, ground, fn in CHECKS:
-            if ground > cap:
-                print(f"skip {name} (needs ground size {ground}, cap is {cap})")
-                skipped += 1
-                continue
-            try:
-                detail = fn()
-            except Exception as err:  # a crash is a failure of that check
-                detail = f"{type(err).__name__}: {err}"
-            if detail is None:
-                print(f"ok   {name}")
-            else:
-                print(f"FAIL {name}: {detail}")
-                failures += 1
-    finally:
-        if args.max_n is not None:
-            if saved is None:
-                os.environ.pop("LATTICE_GAMES_MAX_N", None)
-            else:
-                os.environ["LATTICE_GAMES_MAX_N"] = saved
+    failures = 0
+    skipped = 0
+    for name, ground, fn in CHECKS:
+        if ground > cap:
+            print(f"skip {name} (needs ground size {ground}, cap is {cap})")
+            skipped += 1
+            continue
+        try:
+            detail = fn()
+        except Exception as err:  # a crash is a failure of that check
+            detail = f"{type(err).__name__}: {err}"
+        if detail is None:
+            print(f"ok   {name}")
+        else:
+            print(f"FAIL {name}: {detail}")
+            failures += 1
     ran = len(CHECKS) - skipped
     tail = f", {skipped} skipped" if skipped else ""
     print(f"{ran - failures}/{ran} checks passed{tail}")

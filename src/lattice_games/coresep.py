@@ -234,13 +234,10 @@ def _check_certificate(system, multipliers, lam):
 
 def core_contains(game, shares):
     """Whether given shares lie in the core; lists violated elements."""
-    if isinstance(shares, Solution):
-        if shares.lattice is not game.lattice:
-            raise ValueError("shares live on a different lattice than the game")
-        table = shares.shares
-    else:
-        table = Solution(game.lattice, shares).shares
-    violated = CoreSystem(game).check(table)
+    sol = shares if isinstance(shares, Solution) else Solution(game.lattice, shares)
+    if sol.lattice is not game.lattice:
+        raise ValueError("shares live on a different lattice than the game")
+    violated = CoreSystem(game).check(sol.shares)
     return PredicateReport(not violated, violated or None)
 
 

@@ -167,6 +167,8 @@ class Partition:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n, blocks):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"n must be a positive integer, got {n!r}")
         if n < 1:
             raise ValueError("ground set must have at least one element")
         seen = set()
@@ -176,7 +178,7 @@ class Partition:
             if not b:
                 raise ValueError("empty block")
             for x in b:
-                if not isinstance(x, int) or not 1 <= x <= n:
+                if isinstance(x, bool) or not isinstance(x, int) or not 1 <= x <= n:
                     raise ValueError(f"element {x!r} outside 1..{n}")
                 if x in seen:
                     raise ValueError(f"element {x} appears in two blocks")
@@ -308,6 +310,8 @@ class EmbeddedSubset:
 
     def __init__(self, subset, partition):
         sub = tuple(sorted(subset))
+        if any(isinstance(x, bool) for x in sub):
+            raise ValueError(f"{sub} holds a bool, not an element of 1..{partition.n}")
         if sub and sub not in partition.blocks:
             raise ValueError(f"{sub} is not a block of {partition}")
         self.subset = sub
@@ -742,10 +746,9 @@ class EmbeddedLattice(Lattice):
 
     tag = "E^N"
 
-    def __init__(self, n, inner):
+    def __init__(self, n):
         super().__init__(n)
-        assert inner.n == n + 1
-        self.inner = inner
+        self.inner = inner = _build("P^N", n + 1)
         self.elements = tuple(EmbeddedSubset.from_partition(p) for p in inner.elements)
         bot = Partition.bottom(n)
         node_atoms = [EmbeddedSubset((i,), bot) for i in range(1, n + 1)]
@@ -791,8 +794,7 @@ def _build(tag, n):
         return SubsetLattice(n)
     if tag == "P^N":
         return PartitionLattice(n)
-    assert tag == "E^N"
-    return EmbeddedLattice(n, _build("P^N", n + 1))
+    return EmbeddedLattice(n)  # lattice_for has refused every other tag
 
 
 def lattice_for(tag, n, max_n=None):

@@ -21,37 +21,59 @@ from .games import SymmetricGame, is_symmetric
 
 
 class Solution:
-    """Shares per atom; an exact allocation of f(top) - f(bottom)."""
+    """Shares per atom; an exact allocation of f(top) - f(bottom).
+
+    The shares are one tuple in mask-bit order: share k belongs to
+    ``lattice.atoms_below(lattice.top)[k]``, which is ``lattice.atoms``
+    order on 2^N and P^N and P^(n+1)'s pair order on E^N.  ``shares`` is
+    a dict view built on each access; ``vector()`` is in atoms order.
+    """
 
     def __init__(self, lattice, shares):
-        table = {}
+        vector = [None] * len(lattice.atoms)
         for a in lattice.atoms:
             if a not in shares:
                 raise ValueError(f"missing share for atom {lattice.key(a)}")
-            table[a] = parse_fraction(shares[a])
-        if len(shares) != len(table):
-            stray = next(k for k in shares if k not in table)
+            vector[lattice.masks[lattice.index(a)].bit_length() - 1] = parse_fraction(shares[a])
+        if len(shares) != len(vector):
+            stray = next(k for k in shares if k not in lattice.atoms)
             raise ValueError(f"{stray!r} is not an atom of {lattice.describe()}")
         self.lattice = lattice
-        self.shares = table
+        self._vector = tuple(vector)
+
+    @classmethod
+    def _from_vector(cls, lattice, vector):
+        """A solution from Fractions this package computed, already in
+        mask-bit order; nothing is checked or parsed."""
+        sol = cls.__new__(cls)
+        sol.lattice = lattice
+        sol._vector = tuple(vector)
+        return sol
+
+    @property
+    def shares(self):
+        """{atom: share}"""
+        lat = self.lattice
+        return dict(zip(lat.atoms_below(lat.top), self._vector))
 
     def value(self, a):
-        try:
-            return self.shares[a]
-        except (KeyError, TypeError):
-            raise ValueError(f"{a!r} is not an atom of {self.lattice.describe()}") from None
+        lat = self.lattice
+        if a not in lat.atoms:
+            raise ValueError(f"{a!r} is not an atom of {lat.describe()}")
+        return self._vector[lat.masks[lat.index(a)].bit_length() - 1]
 
     __getitem__ = value
 
     def vector(self):
-        return tuple(self.shares[a] for a in self.lattice.atoms)
+        view = self.shares
+        return tuple(view[a] for a in self.lattice.atoms)
 
     def efficiency(self):
-        return sum(self.shares.values(), Fraction(0))
+        return sum(self._vector, Fraction(0))
 
     def __eq__(self, other):
         return (isinstance(other, Solution)
-                and other.lattice is self.lattice and other.shares == self.shares)
+                and other.lattice is self.lattice and other._vector == self._vector)
 
     def __repr__(self):
         return f"Solution({self.lattice.describe()}, {self.vector()!r})"
@@ -66,15 +88,15 @@ class Solution:
         """
         lat = self.lattice
         want = [0] * len(lat)
-        for a, q in self.shares.items():
-            want[lat.index(a)] = q
+        for k, q in enumerate(self._vector):
+            want[lat.mask_index(1 << k)] = q
         return coeffs.lattice is lat and coeffs.vector()[1:] == tuple(want[1:])  # bottom first
 
     def payload(self):
         lat = self.lattice
         return {"lattice": lat.tag, "n": lat.n,
-                "shares": {lat.key(a): format_fraction(self.shares[a])
-                           for a in lat.atoms},
+                "shares": {lat.key(a): format_fraction(q)
+                           for a, q in zip(lat.atoms, self.vector())},
                 "efficiencyCheck": format_fraction(self.efficiency())}
 
 
@@ -126,7 +148,7 @@ def su(game):
     surplus = game.top_value - game.bottom_value
     if sum(credit) * surplus.denominator != common * scale * surplus.numerator:
         raise VerificationError(f"su shares on {lat.describe()} do not sum to f(top) - f(bottom)")
-    return _from_credit(lat, credit, common * scale)
+    return Solution._from_vector(lat, [Fraction(c, common * scale) for c in credit])
 
 
 def cu(game):
@@ -147,7 +169,7 @@ def cu(game):
     total = common * lat.chain_count_total()
     if sum(credit) != total * (ints[-1] - ints[0]):
         raise VerificationError(f"cu shares on {lat.describe()} do not sum to f(top) - f(bottom)")
-    return _from_credit(lat, credit, total * scale)
+    return Solution._from_vector(lat, [Fraction(c, total * scale) for c in credit])
 
 
 def _credit(credit, group, gain):
@@ -156,12 +178,6 @@ def _credit(credit, group, gain):
         low = group & -group
         credit[low.bit_length() - 1] += gain
         group ^= low
-
-
-def _from_credit(lat, credit, denominator):
-    """The solution giving the atom behind mask bit k credit[k] / denominator."""
-    return Solution(lat, {a: Fraction(c, denominator)
-                          for a, c in zip(lat.atoms_below(lat.top), credit)})
 
 
 def cu_chain_oracle(game):
@@ -182,7 +198,7 @@ def cu_chain_oracle(game):
 def _uniform(lat, surplus):
     """The same share of surplus for every atom; no atoms, no shares."""
     atoms = lat.atoms
-    return Solution(lat, {a: surplus / len(atoms) for a in atoms})
+    return Solution._from_vector(lat, [surplus / len(atoms) for _ in atoms])
 
 
 def egalitarian(game):
@@ -202,7 +218,7 @@ def symmetric_solution(game):
         sym = is_symmetric(game)
         if sym is None:
             raise ValueError("game is not constant on relabeling classes")
-    lat = lattice_for(sym.tag, sym.n)
+    lat = lattice_for(sym.tag, sym.n) if sym is game else game.lattice
     values = sym.class_values
     return _uniform(lat, values[lat.class_of(lat.top)] - values[lat.class_of(lat.bottom)])
 
@@ -233,21 +249,21 @@ def is_fixed_point(solver, game):
 
 
 def transport_solution(sol):
-    """Relabel shares along the atom bijection between E^n and P^(n+1).
+    """Carry shares along the atom bijection between E^n and P^(n+1).
 
-    E^N element i is the preimage of P^(n+1) element i, so each share
-    moves to the atom at its own index.
+    E^N element i is the preimage of P^(n+1) element i, so the two share
+    their masks and their ground size n+1: share k stays share k.
     """
     lat = sol.lattice
     if lat.tag == "E^N":
-        target = lattice_for("P^N", lat.n + 1)
+        target = lattice_for("P^N", lat.n + 1, lat.n + 1)
     elif lat.tag == "P^N":
         if lat.n < 2:
             raise ValueError("nothing to peel off a one-element ground set")
-        target = lattice_for("E^N", lat.n - 1)
+        target = lattice_for("E^N", lat.n - 1, lat.n)
     else:
         raise ValueError("transport connects E^N with P^(n+1)")
-    return Solution(target, {target.elements[lat.index(a)]: q for a, q in sol.shares.items()})
+    return Solution._from_vector(target, sol._vector)
 
 
 class NodeShares:
@@ -279,13 +295,6 @@ class NodeShares:
                            for i in range(1, self.n + 1)}}
 
 
-def _atom_pair(p):
-    for b in p.blocks:
-        if len(b) == 2:
-            return b
-    raise AssertionError("pair atom without a pair block")
-
-
 def split_to_nodes(sol, weights=None):
     """Split each edge share between its endpoints.
 
@@ -308,8 +317,7 @@ def split_to_nodes(sol, weights=None):
                 raise ValueError(f"weights for edge {key!r} sum to {wi + wj}, not 1")
             table[(i, j)] = (wi, wj)
     totals = {i: Fraction(0) for i in range(1, n + 1)}
-    for a, q in sol.shares.items():
-        i, j = _atom_pair(a)
+    for (i, j), q in zip(combinations(range(1, n + 1), 2), sol._vector):  # bit k: pair k
         wi, wj = table.get((i, j), (half, half))
         totals[i] += wi * q
         totals[j] += wj * q

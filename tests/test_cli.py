@@ -429,6 +429,10 @@ MALFORMED = {
     "cluster-file-empty-string": (
         "netshare", {"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1"}}]},
         "--cluster-file", ""),
+    "cluster-file-null-key": (
+        "netshare", {"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1"},
+                                          "clustering": "1,2|3"}]},
+        "--cluster-file", {"t0": None}),
     "cluster-file-empty-key": (
         "netshare", {"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1"}}]},
         "--cluster-file", {"t0": ""}),
@@ -655,6 +659,16 @@ def test_selfcheck_restores_the_environment(capsys, monkeypatch):
     code, _, _ = run_cli(["selfcheck", "--max-n", "3"], capsys)
     assert code == 0
     assert "LATTICE_GAMES_MAX_N" not in os.environ
+
+
+def test_selfcheck_flag_wins_over_the_environment_cap(capsys, monkeypatch):
+    monkeypatch.setenv("LATTICE_GAMES_MAX_N", "2")
+    code, out, _ = run_cli(["selfcheck", "--max-n", "5"], capsys)
+    assert (code, out.splitlines()[-1]) == (0, "17/17 checks passed")
+    assert "skip" not in out
+    code, out, _ = run_cli(["selfcheck"], capsys)
+    assert (code, out.splitlines()[-1]) == (0, "1/1 checks passed, 16 skipped")
+    assert os.environ["LATTICE_GAMES_MAX_N"] == "2"
 
 
 def test_selfcheck_names_the_failing_case(capsys, monkeypatch):

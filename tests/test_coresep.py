@@ -1,5 +1,6 @@
 """Core feasibility with proof objects, and separability recoveries."""
 
+import ast
 import os
 import random
 import subprocess
@@ -352,6 +353,16 @@ def test_integer_tableau_matches_the_oracle_on_core_systems():
                     statuses.add(assert_same_phase1(
                         ineq, system.equality, len(system.atoms)))
     assert statuses == {"feasible", "infeasible"}
+
+
+def test_no_assert_statement_in_the_package():
+    """Asserts vanish under python -O, so no check in the package may be one."""
+    root = Path(lattice_games.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_proof_checks_run_under_python_O():

@@ -150,6 +150,14 @@ def test_partition_validation_errors():
         Partition.parse("1,2|x")
     with pytest.raises(ValueError):
         Partition.parse("1,2|3", 4)
+    with pytest.raises(ValueError, match="outside"):
+        Partition(2, [(True, 2)])
+    with pytest.raises(ValueError, match="positive integer"):
+        Partition(True, [(1,)])
+    with pytest.raises(ValueError, match="positive integer"):
+        Partition(2.0, [(1,), (2,)])
+    with pytest.raises(ValueError, match="bool"):
+        EmbeddedSubset((True,), Partition.bottom(2))
 
 
 def test_enumeration_order_and_anchors():

@@ -95,6 +95,27 @@ def test_solution_container():
         Solution(lat, {**{a: 0 for a in lat.atoms}, lat.top: 1})
 
 
+def test_solver_shares_read_back_through_the_atom_view():
+    """Solvers hold shares in mask-bit order, which on E^N is not the order
+    of lat.atoms; the dict view, the vector, indexing and the payload all
+    name each share by its own atom."""
+    rng = random.Random(21)
+    cases = ([("2^N", n) for n in range(1, 6)] + [("P^N", n) for n in range(1, 7)]
+             + [("E^N", n) for n in range(1, 6)])
+    for tag, n in cases:
+        lat = lattice_for(tag, n)
+        game = random_game(lat, rng)
+        for solver in (su, cu, egalitarian):
+            sol = solver(game)
+            view = sol.shares
+            assert list(view) == list(lat.atoms_below(lat.top))
+            assert sol == Solution(lat, view)
+            assert sol.vector() == tuple(view[a] for a in lat.atoms)
+            assert all(sol[a] == view[a] for a in lat.atoms)
+            assert list(sol.payload()["shares"].values()) == \
+                [str(view[a]) for a in lat.atoms]
+
+
 def test_solution_expand():
     lat = lattice_for("2^N", 3)
     sol = Solution(lat, {frozenset({1}): 2, frozenset({2}): 3, frozenset({3}): 5})
@@ -537,12 +558,36 @@ def test_split_to_nodes_even():
         (Fraction(5, 12), Fraction(5, 12), Fraction(1, 6))
 
 
+def split_oracle(sol, weights):
+    """Node totals with each edge read off its atom's one pair block."""
+    totals = dict.fromkeys(range(1, sol.lattice.n + 1), Fraction(0))
+    for a, q in sol.shares.items():
+        i, j = next(b for b in a.blocks if len(b) == 2)
+        wi, wj = weights.get((i, j), (Fraction(1, 2), Fraction(1, 2)))
+        totals[i] += wi * q
+        totals[j] += wj * q
+    return NodeShares(sol.lattice.n, totals)
+
+
 def test_split_to_nodes_weighted():
     lat = lattice_for("P^N", 3)
     sol = Solution(lat, dict(zip(lat.atoms, (4, 1, 0))))
     nodes = split_to_nodes(sol, {(1, 2): ("3/4", "1/4"), (2, 3): (1, 0)})
     assert nodes.vector() == (Fraction(7, 2), 1, Fraction(1, 2))
     assert nodes.total() == 5
+    rng = random.Random(13)
+    for n in range(2, 8):
+        lat = lattice_for("P^N", n)
+        for _ in range(5):
+            sol = Solution(lat, {a: Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+                                 for a in lat.atoms})
+            weights = {}
+            for edge in combinations(range(1, n + 1), 2):
+                if rng.random() < 0.5:
+                    wi = Fraction(rng.randint(0, 6), 6)
+                    weights[edge] = (wi, 1 - wi)
+            assert split_to_nodes(sol, weights) == split_oracle(sol, weights)
+            assert split_to_nodes(sol) == split_oracle(sol, {})
 
 
 def test_split_to_nodes_validation():
