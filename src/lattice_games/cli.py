@@ -313,12 +313,13 @@ def _cluster_map(path, periods):
 
 def _period_dividends(lat, volumes, cluster=None):
     """A period's Mobius mass: edge k's volume sits on the atom of mask bit
-    k, and a cluster keeps only the mass below it (the edges in its blocks)."""
+    k, kept under a cluster only when bit k is set in the cluster's mask."""
+    kept = lat.masks[-1 if cluster is None else lat.index(cluster)]
     mass = [Fraction(0)] * len(lat)
     for k, edge in enumerate(combinations(range(1, lat.n + 1), 2)):
-        mass[lat.mask_index(1 << k)] = parse_fraction(volumes.get(edge, 0))
-    mu = MobiusCoefficients._from_vector(lat, mass)
-    return mu if cluster is None else mu.below(cluster)
+        if kept >> k & 1:
+            mass[lat.mask_index(1 << k)] = parse_fraction(volumes.get(edge, 0))
+    return MobiusCoefficients._from_vector(lat, mass)
 
 
 def cmd_netshare(args):

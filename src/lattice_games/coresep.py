@@ -25,7 +25,7 @@ from math import lcm
 from .lattice import EmbeddedSubset, Partition, VerificationError
 from .transform import format_fraction, parse_fraction
 from .games import PredicateReport
-from .solutions import Solution
+from .solutions import Solution, _credit
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,7 @@ class CoreSystem:
         lat = game.lattice
         atoms = lat.atoms
         masks = lat.masks
-        bits = [masks[lat.index(a)] for a in atoms]  # on E^N not the mask-bit order
+        self._bits = bits = [masks[lat.index(a)] for a in atoms]  # on E^N not the mask-bit order
         self.lattice = lat
         self.atoms = atoms
         self.inequalities = [(x, tuple(1 if m & bit else 0 for bit in bits), q)
@@ -50,17 +50,15 @@ class CoreSystem:
     def __len__(self):
         return len(self.inequalities)
 
-    def check(self, shares):
-        """Elements whose lower bound the shares violate; the top equality
-        counts when it fails in either direction."""
-        violated = []
-        for x, coeffs, rhs in self.inequalities:
-            if sum(c * shares[a] for c, a in zip(coeffs, self.atoms)) < rhs:
-                violated.append(x)
-        coeffs, rhs = self.equality
-        if sum(c * shares[a] for c, a in zip(coeffs, self.atoms)) != rhs:
-            if self.lattice.top not in violated:
-                violated.append(self.lattice.top)
+    def check(self, vector):
+        """Elements whose lower bound the shares violate, for shares in
+        mask-bit order (each bound sums the shares on its element's bits);
+        the top equality counts when it fails in either direction."""
+        violated = [x for (x, _, rhs), m in zip(self.inequalities, self.lattice.masks)
+                    if sum(q for k, q in enumerate(vector) if m >> k & 1) < rhs]
+        top = self.lattice.top
+        if sum(vector) != self.equality[1] and top not in violated:
+            violated.append(top)
         return violated
 
 
@@ -203,10 +201,11 @@ def core_feasible(game):
     ineq = [(coeffs, rhs) for _, coeffs, rhs in system.inequalities]
     status, proof = _phase1(ineq, system.equality, len(system.atoms))
     if status == "feasible":
-        shares = dict(zip(system.atoms, proof))
-        if system.check(shares):
+        # the point's columns are in lat.atoms order; sort them by mask bit
+        vector = [q for _, q in sorted(zip(system._bits, proof))]
+        if system.check(vector):
             raise VerificationError("simplex returned an infeasible point")
-        return CoreReport(game, "nonempty", witness=Solution(game.lattice, shares))
+        return CoreReport(game, "nonempty", witness=Solution._from_vector(game.lattice, vector))
     multipliers, lam = proof
     _check_certificate(system, multipliers, lam)
     named = {x: q for (x, _, _), q in zip(system.inequalities, multipliers) if q != 0}
@@ -215,17 +214,16 @@ def core_feasible(game):
 
 def _check_certificate(system, multipliers, lam):
     """Farkas check: the combination cancels every variable yet demands a
-    positive total, so no shares can satisfy the system."""
+    positive total, so no shares can satisfy the system.  Each multiplier
+    is credited to its element's bits, lam to every bit."""
     if any(q < 0 for q in multipliers):
         raise VerificationError("negative inequality multiplier")
-    eq_coeffs, eq_rhs = system.equality
-    for j in range(len(system.atoms)):
-        acc = lam * eq_coeffs[j]
-        for (_, coeffs, _), q in zip(system.inequalities, multipliers):
-            acc += q * coeffs[j]
-        if acc != 0:
-            raise VerificationError("certificate does not cancel the shares")
-    value = lam * eq_rhs
+    credit = [lam] * len(system.atoms)
+    for m, q in zip(system.lattice.masks, multipliers):
+        _credit(credit, m, q)
+    if any(credit):
+        raise VerificationError("certificate does not cancel the shares")
+    value = lam * system.equality[1]
     for (_, _, rhs), q in zip(system.inequalities, multipliers):
         value += q * rhs
     if value <= 0:
@@ -237,7 +235,7 @@ def core_contains(game, shares):
     sol = shares if isinstance(shares, Solution) else Solution(game.lattice, shares)
     if sol.lattice is not game.lattice:
         raise ValueError("shares live on a different lattice than the game")
-    violated = CoreSystem(game).check(sol.shares)
+    violated = CoreSystem(game).check(sol._vector)
     return PredicateReport(not violated, violated or None)
 
 

@@ -25,7 +25,6 @@ from .transform import (
     format_fraction,
     mobius,
     parse_fraction,
-    zeta_expand,
 )
 
 
@@ -51,9 +50,10 @@ def _require_subset_game(game, who):
 
 
 def additive_global(v):
-    """Partition game f(P) = sum of v over the blocks of P."""
+    """Partition game f(P) = sum of v over the blocks of P, on a P^n built
+    past any cap v's lattice was built past (both have ground size n)."""
     _require_subset_game(v, "additive_global")
-    lat = lattice_for("P^N", v.lattice.n)
+    lat = lattice_for("P^N", v.lattice.n, v.lattice.n)
     values = {}
     for p in lat.elements:
         values[p] = sum((v[frozenset(b)] for b in p.blocks), Fraction(0))
@@ -64,6 +64,7 @@ def additive_pff(v):
     """Embedded-subset game h(A, P) = v(A) + sum of v over the blocks of P.
 
     The distinguished block is counted once as A and once as a block of P.
+    E^n needs ground size n+1, one more than v's lattice, so the cap holds.
     """
     _require_subset_game(v, "additive_pff")
     lat = lattice_for("E^N", v.lattice.n)
@@ -184,13 +185,16 @@ def is_symmetric(game):
 
 
 def clustering_restrict(game, cluster):
-    """Freeze cooperation beyond a chosen element: Mobius mass strictly
-    above (or incomparable to) the cluster element is dropped.
+    """Freeze cooperation beyond a chosen element: y is worth f(y ^ cluster).
 
-    The restricted game agrees with the original on the down-set of the
-    cluster element; in particular its top value is f(cluster).
+    z <= y and z <= cluster exactly when z <= y ^ cluster, so the Mobius
+    mass off the cluster's down-set is dropped; the top value is f(cluster).
     """
-    restricted = zeta_expand(mobius(game).below(cluster))
+    lat = game.lattice
+    c = lat.index(cluster)
+    vals = game.vector()
+    restricted = LatticeGame._from_vector(lat, [vals[lat.meet_index(i, c)]
+                                                for i in range(len(lat))])
     if restricted.top_value != game[cluster]:
         raise VerificationError("restricted game does not end at the cluster's value")
     return restricted

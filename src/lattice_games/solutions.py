@@ -314,7 +314,7 @@ def split_to_nodes(sol, weights=None):
                 raise ValueError(f"weight key {key!r} is not an edge i < j of 1..{n}")
             wi, wj = (parse_fraction(w) for w in pair)
             if wi + wj != 1:
-                raise ValueError(f"weights for edge {key!r} sum to {wi + wj}, not 1")
+                raise ValueError(f"weights for edge {i},{j} sum to {wi + wj}, not 1")
             table[(i, j)] = (wi, wj)
     totals = {i: Fraction(0) for i in range(1, n + 1)}
     for (i, j), q in zip(combinations(range(1, n + 1), 2), sol._vector):  # bit k: pair k

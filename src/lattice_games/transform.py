@@ -192,14 +192,6 @@ class MobiusCoefficients(_TableOnLattice):
     def support(self):
         return tuple(x for x, q in zip(self.lattice.elements, self._vector) if q != 0)
 
-    def below(self, x):
-        """The mass on the down-set of x; every other coefficient is zero."""
-        lat = self.lattice
-        kept = [Fraction(0)] * len(self._vector)
-        for j in lat.downset_indices(lat.index(x)):
-            kept[j] = self._vector[j]
-        return MobiusCoefficients._from_vector(lat, kept)
-
     def zeta_expand(self):
         return zeta_expand(self)
 

@@ -446,6 +446,9 @@ MALFORMED = {
     "weights-name-an-edge-twice": (
         "netshare", {"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1"}}]},
         "--split", {"1,2": ["1", "0"], "2,1": ["0", "1"]}),
+    "weights-do-not-sum-to-one": (
+        "netshare", {"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1"}}]},
+        "--split", {"1,2": ["1/2", "1/3"]}),
 }
 
 
@@ -719,10 +722,12 @@ def test_console_script_is_installed(tmp_path):
     assert proc.stderr.startswith("error:")
 
 
-def test_cold_solve_at_the_cap_matches_the_in_process_report(tmp_path, capsys):
+@pytest.mark.parametrize("clustered", [False, True], ids=["cu", "cu-cluster-file"])
+def test_cold_solve_at_the_cap_matches_the_in_process_report(tmp_path, capsys, clustered):
     """In process the lattice_for cache is warm; a fresh interpreter builds
     E^7's elements, masks and order tables from nothing.  Under python -O
-    its cu report is byte for byte the in-process one."""
+    its cu report, also on a game restricted to a cluster (read at the
+    meets), is byte for byte the in-process one."""
     lat = lattice_for("E^N", 7)
     rng = random.Random(41)
     game = write_json(tmp_path / "e7.json", {
@@ -730,6 +735,9 @@ def test_cold_solve_at_the_cap_matches_the_in_process_report(tmp_path, capsys):
         "values": {lat.key(x): f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}"
                    for x in lat.elements}})
     argv = ["solve", game, "--solver", "cu"]
+    if clustered:
+        cluster = lat.key(rng.choice(lat.elements[1:-1]))
+        argv += ["--cluster-file", write_json(tmp_path / "cluster.json", {"cluster": cluster})]
     code, want, _ = run_cli(argv, capsys)
     assert code == 0
     package_root = Path(lattice_games.__file__).resolve().parents[1]
@@ -765,7 +773,7 @@ PUBLIC = [
     "__version__",
 ]
 
-# routines whose only callers were tests; their oracles live in tests/ now
+# routines gone from the package; the oracles tests still use live in tests/
 REMOVED = [
     ("lattice.Partition", ["refines", "meet", "join", "_owner_map"]),
     ("lattice.EmbeddedSubset", ["to_partition"]),
@@ -774,6 +782,7 @@ REMOVED = [
     ("lattice.PartitionLattice", ["chain_count_through"]),
     ("lattice.EmbeddedLattice", ["chain_count_through"]),
     ("solutions.Solution", ["expand"]),
+    ("transform.MobiusCoefficients", ["below"]),
     ("games", ["symmetric_expand"]),
     ("coresep", ["separating_variant"]),
     ("", ["separating_variant", "symmetric_expand"]),

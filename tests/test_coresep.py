@@ -15,7 +15,7 @@ import pytest
 
 import lattice_games
 from lattice_games.lattice import lattice_for
-from lattice_games.transform import LatticeGame, MobiusCoefficients, zeta_game
+from lattice_games.transform import LatticeGame, MobiusCoefficients, zeta_expand, zeta_game
 from lattice_games.games import (
     additive_global,
     additive_pff,
@@ -186,6 +186,45 @@ def test_core_rows_are_the_atoms_below_each_element(tag, n):
         assert coeffs == tuple(1 if lat.leq(a, x) else 0 for a in lat.atoms)
         assert rhs == game[x]
     assert system.equality == ((1,) * len(lat.atoms), game.top_value)
+
+
+def dense_check(system, point):
+    """CoreSystem.check through the dense rows, with the shares in
+    lattice.atoms order: the oracle for the mask sums."""
+    violated = [x for x, coeffs, rhs in system.inequalities
+                if sum(c * q for c, q in zip(coeffs, point)) < rhs]
+    coeffs, rhs = system.equality
+    if sum(c * q for c, q in zip(coeffs, point)) != rhs and system.lattice.top not in violated:
+        violated.append(system.lattice.top)
+    return violated
+
+
+@pytest.mark.parametrize("tag,n", [("2^N", n) for n in range(1, 5)]
+                         + [("P^N", n) for n in range(1, 6)]
+                         + [("E^N", n) for n in range(1, 5)])
+def test_check_sums_the_shares_on_each_mask(tag, n):
+    """check reads a vector in mask-bit order and lists what the dense rows
+    list, the top equality alone included."""
+    rng = random.Random(43 * n + ord(tag[0]))
+    lat = lattice_for(tag, n)
+    # nonnegative mass off the bottom: su is a core point
+    game = zeta_expand(MobiusCoefficients(lat, {x: rng.randint(0, 4)
+                                                for x in lat.elements[1:]}))
+    inside = su(game)
+    system = CoreSystem(game)
+    assert system.check(inside._vector) == dense_check(system, inside.vector()) == []
+    # the same shares overpay a top lowered by one: only the equality breaks
+    lowered = LatticeGame._from_vector(lat, game.vector()[:-1] + (game.top_value - 1,))
+    system = CoreSystem(lowered)
+    assert system.check(inside._vector) == dense_check(system, inside.vector()) == [lat.top]
+    mixed = LatticeGame(lat, {x: Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                              for x in lat.elements})
+    for game in (game, lowered, mixed):
+        system = CoreSystem(game)
+        for _ in range(8):
+            point = [Fraction(rng.randint(-6, 9), rng.randint(1, 2)) for _ in lat.atoms]
+            sol = Solution(lat, dict(zip(lat.atoms, point)))
+            assert system.check(sol._vector) == dense_check(system, point)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +409,7 @@ def test_proof_checks_run_under_python_O():
     separating family, a restricted game, cu shares, su shares, a cover
     walk, a chain listing and a partition enumeration must still raise.
     A patched _phase1 hands core_feasible bad proof objects, a patched
-    zeta_expand a wrong top value, a patched chain-step count wrong cu
+    meet a wrong top value, a patched chain-step count wrong cu
     weights, a patched mobius another game's dividends to su, a patched
     up-set an order that is no linear extension, a patched chain count a
     wrong total, a patched enumeration one partition short or one mask
@@ -410,8 +449,7 @@ def test_proof_checks_run_under_python_O():
             print("member returned")
         except Exception as err:
             print("member", type(err).__name__, err)
-        games.zeta_expand = lambda coeffs: LatticeGame(
-            lat, {x: Fraction(99) for x in lat.elements})
+        lat.meet_index = lambda i, j: 0
         try:
             games.clustering_restrict(game, lat.parse_element("1,2|3"))
             print("restrict returned")

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from lattice_games.lattice import class_vectors, lattice_for
+from lattice_games.lattice import SizeLimitError, class_vectors, lattice_for
 from lattice_games.transform import LatticeGame, MobiusCoefficients, mobius, zeta_game
 from lattice_games.games import (
     PredicateReport,
@@ -48,6 +48,20 @@ def test_additive_global_rejects_other_lattices():
         additive_global(g)
     with pytest.raises(ValueError, match="subset"):
         additive_pff(g)
+
+
+def test_additive_families_under_a_lower_environment_cap(monkeypatch):
+    """P^n has the subset lattice's ground size, so additive_global builds
+    it past a cap that v's lattice was built past; E^n needs n+1 and keeps
+    the cap."""
+    rng = random.Random(3)
+    v = subset_game(3, lambda a: rng.randint(-9, 9))
+    want = additive_global(v)
+    monkeypatch.setenv("LATTICE_GAMES_MAX_N", "2")
+    assert lattice_for("2^N", 3, 5) is v.lattice  # built past the cap
+    assert additive_global(v) == want
+    with pytest.raises(SizeLimitError, match="n=3 needs ground size 4, over the cap 2"):
+        additive_pff(v)
 
 
 def test_additive_pff_hand_example():

@@ -593,7 +593,7 @@ def test_split_to_nodes_weighted():
 def test_split_to_nodes_validation():
     lat = lattice_for("P^N", 3)
     sol = Solution(lat, {a: 1 for a in lat.atoms})
-    with pytest.raises(ValueError, match="sum"):
+    with pytest.raises(ValueError, match="edge 1,2 sum to 5/6, not 1"):
         split_to_nodes(sol, {(1, 2): ("1/2", "1/3")})
     with pytest.raises(ValueError, match="edge"):
         split_to_nodes(sol, {(2, 1): (1, 0)})

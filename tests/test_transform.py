@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from lattice_games.games import clustering_restrict
 from lattice_games.lattice import lattice_for
 from lattice_games.transform import (
     LatticeGame,
@@ -293,7 +294,8 @@ def dict_zeta_expand(coeffs):
 
 
 def dict_below(coeffs, x):
-    """MobiusCoefficients.below through the element-keyed dict: the oracle."""
+    """The Mobius mass on the down-set of x, through the element-keyed
+    dict; every other coefficient is zero."""
     lat = coeffs.lattice
     elems = lat.elements
     return MobiusCoefficients(lat, {elems[j]: coeffs.coefficients[elems[j]]
@@ -310,10 +312,10 @@ def test_zeta_and_below_equal_the_dict_forms(tag, n):
         assert game == dict_zeta_expand(mu) == g
         assert all(type(q) is Fraction for q in game.vector())
         for x in {lat.bottom, lat.top, *rng.sample(lat.elements, min(3, len(lat)))}:
-            kept = mu.below(x)
-            assert kept == dict_below(mu, x)
-            assert all(type(q) is Fraction for q in kept.vector())
-            assert zeta_expand(kept) == dict_zeta_expand(kept)
+            kept = dict_below(mu, x)
+            restricted = clustering_restrict(g, x)
+            assert restricted == zeta_expand(kept) == dict_zeta_expand(kept)
+            assert all(type(q) is Fraction for q in restricted.vector())
 
 
 def parsed_then_validated(payload):
