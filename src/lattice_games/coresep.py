@@ -5,10 +5,15 @@ the top and weakly dominate f everywhere below it.  Feasibility is
 decided by a phase-1 simplex with Bland's rule on a fraction-free
 integer tableau: every entry is an int over one common denominator, the
 determinant of the current basis, so each pivot divides exactly and no
-Fraction is built until the answer is read off.  An empty core comes
-with a Farkas certificate, a nonempty one with a witness point, and both
-are re-verified in Fractions before they are returned; a failed check
-raises VerificationError.
+Fraction is built until the answer is read off.  Only about half of
+that tableau is stored: the columns of u, the nonnegative parts of the
+shares, and of the artificials.  The other parts' columns are -u and the
+surplus columns are signed copies of the artificial ones; every pivot is
+one exact linear map on the columns, so those copies stay exact and are
+read through a column map.  An empty core comes with a Farkas
+certificate, a nonempty one with a witness point, and both are
+re-verified exactly before they are returned; a failed check raises
+VerificationError.
 
 Separability asks the converse of building a partition game from a set
 function on the affected groups: which games arise that way?  The test
@@ -20,10 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .lattice import EmbeddedSubset, Partition, VerificationError
-from .transform import format_fraction, parse_fraction
+from .transform import _scaled, format_fraction, parse_fraction
 from .games import PredicateReport
 from .solutions import Solution, _credit
 
@@ -53,11 +57,17 @@ class CoreSystem:
     def check(self, vector):
         """Elements whose lower bound the shares violate, for shares in
         mask-bit order (each bound sums the shares on its element's bits);
-        the top equality counts when it fails in either direction."""
-        violated = [x for (x, _, rhs), m in zip(self.inequalities, self.lattice.masks)
-                    if sum(q for k, q in enumerate(vector) if m >> k & 1) < rhs]
+        the top equality counts when it fails in either direction.  The
+        shares and bounds are compared as ints over one denominator."""
+        nvars = len(vector)
+        ints, _ = _scaled([*vector, *(rhs for _, _, rhs in self.inequalities),
+                           self.equality[1]])
+        shares, top_value = ints[:nvars], ints[-1]
+        violated = [x for (x, _, _), m, rhs in zip(self.inequalities, self.lattice.masks,
+                                                   ints[nvars:-1])
+                    if sum(q for k, q in enumerate(shares) if m >> k & 1) < rhs]
         top = self.lattice.top
-        if sum(vector) != self.equality[1] and top not in violated:
+        if sum(shares) != top_value and top not in violated:
             violated.append(top)
         return violated
 
@@ -82,33 +92,54 @@ def _phase1(inequalities, equality, nvars):
     therefore those of the rational tableau, so Bland's rule (first
     negative reduced cost; ties in the ratio test to the smallest basis
     index) makes the same pivots and the same proof objects.
+
+    The full tableau has columns u, w (x = u - w), one surplus per
+    inequality, one artificial per row and the rhs, but only u, the
+    artificials and the rhs are stored: each w column is -u, and surplus
+    column k is -sigma_k times artificial column k, where sigma_k = +-1
+    is the sign row k was flipped by.  Both hold in the first tableau,
+    and a pivot maps every column by the same linear map, rounding
+    nothing since each division is exact, so they hold in every tableau.
+    column(j) gives full column j as (stored column, sign), and
+    unfold(row) a stored row at full width.  The reduced-cost row does
+    not mirror that way (an artificial costs 1, a surplus 0), so it is
+    kept at full width and updated from the unfolded pivot row.
     """
     pairs = list(inequalities) + [equality]
     n_ineq = len(inequalities)
     m = len(pairs)
     ncols = 2 * nvars + n_ineq  # x = u - w, one surplus per inequality
-    total = ncols + m           # then one artificial per row; rhs last
-    rhs = [Fraction(b) for _, b in pairs]
-    scale = lcm(*(b.denominator for b in rhs))
+    total = ncols + m           # then one artificial per row
+    width = nvars + m           # stored: u, the artificials; rhs last
+    rhs, scale = _scaled([Fraction(b) for _, b in pairs])
+    sigma = [-1 if b < 0 else 1 for b in rhs]
     rows = []
-    sigma = []
-    for k, ((coeffs, _), b) in enumerate(zip(pairs, rhs)):
-        s = -1 if b < 0 else 1
-        row = [0] * (total + 1)
+    for k, ((coeffs, _), b, s) in enumerate(zip(pairs, rhs, sigma)):
+        row = [0] * (width + 1)
         for j, c in enumerate(coeffs):
-            c = Fraction(c)
-            if c.denominator != 1:
-                raise ValueError(f"phase-1 coefficients must be integers, got {c}")
-            row[j] = s * c.numerator
-            row[nvars + j] = -s * c.numerator
-        if k < n_ineq:
-            row[2 * nvars + k] = -s
-        row[ncols + k] = 1
-        row[total] = s * b.numerator * (scale // b.denominator)
+            row[j] = s * _integer(c)
+        row[nvars + k] = 1
+        row[width] = s * b
         rows.append(row)
-        sigma.append(s)
+
+    def column(j):
+        if j < nvars:
+            return j, 1
+        if j < 2 * nvars:
+            return j - nvars, -1
+        if j < ncols:
+            k = j - 2 * nvars
+            return nvars + k, -sigma[k]
+        return nvars + j - ncols, 1
+
+    def unfold(row):
+        u = row[:nvars]
+        return (u + [-t for t in u]
+                + [-s * t for s, t in zip(sigma[:n_ineq], row[nvars:])]
+                + row[nvars:])
+
     # reduced costs for min sum(artificials) with the artificial basis
-    red = [-sum(col) for col in zip(*rows)]
+    red = [-sum(col) for col in zip(*map(unfold, rows))]
     red[ncols:total] = [0] * m
     basis = list(range(ncols, total))
     det = 1
@@ -117,34 +148,36 @@ def _phase1(inequalities, equality, nvars):
         enter = next((j for j in range(total) if red[j] < 0), None)
         if enter is None:
             break
+        col, sign = column(enter)
         leave = None
         for i, row in enumerate(rows):
-            a = row[enter]
+            a = sign * row[col]
             if a > 0:
                 if leave is not None:
                     # compare rhs_i / a with num / den; a, den > 0
-                    here, best = row[total] * den, num * a
+                    here, best = row[width] * den, num * a
                     if here > best or (here == best and basis[i] > basis[leave]):
                         continue
-                leave, num, den = i, row[total], a
+                leave, num, den = i, row[width], a
         if leave is None:
             raise VerificationError(
                 "phase-1 ratio test found no pivot, yet the objective is "
                 "bounded below by zero")
         pivot = rows[leave]
+        p = sign * pivot[col]
         for i, row in enumerate(rows):
             if i != leave:
-                rows[i] = _eliminate(row, pivot, enter, det)
-        red = _eliminate(red, pivot, enter, det)
-        det = pivot[enter]
+                rows[i] = _eliminate(row, pivot, p, sign * row[col], det)
+        red = _eliminate(red, unfold(pivot), p, red[enter], det)
+        det = p
         basis[leave] = enter
 
     denom = det * scale
-    if sum(rows[i][total] for i in range(m) if basis[i] >= ncols) == 0:
+    if sum(rows[i][width] for i in range(m) if basis[i] >= ncols) == 0:
         x = [0] * ncols
         for i, bv in enumerate(basis):
             if bv < ncols:
-                x[bv] = rows[i][total]
+                x[bv] = rows[i][width]
         point = [Fraction(x[j] - x[nvars + j], denom) for j in range(nvars)]
         return "feasible", point
     # optimal duals of the phase-1 problem, read off the artificial columns
@@ -154,12 +187,21 @@ def _phase1(inequalities, equality, nvars):
     return "infeasible", (multipliers, lam)
 
 
-def _eliminate(row, pivot, enter, det):
+def _integer(c):
+    """A phase-1 coefficient as an int: an int as it is, a Fraction by its
+    numerator when its denominator is 1."""
+    if isinstance(c, int):
+        return c
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    raise ValueError(f"phase-1 coefficients must be integers, got {c}")
+
+
+def _eliminate(row, pivot, p, f, det):
     """One fraction-free pivot step on a row other than the pivot row:
-    clear its entry in the entering column and move it from the old
-    common denominator det to the new one, the pivot element."""
-    p = pivot[enter]
-    f = row[enter]
+    clear its entry f in the entering column, where the pivot row holds
+    p, and move it from the old common denominator det to the new one,
+    p."""
     if f == 0:
         return row if p == det else [p * t // det for t in row]
     return [(p * t - f * e) // det for t, e in zip(row, pivot)]

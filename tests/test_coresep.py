@@ -3,6 +3,7 @@
 import ast
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -360,15 +361,18 @@ def test_integer_tableau_breaks_ratio_ties_like_the_oracle():
     assert statuses == {"feasible", "infeasible"}
 
 
-def dividend_game(rng, lat):
-    coeffs = {x: Fraction(rng.randint(1, 6)) for x in lat.elements}
+def dividend_game(rng, lat, normalized=False):
+    """Positive random dividends; normalized puts none on the bottom, so
+    f(bottom) = 0 and the game is totally positive with a nonempty core."""
+    coeffs = {x: Fraction(0 if normalized and x == lat.bottom else rng.randint(1, 6))
+              for x in lat.elements}
     return MobiusCoefficients(lat, coeffs).zeta_expand()
 
 
-def deficit_game(rng, lat):
+def deficit_game(rng, lat, normalized=False):
     """A dividend game whose top falls short of the atoms' total gain over
-    the bottom."""
-    values = dict(dividend_game(rng, lat).values)
+    the bottom; with the bottom normalized its core is empty."""
+    values = dict(dividend_game(rng, lat, normalized).values)
     gain = sum((values[a] - values[lat.bottom] for a in lat.atoms), Fraction(0))
     values[lat.top] = values[lat.bottom] + gain - rng.randint(1, 6)
     return LatticeGame(lat, values)
@@ -392,6 +396,32 @@ def test_integer_tableau_matches_the_oracle_on_core_systems():
                     statuses.add(assert_same_phase1(
                         ineq, system.equality, len(system.atoms)))
     assert statuses == {"feasible", "infeasible"}
+
+
+@pytest.mark.parametrize("tag, n", [("P^N", 5), ("E^N", 4), ("2^N", 5)])
+def test_integer_tableau_matches_the_oracle_at_bench_sizes(tag, n):
+    """The lattices of 32 to 52 elements that the core benchmark solves:
+    one feasible and one infeasible core system each."""
+    rng = random.Random(83)
+    lat = lattice_for(tag, n)
+    statuses = []
+    for game in (dividend_game(rng, lat, normalized=True),
+                 deficit_game(rng, lat, normalized=True)):
+        system = CoreSystem(game)
+        ineq = [(coeffs, rhs) for _, coeffs, rhs in system.inequalities]
+        statuses.append(assert_same_phase1(ineq, system.equality, len(system.atoms)))
+    assert statuses == ["feasible", "infeasible"]
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), 1.0], ids=["fraction", "float"])
+def test_phase1_refuses_a_coefficient_that_is_not_an_integer(c):
+    """An int is taken as it is and a Fraction of denominator 1 by its
+    numerator; anything else is refused, a float of integral value too."""
+    eq = ((1, 1), 2)
+    assert _phase1([((Fraction(2), 1), 1)], eq, 2) == _phase1([((2, 1), 1)], eq, 2)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"phase-1 coefficients must be integers, got {c}")):
+        _phase1([((c, 1), 1)], eq, 2)
 
 
 def test_no_assert_statement_in_the_package():
