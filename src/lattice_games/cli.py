@@ -4,7 +4,7 @@ Reports are deterministic: JSON with keys in a fixed order and every
 rational rendered "p/q", or CSV with an extra column of decimal
 approximations clearly marked as such.  Exit codes: 0 on success, 1 when
 the self-check bundle finds a mismatch, 2 on malformed input, 3 when a
-size cap is exceeded.
+size cap (of the ground set, or of Python's int-string digits) is hit.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .lattice import (
 from .transform import (
     LatticeGame,
     MobiusCoefficients,
+    _parse_int,
     format_fraction,
     parse_fraction,
     zeta_game,
@@ -56,7 +57,7 @@ from .coresep import core_contains, core_feasible, separability_test
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_int)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: {err}") from None
 

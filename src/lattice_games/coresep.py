@@ -5,12 +5,16 @@ the top and weakly dominate f everywhere below it.  Feasibility is
 decided by a phase-1 simplex with Bland's rule on a fraction-free
 integer tableau: every entry is an int over one common denominator, the
 determinant of the current basis, so each pivot divides exactly and no
-Fraction is built until the answer is read off.  Only about half of
-that tableau is stored: the columns of u, the nonnegative parts of the
-shares, and of the artificials.  The other parts' columns are -u and the
-surplus columns are signed copies of the artificial ones; every pivot is
-one exact linear map on the columns, so those copies stay exact and are
-read through a column map.  An empty core comes with a Farkas
+Fraction is built until the answer is read off.  The LP reads the
+lattice as it is stored: one row per element mask, one column per atom
+mask bit, and the game's integer view (its values as ints over one
+denominator) as the right-hand side.  Only about half of the tableau is
+stored: the columns of u, the nonnegative parts of the shares, and of
+the artificials, with the reduced costs at the same width.  The other
+parts' columns are -u and the surplus columns are signed copies of the
+artificial ones; every pivot is one exact linear map on the columns, so
+those copies stay exact and are read through a column map, and their
+reduced costs through a cost map.  An empty core comes with a Farkas
 certificate, a nonempty one with a witness point, and both are
 re-verified exactly before they are returned; a failed check raises
 VerificationError.
@@ -38,51 +42,43 @@ from .solutions import Solution, _credit
 
 class CoreSystem:
     """The linear system behind a core: one lower bound per element plus
-    the efficiency equality at the top."""
+    the efficiency equality at the top.  Element x's bound sums the
+    shares on the atoms below x, whose bits its mask holds; cols are the
+    atoms' mask bits in lattice.atoms order (on E^N not the mask-bit
+    order), and the bounds are the game's values as ints over d."""
 
     def __init__(self, game):
         lat = game.lattice
-        atoms = lat.atoms
-        masks = lat.masks
-        self._bits = bits = [masks[lat.index(a)] for a in atoms]  # on E^N not the mask-bit order
         self.lattice = lat
-        self.atoms = atoms
-        self.inequalities = [(x, tuple(1 if m & bit else 0 for bit in bits), q)
-                             for x, m, q in zip(lat.elements, masks, game.vector())]
-        self.equality = ((1,) * len(atoms), game.top_value)
-
-    def __len__(self):
-        return len(self.inequalities)
+        self.cols = [lat.masks[lat.index(a)] for a in lat.atoms]
+        self.ints, self.d = game._integers()
 
     def check(self, vector):
         """Elements whose lower bound the shares violate, for shares in
         mask-bit order (each bound sums the shares on its element's bits);
-        the top equality counts when it fails in either direction.  The
-        shares and bounds are compared as ints over one denominator."""
-        nvars = len(vector)
-        ints, _ = _scaled([*vector, *(rhs for _, _, rhs in self.inequalities),
-                           self.equality[1]])
-        shares, top_value = ints[:nvars], ints[-1]
-        violated = [x for (x, _, _), m, rhs in zip(self.inequalities, self.lattice.masks,
-                                                   ints[nvars:-1])
-                    if sum(q for k, q in enumerate(shares) if m >> k & 1) < rhs]
-        top = self.lattice.top
-        if sum(shares) != top_value and top not in violated:
-            violated.append(top)
+        the top equality counts when it fails in either direction.  With
+        the shares as ints over their own denominator e, a bound b over d
+        holds when the sum times d reaches b times e."""
+        shares, e = _scaled(vector)
+        lat, d = self.lattice, self.d
+        violated = [x for x, m, b in zip(lat.elements, lat.masks, self.ints)
+                    if sum(q for k, q in enumerate(shares) if m >> k & 1) * d < b * e]
+        if sum(shares) * d != self.ints[-1] * e and lat.top not in violated:
+            violated.append(lat.top)
         return violated
 
 
-def _phase1(inequalities, equality, nvars):
+def _phase1(masks, cols, rhs):
     """Decide {x : Ax >= b, cx = d} by minimizing artificial slack.
 
-    inequalities is a list of (coeffs, rhs) with integer coeffs and
-    rational rhs; equality a single such pair.  Returns ("feasible",
-    point) or ("infeasible", (y, lam)) where y >= 0 pairs with the
-    inequalities, lam with the equality, and sum y_i a_i + lam c = 0
-    while sum y_i b_i + lam d > 0.
+    Row k of A is read off masks[k]: its coefficient on x_j is 1 when
+    masks[k] holds the bit cols[j] and 0 otherwise.  The last mask is
+    the equality's row c, and rhs holds the ints b and then d.  Returns
+    ("feasible", point) or ("infeasible", (y, lam)) where y >= 0 pairs
+    with the inequalities, lam with the equality, and sum y_i a_i + lam c
+    = 0 while sum y_i b_i + lam d > 0.
 
-    The tableau holds only ints (Edmonds 1967; Bareiss 1968).  The right-
-    hand sides are scaled by the lcm of their denominators, and the stored
+    The tableau holds only ints (Edmonds 1967; Bareiss 1968): the stored
     rows are det(B) times the rational tableau of the current basis B,
     reduced costs included.  By Cramer's rule that is adj(B) times an
     integer matrix, so every entry is an integer minor and each pivot's
@@ -95,60 +91,49 @@ def _phase1(inequalities, equality, nvars):
 
     The full tableau has columns u, w (x = u - w), one surplus per
     inequality, one artificial per row and the rhs, but only u, the
-    artificials and the rhs are stored: each w column is -u, and surplus
-    column k is -sigma_k times artificial column k, where sigma_k = +-1
-    is the sign row k was flipped by.  Both hold in the first tableau,
-    and a pivot maps every column by the same linear map, rounding
-    nothing since each division is exact, so they hold in every tableau.
-    column(j) gives full column j as (stored column, sign), and
-    unfold(row) a stored row at full width.  The reduced-cost row does
-    not mirror that way (an artificial costs 1, a surplus 0), so it is
-    kept at full width and updated from the unfolded pivot row.
+    artificials and the rhs are stored, the reduced costs too: each w
+    column is -u, and surplus column k is -sigma_k times artificial
+    column k, where sigma_k = +-1 is the sign row k was flipped by.  Both
+    hold in the first tableau, and a pivot maps every column by the same
+    linear map, rounding nothing since each division is exact, so they
+    hold in every tableau.  column[j] gives full column j as (stored
+    column, sign).  A reduced cost is det times the column's cost minus
+    the basis costs times the column; w costs 0 like u and a surplus 0
+    where an artificial costs 1, so red(w_j) = -red(u_j) and red(s_k) =
+    sigma_k (det - red(a_k)), which cost(j) reads.
     """
-    pairs = list(inequalities) + [equality]
-    n_ineq = len(inequalities)
-    m = len(pairs)
+    nvars = len(cols)
+    m = len(masks)
+    n_ineq = m - 1
     ncols = 2 * nvars + n_ineq  # x = u - w, one surplus per inequality
     total = ncols + m           # then one artificial per row
     width = nvars + m           # stored: u, the artificials; rhs last
-    rhs, scale = _scaled([Fraction(b) for _, b in pairs])
     sigma = [-1 if b < 0 else 1 for b in rhs]
     rows = []
-    for k, ((coeffs, _), b, s) in enumerate(zip(pairs, rhs, sigma)):
-        row = [0] * (width + 1)
-        for j, c in enumerate(coeffs):
-            row[j] = s * _integer(c)
-        row[nvars + k] = 1
-        row[width] = s * b
-        rows.append(row)
+    for k, (mask, b, s) in enumerate(zip(masks, rhs, sigma)):
+        rows.append([s if mask & c else 0 for c in cols]
+                    + [int(i == k) for i in range(m)] + [s * b])
+    # full column j as (stored column, sign): u, w, the surplus columns
+    # (sign -sigma_k on artificial k), the artificials
+    column = ([(j, 1) for j in range(nvars)] + [(j, -1) for j in range(nvars)]
+              + [(nvars + k, -s) for k, s in enumerate(sigma[:n_ineq])]
+              + [(nvars + k, 1) for k in range(m)])
 
-    def column(j):
-        if j < nvars:
-            return j, 1
-        if j < 2 * nvars:
-            return j - nvars, -1
-        if j < ncols:
-            k = j - 2 * nvars
-            return nvars + k, -sigma[k]
-        return nvars + j - ncols, 1
-
-    def unfold(row):
-        u = row[:nvars]
-        return (u + [-t for t in u]
-                + [-s * t for s, t in zip(sigma[:n_ineq], row[nvars:])]
-                + row[nvars:])
+    def cost(j):
+        col, sign = column[j]
+        return sign * (red[col] - det) if 2 * nvars <= j < ncols else sign * red[col]
 
     # reduced costs for min sum(artificials) with the artificial basis
-    red = [-sum(col) for col in zip(*map(unfold, rows))]
-    red[ncols:total] = [0] * m
+    red = [-sum(col) for col in zip(*rows)]
+    red[nvars:width] = [0] * m
     basis = list(range(ncols, total))
     det = 1
 
     while True:
-        enter = next((j for j in range(total) if red[j] < 0), None)
+        enter = next((j for j in range(total) if cost(j) < 0), None)
         if enter is None:
             break
-        col, sign = column(enter)
+        col, sign = column[enter]
         leave = None
         for i, row in enumerate(rows):
             a = sign * row[col]
@@ -168,33 +153,19 @@ def _phase1(inequalities, equality, nvars):
         for i, row in enumerate(rows):
             if i != leave:
                 rows[i] = _eliminate(row, pivot, p, sign * row[col], det)
-        red = _eliminate(red, unfold(pivot), p, red[enter], det)
+        red = _eliminate(red, pivot, p, cost(enter), det)
         det = p
         basis[leave] = enter
 
-    denom = det * scale
     if sum(rows[i][width] for i in range(m) if basis[i] >= ncols) == 0:
         x = [0] * ncols
         for i, bv in enumerate(basis):
             if bv < ncols:
                 x[bv] = rows[i][width]
-        point = [Fraction(x[j] - x[nvars + j], denom) for j in range(nvars)]
-        return "feasible", point
+        return "feasible", [Fraction(x[j] - x[nvars + j], det) for j in range(nvars)]
     # optimal duals of the phase-1 problem, read off the artificial columns
-    y = [Fraction(det - red[ncols + i], det) for i in range(m)]
-    multipliers = [sigma[i] * y[i] for i in range(n_ineq)]
-    lam = sigma[n_ineq] * y[n_ineq]
-    return "infeasible", (multipliers, lam)
-
-
-def _integer(c):
-    """A phase-1 coefficient as an int: an int as it is, a Fraction by its
-    numerator when its denominator is 1."""
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    raise ValueError(f"phase-1 coefficients must be integers, got {c}")
+    y = [s * Fraction(det - r, det) for s, r in zip(sigma, red[nvars:width])]
+    return "infeasible", (y[:-1], y[-1])
 
 
 def _eliminate(row, pivot, p, f, det):
@@ -240,35 +211,34 @@ def core_feasible(game):
     """Decide core nonemptiness; the answer carries a verified witness or
     a verified infeasibility certificate."""
     system = CoreSystem(game)
-    ineq = [(coeffs, rhs) for _, coeffs, rhs in system.inequalities]
-    status, proof = _phase1(ineq, system.equality, len(system.atoms))
+    lat, ints = system.lattice, system.ints
+    status, proof = _phase1([*lat.masks, lat.masks[-1]], system.cols, [*ints, ints[-1]])
     if status == "feasible":
         # the point's columns are in lat.atoms order; sort them by mask bit
-        vector = [q for _, q in sorted(zip(system._bits, proof))]
+        vector = [q / system.d for _, q in sorted(zip(system.cols, proof))]
         if system.check(vector):
             raise VerificationError("simplex returned an infeasible point")
-        return CoreReport(game, "nonempty", witness=Solution._from_vector(game.lattice, vector))
+        return CoreReport(game, "nonempty", witness=Solution._from_vector(lat, vector))
     multipliers, lam = proof
     _check_certificate(system, multipliers, lam)
-    named = {x: q for (x, _, _), q in zip(system.inequalities, multipliers) if q != 0}
+    named = {x: q for x, q in zip(lat.elements, multipliers) if q != 0}
     return CoreReport(game, "empty", certificate=(named, lam))
 
 
 def _check_certificate(system, multipliers, lam):
     """Farkas check: the combination cancels every variable yet demands a
     positive total, so no shares can satisfy the system.  Each multiplier
-    is credited to its element's bits, lam to every bit."""
+    is credited to its element's bits, lam to every bit; the total is
+    read at the bounds' scale d > 0, which keeps its sign."""
     if any(q < 0 for q in multipliers):
         raise VerificationError("negative inequality multiplier")
-    credit = [lam] * len(system.atoms)
+    credit = [lam] * len(system.cols)
     for m, q in zip(system.lattice.masks, multipliers):
         _credit(credit, m, q)
     if any(credit):
         raise VerificationError("certificate does not cancel the shares")
-    value = lam * system.equality[1]
-    for (_, _, rhs), q in zip(system.inequalities, multipliers):
-        value += q * rhs
-    if value <= 0:
+    ints = system.ints
+    if lam * ints[-1] + sum(q * b for q, b in zip(multipliers, ints)) <= 0:
         raise VerificationError("certificate combination is not positive")
 
 

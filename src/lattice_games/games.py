@@ -21,7 +21,6 @@ from .lattice import (
 )
 from .transform import (
     LatticeGame,
-    _scaled,
     format_fraction,
     mobius,
     parse_fraction,
@@ -209,7 +208,7 @@ def is_supermodular(game):
     comparable to an earlier one exactly when it holds all its atoms.
     """
     lat = game.lattice
-    vals, _ = _scaled(game.vector())
+    vals, _ = game._integers()
     masks = lat.masks
     for i, below in enumerate(masks):
         for j in range(i + 1, len(masks)):

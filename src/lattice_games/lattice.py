@@ -50,7 +50,8 @@ LATTICE_TAGS = ("2^N", "P^N", "E^N")
 
 
 class SizeLimitError(ValueError):
-    """A requested ground set exceeds the configured size cap."""
+    """A requested ground set exceeds the configured size cap, or a number
+    Python's limit on int-string digits."""
 
 
 class VerificationError(RuntimeError):

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import factorial, lcm
 
 from .lattice import VerificationError, lattice_for
-from .transform import LatticeGame, _scaled, format_fraction, mobius, parse_fraction
+from .transform import LatticeGame, format_fraction, mobius, parse_fraction
 from .games import SymmetricGame, is_symmetric
 
 
@@ -139,7 +139,7 @@ def su(game):
     C = lcm(1..#atoms) is a multiple of every element's size.
     """
     lat = game.lattice
-    ints, scale = _scaled(mobius(game).vector())
+    ints, scale = mobius(game)._integers()
     common = lcm(*range(1, len(lat.atoms) + 1))
     credit = [0] * len(lat.atoms)  # per mask bit
     for q, group in zip(ints, lat.masks):
@@ -159,7 +159,7 @@ def cu(game):
     edge adds one integer marginal to every atom it adds.
     """
     lat = game.lattice
-    ints, scale = _scaled(game.vector())
+    ints, scale = game._integers()
     common = lcm(*range(1, len(lat.atoms) + 1))  # a multiple of every group size
     credit = [0] * len(lat.atoms)  # per mask bit
     for i, x in enumerate(lat.elements[:-1]):  # the top covers nothing

@@ -5,20 +5,23 @@ coefficients are the unique weights with f(y) = sum of mu(x) over x <= y;
 they are recovered by the usual top-down recursion and inverted back by
 zeta expansion.
 
-A table holds its rationals in element-index order.  A payload is read
-straight into that order, and Mobius inversion runs on integers over the
-values' common denominator; a Fraction is built once per coefficient.
-Zeta expansion sums the index vector over each down-set, still in
-Fractions.  Every value a table hands out is an exact Fraction.
+A table holds its rationals in element-index order, read straight from a
+payload, and builds on first use one integer view: the values as ints
+over one common denominator.  Mobius inversion, the solvers, the
+supermodularity scan and the core LP read that view, so a game is scaled
+once; Mobius inversion hands its result the ints it computed.  Zeta
+expansion sums the index vector over each down-set, still in Fractions.
+Every value a table hands out is an exact Fraction.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 
-from .lattice import LATTICE_TAGS, lattice_for
+from .lattice import LATTICE_TAGS, SizeLimitError, lattice_for
 
 _RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
@@ -27,24 +30,41 @@ def parse_fraction(value):
     """Exact rational from "p/q" or "p" strings; ints and Fractions pass through.
 
     Floats and decimal notation are rejected on purpose: every value in
-    this package is exact, and "p/q" keeps it that way.
+    this package is exact, and "p/q" keeps it that way.  A numerator or
+    denominator longer than Python's int-string limit raises
+    SizeLimitError.
     """
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value.strip())
         if match:
             num, den = match.groups()
-            if den is None:
-                return Fraction(int(num))
-            den = int(den)
+            den = _parse_int(den or "1")
             if den:
-                return Fraction(int(num), den)
+                return Fraction(_parse_int(num), den)
     elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
     raise ValueError(f"not a rational: {value!r}")
 
 
 def format_fraction(value):
-    return str(Fraction(value))
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:  # p or q is longer than Python's int-string limit
+        raise _too_many_digits() from None
+
+
+def _parse_int(text):
+    """int(text) for a signed run of digits, as in "p/q" or a JSON number."""
+    try:
+        return int(text)
+    except ValueError:  # the only one int() raises on such text
+        raise _too_many_digits() from None
+
+
+def _too_many_digits():
+    return SizeLimitError(f"a number has more than {sys.get_int_max_str_digits()} digits, "
+                          f"Python's limit for converting an int to or from a string")
 
 
 class _TableOnLattice:
@@ -52,7 +72,7 @@ class _TableOnLattice:
 
     The rationals are held as a tuple in element-index order; the dict
     keyed by element (``values`` of a game, ``coefficients`` of a Mobius
-    table) is a view built on first use.
+    table) and the integer view are built on first use.
     """
 
     def __init__(self, lattice, values, fill=None):
@@ -74,17 +94,25 @@ class _TableOnLattice:
         self._set(lattice, vector)
 
     @classmethod
-    def _from_vector(cls, lattice, vector):
+    def _from_vector(cls, lattice, vector, ints=None):
         """A table from rationals this package computed, already in
-        element-index order; nothing is checked or parsed."""
+        element-index order, with their integer view when the caller has
+        it; nothing is checked or parsed."""
         table = cls.__new__(cls)
-        table._set(lattice, vector)
+        table._set(lattice, vector, ints)
         return table
 
-    def _set(self, lattice, vector):
+    def _set(self, lattice, vector, ints=None):
         self.lattice = lattice
         self._vector = tuple(vector)
         self._view = None
+        self._ints = ints
+
+    def _integers(self):
+        """(ints, d) with d > 0 and ints[i] / d == vector()[i]; built once."""
+        if self._ints is None:
+            self._ints = _scaled(self._vector)
+        return self._ints
 
     def _table(self):
         if self._view is None:
@@ -204,16 +232,16 @@ def _scaled(vector):
 
 def mobius(game):
     """Mobius coefficients of a game, by recursion in element order (a
-    linear extension, so every element comes after its down-set), on
-    integers over the values' common denominator."""
+    linear extension, so every element comes after its down-set), on the
+    game's integer view; the result's view is its ints over the same d."""
     lat = game.lattice
-    ints, d = _scaled(game.vector())
+    ints, d = game._integers()
     mu = [0] * len(ints)
     entry = mu.__getitem__
     for i, v in enumerate(ints):
         # the down-set of i ends with i itself, whose entry is still 0
         mu[i] = v - sum(map(entry, lat.downset_indices(i)))
-    return MobiusCoefficients._from_vector(lat, [Fraction(m, d) for m in mu])
+    return MobiusCoefficients._from_vector(lat, [Fraction(m, d) for m in mu], (mu, d))
 
 
 def zeta_expand(coeffs):

@@ -597,6 +597,31 @@ def test_size_cap_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+BIG = 10 ** 2200
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("argv, values", [
+    # both values print, but their difference, the one share, has a
+    # denominator of about 4400 digits
+    *[(argv, '{"": "1/%d", "1": "1/%d"}' % (BIG + 1, BIG + 3))
+      for argv in (["solve", "--solver", "su"], ["solve", "--solver", "cu"],
+                   ["solve", "--solver", "egalitarian"], ["core"])],
+    (["solve"], '{"": "0", "1": "1%s"}' % ("0" * LIMIT)),
+    (["solve"], '{"": 0, "1": 1%s}' % ("0" * LIMIT)),
+], ids=["su", "cu", "egalitarian", "core", "input", "input-number"])
+def test_a_number_past_the_int_string_limit_exits_3(tmp_path, capsys, argv, values):
+    """An answer too long to print, or an input value too long to read,
+    as a string or as a JSON number, is refused as over a size cap, with
+    nothing on stdout."""
+    game = tmp_path / "long.json"
+    game.write_text('{"lattice": "2^N", "n": 1, "values": %s}' % values)
+    code, out, err = run_cli([argv[0], str(game), *argv[1:]], capsys)
+    assert code == 3
+    assert out == ""
+    assert f"more than {LIMIT} digits" in err
+
+
 def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])

@@ -3,7 +3,6 @@
 import ast
 import os
 import random
-import re
 import subprocess
 import sys
 import textwrap
@@ -70,24 +69,28 @@ def verify_certificate(game, certificate):
 # reference oracle: the dense Fraction tableau the integer one replaced
 
 
-def fraction_phase1(inequalities, equality, nvars):
+def fraction_phase1(masks, cols, rhs):
     """Decide {x : Ax >= b, cx = d} by minimizing artificial slack.
 
-    inequalities is a list of (coeffs, rhs); equality a single pair.
-    Returns ("feasible", point) or ("infeasible", (y, lam)) where y >= 0
-    pairs with the inequalities, lam with the equality, and
+    Takes what _phase1 takes, expanded to dense Fraction rows: row k has
+    coefficient 1 on x_j when masks[k] holds the bit cols[j], the last
+    row is the equality c with right-hand side d, and rhs holds b then
+    d.  Returns ("feasible", point) or ("infeasible", (y, lam)) where
+    y >= 0 pairs with the inequalities, lam with the equality, and
     sum y_i a_i + lam c = 0 while sum y_i b_i + lam d > 0.
     """
-    n_ineq = len(inequalities)
+    nvars = len(cols)
+    n_ineq = len(masks) - 1
     ncols = 2 * nvars + n_ineq  # x = u - w, one surplus per inequality
     rows = []
-    rhs = []
+    rhs, given = [], rhs
     sigma = []
-    for k, (coeffs, b) in enumerate(list(inequalities) + [equality]):
+    for k, (mask, b) in enumerate(zip(masks, given)):
         row = [Fraction(0)] * ncols
-        for j, c in enumerate(coeffs):
-            row[j] = Fraction(c)
-            row[nvars + j] = -Fraction(c)
+        for j, c in enumerate(cols):
+            if mask & c:
+                row[j] = Fraction(1)
+                row[nvars + j] = Fraction(-1)
         if k < n_ineq:
             row[2 * nvars + k] = Fraction(-1)
         b = Fraction(b)
@@ -150,10 +153,18 @@ def fraction_phase1(inequalities, equality, nvars):
     return "infeasible", (multipliers, lam)
 
 
-def assert_same_phase1(ineq, equality, nvars):
-    got = _phase1(ineq, equality, nvars)
-    assert got == fraction_phase1(ineq, equality, nvars)
+def assert_same_phase1(masks, cols, rhs):
+    got = _phase1(masks, cols, rhs)
+    assert got == fraction_phase1(masks, cols, rhs)
     return got[0]
+
+
+def core_lp(game):
+    """The system core_feasible hands _phase1: every element's mask, then
+    the top's again for the equality, over the game's integer view."""
+    system = CoreSystem(game)
+    masks, ints = system.lattice.masks, system.ints
+    return [*masks, masks[-1]], system.cols, [*ints, ints[-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -164,39 +175,40 @@ def test_core_system_shapes():
     for tag, n, rows in [("P^N", 3, 5), ("2^N", 3, 8), ("E^N", 2, 5)]:
         lat = lattice_for(tag, n)
         system = CoreSystem(LatticeGame(lat, {x: 0 for x in lat.elements}))
-        assert len(system) == rows
-        assert all(len(coeffs) == 3 for _, coeffs, _ in system.inequalities)
-        assert len(system.equality[0]) == 3
+        assert len(system.ints) == rows
+        assert len(system.cols) == 3
+        assert system.d == 1
 
 
 @pytest.mark.parametrize("tag,n", [("2^N", n) for n in range(1, 6)]
                          + [("P^N", n) for n in range(1, 6)]
                          + [("E^N", n) for n in range(1, 5)])
 def test_core_rows_are_the_atoms_below_each_element(tag, n):
-    """Rows read off the masks equal the leq rows, with columns in
-    lattice.atoms order (on E^N the node atoms come first, which is not
-    the mask-bit order)."""
+    """Rows read off the masks and columns equal the leq rows, with
+    columns in lattice.atoms order (on E^N the node atoms come first,
+    which is not the mask-bit order), and the bounds are the values."""
     rng = random.Random(41 * n + ord(tag[0]))
     lat = lattice_for(tag, n)
     game = LatticeGame(lat, {x: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                              for x in lat.elements})
-    system = CoreSystem(game)
-    assert system.atoms == lat.atoms
-    assert [x for x, _, _ in system.inequalities] == list(lat.elements)
-    for x, coeffs, rhs in system.inequalities:
-        assert coeffs == tuple(1 if lat.leq(a, x) else 0 for a in lat.atoms)
-        assert rhs == game[x]
-    assert system.equality == ((1,) * len(lat.atoms), game.top_value)
+    masks, cols, rhs = core_lp(game)
+    d = CoreSystem(game).d
+    assert len(cols) == len(lat.atoms)
+    assert len(masks) == len(rhs) == len(lat) + 1
+    for x, mask, b in zip([*lat.elements, lat.top], masks, rhs):
+        assert [1 if mask & c else 0 for c in cols] == [1 if lat.leq(a, x) else 0
+                                                        for a in lat.atoms]
+        assert Fraction(b, d) == game[x]
 
 
-def dense_check(system, point):
-    """CoreSystem.check through the dense rows, with the shares in
+def dense_check(game, point):
+    """CoreSystem.check through dense leq rows, with the shares in
     lattice.atoms order: the oracle for the mask sums."""
-    violated = [x for x, coeffs, rhs in system.inequalities
-                if sum(c * q for c, q in zip(coeffs, point)) < rhs]
-    coeffs, rhs = system.equality
-    if sum(c * q for c, q in zip(coeffs, point)) != rhs and system.lattice.top not in violated:
-        violated.append(system.lattice.top)
+    lat = game.lattice
+    violated = [x for x in lat.elements
+                if sum(q for a, q in zip(lat.atoms, point) if lat.leq(a, x)) < game[x]]
+    if sum(point) != game.top_value and lat.top not in violated:
+        violated.append(lat.top)
     return violated
 
 
@@ -212,12 +224,11 @@ def test_check_sums_the_shares_on_each_mask(tag, n):
     game = zeta_expand(MobiusCoefficients(lat, {x: rng.randint(0, 4)
                                                 for x in lat.elements[1:]}))
     inside = su(game)
-    system = CoreSystem(game)
-    assert system.check(inside._vector) == dense_check(system, inside.vector()) == []
+    assert CoreSystem(game).check(inside._vector) == dense_check(game, inside.vector()) == []
     # the same shares overpay a top lowered by one: only the equality breaks
     lowered = LatticeGame._from_vector(lat, game.vector()[:-1] + (game.top_value - 1,))
-    system = CoreSystem(lowered)
-    assert system.check(inside._vector) == dense_check(system, inside.vector()) == [lat.top]
+    assert (CoreSystem(lowered).check(inside._vector)
+            == dense_check(lowered, inside.vector()) == [lat.top])
     mixed = LatticeGame(lat, {x: Fraction(rng.randint(-9, 9), rng.randint(1, 3))
                               for x in lat.elements})
     for game in (game, lowered, mixed):
@@ -225,7 +236,7 @@ def test_check_sums_the_shares_on_each_mask(tag, n):
         for _ in range(8):
             point = [Fraction(rng.randint(-6, 9), rng.randint(1, 2)) for _ in lat.atoms]
             sol = Solution(lat, dict(zip(lat.atoms, point)))
-            assert system.check(sol._vector) == dense_check(system, point)
+            assert system.check(sol._vector) == dense_check(game, point)
 
 
 # ---------------------------------------------------------------------------
@@ -326,38 +337,40 @@ def test_core_contains_lists_violations():
 # the integer tableau against the Fraction oracle
 
 
-def random_system(rng, nvars, n_ineq, coeff_pool, draw_rhs):
-    def row():
-        return tuple(rng.choice(coeff_pool) for _ in range(nvars))
-    return [(row(), draw_rhs()) for _ in range(n_ineq)], (row(), draw_rhs())
+def random_system(rng, nvars, n_ineq, density, draw_rhs):
+    """Masks over nvars columns, each a distinct bit in shuffled order,
+    plus one more mask for the equality; a bit is set with probability
+    density."""
+    cols = [1 << k for k in rng.sample(range(nvars), nvars)]
+
+    def mask():
+        return sum(c for c in cols if rng.random() < density)
+    return ([mask() for _ in range(n_ineq + 1)], cols,
+            [draw_rhs() for _ in range(n_ineq + 1)])
 
 
 def test_integer_tableau_matches_the_oracle_on_random_systems():
-    """0/+-1 rows with rational right-hand sides of both signs, so rows
-    are flipped (sigma = -1) and the rhs needs scaling."""
+    """Masks with right-hand sides of both signs, so rows are flipped
+    (sigma = -1)."""
     rng = random.Random(71)
     statuses = set()
     for _ in range(200):
-        nvars = rng.randint(1, 4)
-        ineq, eq = random_system(
-            rng, nvars, rng.randint(1, 8), (-1, 0, 0, 1),
-            lambda: Fraction(rng.randint(-12, 12), rng.randint(1, 6)))
-        statuses.add(assert_same_phase1(ineq, eq, nvars))
+        system = random_system(rng, rng.randint(1, 4), rng.randint(1, 8), 0.5,
+                               lambda: rng.randint(-12, 12))
+        statuses.add(assert_same_phase1(*system))
     assert statuses == {"feasible", "infeasible"}
 
 
 def test_integer_tableau_breaks_ratio_ties_like_the_oracle():
-    """0/1 rows with right-hand sides in {0, 1, 2}: degenerate vertices,
+    """Dense masks with right-hand sides in {0, 1, 2}: degenerate vertices,
     where several rows tie in the ratio test and Bland's rule picks the
     one whose basic variable has the smallest index."""
     rng = random.Random(73)
     statuses = set()
     for _ in range(200):
-        nvars = rng.randint(2, 5)
-        ineq, eq = random_system(
-            rng, nvars, rng.randint(3, 10), (0, 1, 1),
-            lambda: Fraction(rng.choice((0, 1, 1, 2))))
-        statuses.add(assert_same_phase1(ineq, eq, nvars))
+        system = random_system(rng, rng.randint(2, 5), rng.randint(3, 10), 2 / 3,
+                               lambda: rng.choice((0, 1, 1, 2)))
+        statuses.add(assert_same_phase1(*system))
     assert statuses == {"feasible", "infeasible"}
 
 
@@ -391,37 +404,48 @@ def test_integer_tableau_matches_the_oracle_on_core_systems():
                     for x in lat.elements})
                 for game in (randomized, dividend_game(rng, lat),
                              deficit_game(rng, lat)):
-                    system = CoreSystem(game)
-                    ineq = [(coeffs, rhs) for _, coeffs, rhs in system.inequalities]
-                    statuses.add(assert_same_phase1(
-                        ineq, system.equality, len(system.atoms)))
+                    statuses.add(assert_same_phase1(*core_lp(game)))
     assert statuses == {"feasible", "infeasible"}
 
 
-@pytest.mark.parametrize("tag, n", [("P^N", 5), ("E^N", 4), ("2^N", 5)])
-def test_integer_tableau_matches_the_oracle_at_bench_sizes(tag, n):
+HEADLINE = {"rank-cubed": lambda r: r ** 3, "two-to-the-rank": lambda r: 2 ** r - 1}
+
+
+@pytest.mark.parametrize("tag, n, family, status", [
+    pytest.param("P^N", 5, None, None, id="P^N-5"),
+    pytest.param("E^N", 4, None, None, id="E^N-4"),
+    pytest.param("2^N", 5, None, None, id="2^N-5"),
+    pytest.param("P^N", 5, "rank-cubed", "empty", id="P^N-5-rank-cubed"),
+    pytest.param("P^N", 5, "two-to-the-rank", "empty", id="P^N-5-two-to-the-rank"),
+    pytest.param("P^N", 4, "rank-cubed", "nonempty", id="P^N-4-rank-cubed"),
+    pytest.param("P^N", 4, "two-to-the-rank", "empty", id="P^N-4-two-to-the-rank"),
+])
+def test_integer_tableau_matches_the_oracle_at_bench_sizes(tag, n, family, status):
     """The lattices of 32 to 52 elements that the core benchmark solves:
-    one feasible and one infeasible core system each."""
-    rng = random.Random(83)
+    one feasible and one infeasible core system each.  Then the paper's
+    headline case, f = rank^3 and f = 2^rank - 1 on partitions: both are
+    supermodular and not totally positive, and the core is empty on P^5
+    (and for 2^rank - 1 on P^4) with a verified certificate."""
     lat = lattice_for(tag, n)
-    statuses = []
-    for game in (dividend_game(rng, lat, normalized=True),
-                 deficit_game(rng, lat, normalized=True)):
-        system = CoreSystem(game)
-        ineq = [(coeffs, rhs) for _, coeffs, rhs in system.inequalities]
-        statuses.append(assert_same_phase1(ineq, system.equality, len(system.atoms)))
-    assert statuses == ["feasible", "infeasible"]
-
-
-@pytest.mark.parametrize("c", [Fraction(1, 2), 1.0], ids=["fraction", "float"])
-def test_phase1_refuses_a_coefficient_that_is_not_an_integer(c):
-    """An int is taken as it is and a Fraction of denominator 1 by its
-    numerator; anything else is refused, a float of integral value too."""
-    eq = ((1, 1), 2)
-    assert _phase1([((Fraction(2), 1), 1)], eq, 2) == _phase1([((2, 1), 1)], eq, 2)
-    with pytest.raises(ValueError,
-                       match=re.escape(f"phase-1 coefficients must be integers, got {c}")):
-        _phase1([((c, 1), 1)], eq, 2)
+    if family is None:
+        rng = random.Random(83)
+        games = [dividend_game(rng, lat, normalized=True),
+                 deficit_game(rng, lat, normalized=True)]
+        statuses = [assert_same_phase1(*core_lp(game)) for game in games]
+        assert statuses == ["feasible", "infeasible"]
+        return
+    f = HEADLINE[family]
+    game = LatticeGame(lat, {x: f(lat.rank(x)) for x in lat.elements})
+    assert is_supermodular(game)
+    assert not is_totally_positive(game)
+    report = core_feasible(game)
+    assert report.status == status
+    if report:
+        assert core_contains(game, report.witness)
+    else:
+        verify_certificate(game, report.certificate)
+    expected = "feasible" if status == "nonempty" else "infeasible"
+    assert assert_same_phase1(*core_lp(game)) == expected
 
 
 def test_no_assert_statement_in_the_package():

@@ -173,6 +173,24 @@ def test_size_game_dividends_on_partitions():
             assert mu.coefficients[x] == (1 if x in atom_set else 0)
 
 
+@pytest.mark.parametrize("tag,n", SMALL_LATTICES)
+def test_integer_view_is_the_vector_over_one_denominator(tag, n):
+    """A table's integer view is built once, on first use; mobius hands
+    its result the ints it computed, over the game's denominator.  Either
+    way ints[i] / d is vector()[i]."""
+    rng = random.Random(31 * n + ord(tag[0]))
+    lat = lattice_for(tag, n)
+    for _ in range(4):
+        game = random_game(lat, rng)
+        coeffs = mobius(game)
+        assert coeffs._integers()[1] == game._integers()[1]
+        for table in (game, coeffs, game.normalize_bottom()[0], zeta_expand(coeffs)):
+            ints, d = table._integers()
+            assert table._integers() is table._integers()
+            assert d > 0 and len(ints) == len(lat)
+            assert [Fraction(q, d) for q in ints] == list(table.vector())
+
+
 def test_mobius_table_rejects_strays():
     lat = lattice_for("2^N", 3)
     with pytest.raises(ValueError, match="not an element"):
