@@ -55,9 +55,18 @@ from .coresep import core_contains, core_feasible, separability_test
 
 
 def _load_json(path):
+    """The JSON document in path; a key named twice in one object is refused."""
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise ValueError(f"{path}: key {key!r} is named twice in one object")
+        return obj
+
     try:
         with open(path) as fh:
-            return json.load(fh, parse_int=_parse_int)
+            return json.load(fh, parse_int=_parse_int, object_pairs_hook=unique)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: {err}") from None
 
@@ -258,6 +267,7 @@ def _trace_json(path):
     raw = _load_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("periods"), list):
         raise ValueError(f"{path}: expected an object with \"n\" and a \"periods\" list")
+    _known_keys(raw, ("n", "periods"), path)
     n = raw.get("n")
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"{path}: \"n\" must be an integer")
@@ -265,12 +275,20 @@ def _trace_json(path):
     for idx, entry in enumerate(raw["periods"]):
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: period {idx} is not an object")
+        _known_keys(entry, ("period", "volumes", "clustering"), f"{path}: period {idx}")
         label = entry.get("period", idx)
         volumes = entry.get("volumes", {})
         if not isinstance(volumes, dict):
             raise ValueError(f"{path}: period {label}: \"volumes\" must be an object")
         periods.append((label, volumes.items(), entry.get("clustering")))
     return n, periods
+
+
+def _known_keys(obj, known, where):
+    """Refuse a key outside known: a misspelt one would read as absent."""
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{where}: unknown key {key!r}; expected one of {list(known)}")
 
 
 def _trace_csv(path):

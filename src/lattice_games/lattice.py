@@ -30,9 +30,9 @@ up-sets are filled by inverting the down-sets in the same pass.  The
 cost tracks the entries written, not the |L|^2/2 pairs of elements.
 
 ``rank`` counts covering steps from the bottom, ``size`` counts atoms
-below an element.  Chain counts are exact integers: the maximal chains
-in all, and those through one covering step out of an element (alike
-for every cover), the two counts the chain-uniform solution reads.
+below an element.  The maximal chains of [bottom, i] and of [i, top]
+are counted for every element i over the cover edges, once per lattice,
+in exact integers: the weights of the chain-uniform solution.
 """
 
 from __future__ import annotations
@@ -114,12 +114,6 @@ def class_vectors(n):
     return out
 
 
-def _exact_quotient(num, den):
-    if num % den:
-        raise VerificationError(f"count {num}/{den} is not an integer")
-    return num // den
-
-
 def class_count(cvec):
     """How many partitions of {1..n} share the class vector (c_1, ..., c_n)."""
     n = 0
@@ -132,7 +126,10 @@ def class_count(cvec):
     den = 1
     for k, c in enumerate(cvec, start=1):
         den *= factorial(k) ** c * factorial(c)
-    return _exact_quotient(factorial(n), den)
+    count, rest = divmod(factorial(n), den)
+    if rest:
+        raise VerificationError(f"count {factorial(n)}/{den} is not an integer")
+    return count
 
 
 def class_key(cvec):
@@ -417,39 +414,18 @@ def _partitions(n):
     return parts, masks
 
 
-def _kappa(k):
-    """Maximal chains of the partition lattice on k elements: k!(k-1)!/2^(k-1)."""
-    if k < 1:
-        raise ValueError(f"chain count needs k >= 1, got {k}")
-    return _exact_quotient(factorial(k) * factorial(k - 1), 1 << (k - 1))
-
-
-def _chains_below(p):
-    """Maximal chains of the interval [bottom, p].
-
-    The interval is a product of one partition lattice per block, and the
-    factor chains interleave freely: r(p)! / prod (|b|-1)! ways, times the
-    per-block chain counts.  Everything collapses to
-    r(p)! * prod |b|! / 2^r(p).
-    """
-    num = factorial(p.rank)
-    for b in p.blocks:
-        num *= factorial(len(b))
-    return _exact_quotient(num, 1 << p.rank)
-
-
 class Lattice:
     """Canonical element order, atom bitmasks, and the order questions
     answered from them.
 
     Subclasses supply ``elements`` (a linear extension of the order,
     bottom first and top last), ``atoms``, the atom bitmask of every
-    element (handed to ``_finish``), ``class_of``, ``parse_element`` and
-    two chain counts, ``chain_count_total`` and ``_chain_step_count``;
+    element (handed to ``_finish``), ``class_of`` and ``parse_element``;
     ``rank`` and ``key`` default to the element's own.  The lattices are
     atomistic, so an element's atoms fix it: ``leq``, ``meet``, ``join``,
     ``size``, ``atoms_below``, ``cover_indices`` and the up-set/down-set
-    tables are derived here, once, from the masks.
+    tables are derived here, once, from the masks, and the maximal-chain
+    counts of every interval [bottom, i] and [i, top] from the covers.
     """
 
     tag = "?"
@@ -461,6 +437,7 @@ class Lattice:
         self._ups = None
         self._downs = None
         self._keys = None
+        self._chains = None
 
     def _finish(self, masks, bit_atoms=None, by_mask=None):
         """Index the elements; bit k of masks[i] is set when bit_atoms[k]
@@ -623,12 +600,29 @@ class Lattice:
     def _chain_ground(self):
         return self.n
 
-    def chain_count_total(self):
-        raise NotImplementedError
+    def _chain_counts(self):
+        """(below, above): the maximal chains of [bottom, i] and of
+        [i, top] for every element i, built on first use.  Summed over
+        the cover edges i -> j, below[i] into below[j] in element order
+        and above[j] into above[i] in reverse; both ends count them all."""
+        if self._chains is None:
+            covers = [[j for j, _ in self.cover_indices(i)] for i in range(len(self))]
+            below = [1] + [0] * (len(covers) - 1)
+            for i, ups in enumerate(covers):
+                for j in ups:
+                    below[j] += below[i]
+            above = [0] * (len(covers) - 1) + [1]
+            for i in range(len(covers) - 2, -1, -1):
+                above[i] = sum(above[j] for j in covers[i])
+            if below[-1] != above[0]:
+                raise VerificationError(f"{self.describe()} has {below[-1]} maximal chains "
+                                        f"counted up, {above[0]} counted down")
+            self._chains = (tuple(below), tuple(above))
+        return self._chains
 
-    def _chain_step_count(self, x):
-        """Maximal chains through a covering step out of x, alike for each cover."""
-        raise NotImplementedError
+    def chain_count_total(self):
+        """The number of maximal chains, bottom to top."""
+        return self._chain_counts()[1][0]
 
     def maximal_chains(self):
         """All maximal chains bottom -> top, as tuples of elements."""
@@ -695,13 +689,6 @@ class SubsetLattice(Lattice):
             raise ValueError(f"bad subset {text!r} for n={self.n}")
         return out
 
-    def chain_count_total(self):
-        return factorial(self.n)
-
-    def _chain_step_count(self, x):
-        k = len(x)
-        return factorial(k) * factorial(self.n - k - 1)
-
 
 class PartitionLattice(Lattice):
     """Set partitions of {1..n} under refinement.
@@ -730,12 +717,6 @@ class PartitionLattice(Lattice):
     def parse_element(self, text):
         return Partition.parse(text, self.n)
 
-    def chain_count_total(self):
-        return _kappa(self.n)
-
-    def _chain_step_count(self, x):
-        return _chains_below(x) * _kappa(len(x.blocks) - 1)
-
 
 class EmbeddedLattice(Lattice):
     """Embedded subsets of {1..n}: P^(n+1) relabelled.
@@ -760,9 +741,6 @@ class EmbeddedLattice(Lattice):
                      tuple(self.elements[inner.index(a)] for a in inner.atoms),
                      inner._by_mask)
 
-    def _lift(self, x):
-        return self.inner.elements[self.index(x)]
-
     def class_of(self, x):
         """Class vector of the image partition in P^(n+1).
 
@@ -770,7 +748,7 @@ class EmbeddedLattice(Lattice):
         structure is carried over, and the solution theory for symmetric
         games holds at exactly this granularity.
         """
-        return self._lift(x).class_vector()
+        return self.inner.elements[self.index(x)].class_vector()
 
     def parse_element(self, text):
         return EmbeddedSubset.parse(text, self.n)
@@ -782,11 +760,8 @@ class EmbeddedLattice(Lattice):
     def _chain_ground(self):
         return self.n + 1
 
-    def chain_count_total(self):
-        return self.inner.chain_count_total()
-
-    def _chain_step_count(self, x):
-        return self.inner._chain_step_count(self._lift(x))
+    def _chain_counts(self):
+        return self.inner._chain_counts()
 
 
 @lru_cache(maxsize=None)

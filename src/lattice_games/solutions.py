@@ -4,9 +4,9 @@ A solution of a game f picks one rational share per atom, summing to
 f(top) - f(bottom).  The size-uniform solution spreads each Mobius
 dividend over the atoms below its element, the chain-uniform solution
 averages per-size marginal contributions over uniformly random maximal
-chains (in closed form), and the egalitarian solution ignores structure
-entirely.  On the subset lattice the first two collapse to the Shapley
-value.
+chains (each cover edge weighed by the chains through it), and the
+egalitarian solution ignores structure entirely.  On the subset lattice
+the first two collapse to the Shapley value.
 """
 
 from __future__ import annotations
@@ -155,18 +155,20 @@ def cu(game):
     """Chain-uniform sharing, one pass over the cover edges.
 
     An atom is credited the per-size marginal of the covering step where
-    it first appears under a uniformly random maximal chain.  Each cover
-    edge adds one integer marginal to every atom it adds.
+    it first appears under a uniformly random maximal chain.  Cover edge
+    i -> j lies on below[i] * above[j] of the above[0] maximal chains,
+    and adds that many integer marginals to every atom it adds.
     """
     lat = game.lattice
     ints, scale = game._integers()
+    below, above = lat._chain_counts()
     common = lcm(*range(1, len(lat.atoms) + 1))  # a multiple of every group size
     credit = [0] * len(lat.atoms)  # per mask bit
-    for i, x in enumerate(lat.elements[:-1]):  # the top covers nothing
-        weight = lat._chain_step_count(x)
+    for i in range(len(lat) - 1):  # the top covers nothing
         for j, group in lat.cover_indices(i):
-            _credit(credit, group, weight * (ints[j] - ints[i]) * (common // group.bit_count()))
-    total = common * lat.chain_count_total()
+            _credit(credit, group,
+                    below[i] * above[j] * (ints[j] - ints[i]) * (common // group.bit_count()))
+    total = common * above[0]
     if sum(credit) != total * (ints[-1] - ints[0]):
         raise VerificationError(f"cu shares on {lat.describe()} do not sum to f(top) - f(bottom)")
     return Solution._from_vector(lat, [Fraction(c, total * scale) for c in credit])

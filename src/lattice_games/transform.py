@@ -253,11 +253,11 @@ def zeta_expand(coeffs):
 
 
 def zeta_game(lattice, x):
-    """Indicator of the up-set of x: worth 1 once cooperation reaches x."""
-    ups = set(lattice.upset_indices(lattice.index(x)))
-    return LatticeGame(lattice,
-                       {y: Fraction(1 if j in ups else 0)
-                        for j, y in enumerate(lattice.elements)})
+    """Indicator of the up-set of x: worth 1 once cooperation reaches x,
+    on every element whose mask holds the mask of x."""
+    below = lattice.masks[lattice.index(x)]
+    return LatticeGame._from_vector(
+        lattice, [Fraction(1 if m & below == below else 0) for m in lattice.masks])
 
 
 def _lattice_from_payload(payload, max_n=None):

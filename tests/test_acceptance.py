@@ -170,12 +170,11 @@ def test_acceptance_06_chain_count_formulas():
             for chain in chains:
                 through.update(chain)
                 steps.update(zip(chain, chain[1:]))
-            for x in lat.elements:
-                assert chains_through(lat, x) == through[x]
-                for a in lat.atoms:
-                    if not lat.leq(a, x):  # the share cu weighs the step by
-                        want = Fraction(steps[(x, lat.join(x, a))], total)
-                        assert Fraction(lat._chain_step_count(x), total) == want
+            below, above = lat._chain_counts()
+            for i, x in enumerate(lat.elements):
+                assert chains_through(lat, x) == through[x] == below[i] * above[i]
+                for j, _ in lat.cover_indices(i):  # the weight cu gives the step
+                    assert below[i] * above[j] == steps[(x, lat.elements[j])]
 
     run_check(6, "chain-count formulas match full enumeration", body)
 

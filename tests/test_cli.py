@@ -466,6 +466,46 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, case):
     assert err.startswith("error: ")
 
 
+# JSON text, since a dict cannot hold a key twice: (argv, text, the key)
+TWICE = {
+    "game-values": (["solve", "{twice}"],
+                    '{"lattice": "2^N", "n": 1, "values": {"": "0", "1": "5", "1": "7"}}', "1"),
+    "trace-volumes": (["netshare", "{twice}"],
+                      '{"n": 3, "periods": [{"period": "t0", '
+                      '"volumes": {"1,2": "4", "1,2": "5"}}]}', "1,2"),
+    "weights": (["solve", "{pair}", "--split", "{twice}"],
+                '{"1,2": ["1", "0"], "1,2": ["0", "1"]}', "1,2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWICE))
+def test_a_json_key_named_twice_in_one_object_exits_2(tmp_path, capsys, case):
+    argv, text, key = TWICE[case]
+    twice = tmp_path / "twice.json"
+    twice.write_text(text)
+    paths = {"twice": twice, "pair": pair_game_file(tmp_path)}
+    code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {twice}: key {key!r} is named twice in one object\n"
+
+
+@pytest.mark.parametrize("trace,key", [
+    ({"n": 3, "periods": [{"period": "t0", "volume": {"1,2": "4"}, "cluster": "1,2|3"}]},
+     "volume"),
+    ({"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "4"}, "cluster": "1,2|3"}]},
+     "cluster"),
+    ({"n": 3, "periods": [], "period": "t0"}, "period"),
+], ids=["period-volume", "period-cluster", "trace-period"])
+def test_a_trace_key_outside_the_format_exits_2(tmp_path, capsys, trace, key):
+    code, out, err = run_cli(["netshare", write_json(tmp_path / "trace.json", trace)], capsys)
+    assert (code, out) == (2, "")
+    assert f"unknown key {key!r}" in err
+    bare = write_json(tmp_path / "bare.json", {"n": 3, "periods": [{"period": "t0"}]})
+    code, out, _ = run_cli(["netshare", bare], capsys)  # volumes may be left out
+    assert code == 0
+    assert json.loads(out)["periods"][0]["edgeShares"] == {"1,2": "0", "1,3": "0", "2,3": "0"}
+
+
 PAIR_VALUES = {"1|2|3": "0", "1,2|3": "1", "1,3|2": "0", "1|2,3": "0", "1,2,3": "1"}
 
 BAD_KEYS = {
@@ -802,10 +842,12 @@ PUBLIC = [
 REMOVED = [
     ("lattice.Partition", ["refines", "meet", "join", "_owner_map"]),
     ("lattice.EmbeddedSubset", ["to_partition"]),
-    ("lattice.Lattice", ["covers", "covers_of", "chain_pair_ratio", "chain_count_through"]),
-    ("lattice.SubsetLattice", ["chain_count_through"]),
-    ("lattice.PartitionLattice", ["chain_count_through"]),
-    ("lattice.EmbeddedLattice", ["chain_count_through"]),
+    ("lattice.Lattice", ["covers", "covers_of", "chain_pair_ratio", "chain_count_through",
+                         "_chain_step_count"]),
+    ("lattice.SubsetLattice", ["chain_count_through", "_chain_step_count"]),
+    ("lattice.PartitionLattice", ["chain_count_through", "_chain_step_count"]),
+    ("lattice.EmbeddedLattice", ["chain_count_through", "_chain_step_count"]),
+    ("lattice", ["_kappa", "_chains_below"]),
     ("solutions.Solution", ["expand"]),
     ("transform.MobiusCoefficients", ["below"]),
     ("games", ["symmetric_expand"]),

@@ -460,13 +460,16 @@ def test_no_assert_statement_in_the_package():
 
 def test_proof_checks_run_under_python_O():
     """Under -O asserts vanish; the checks on a witness, a certificate, a
-    separating family, a restricted game, cu shares, su shares, a cover
-    walk, a chain listing and a partition enumeration must still raise.
+    separating family, a restricted game, cu shares, chain counts, su
+    shares, a cover walk, a chain listing and a partition enumeration
+    must still raise.
     A patched _phase1 hands core_feasible bad proof objects, a patched
-    meet a wrong top value, a patched chain-step count wrong cu
-    weights, a patched mobius another game's dividends to su, a patched
-    up-set an order that is no linear extension, a patched chain count a
-    wrong total, a patched enumeration one partition short or one mask
+    meet a wrong top value, patched cached chain counts wrong cu
+    weights, a patched cover walk that lists each element among its own
+    covers a count up from the bottom unlike the count down from the top,
+    a patched mobius another game's dividends to su, a patched up-set an
+    order that is no linear extension, a patched chain count a wrong
+    total, a patched enumeration one partition short or one mask
     twice."""
     script = textwrap.dedent("""
         import sys
@@ -509,12 +512,19 @@ def test_proof_checks_run_under_python_O():
             print("restrict returned")
         except Exception as err:
             print("restrict", type(err).__name__, err)
-        lattice.PartitionLattice._chain_step_count = lambda self, x: 7
+        lat._chains = ((1,) * 5, (7,) * 5)
         try:
             solutions.cu(game)
             print("cu returned")
         except Exception as err:
             print("cu", type(err).__name__, err)
+        cubes = lattice_for("2^N", 3)
+        cubes.cover_indices = lambda i, walk=cubes.cover_indices: [(i, 0), *walk(i)]
+        try:
+            cubes.chain_count_total()
+            print("counts returned")
+        except Exception as err:
+            print("counts", type(err).__name__, err)
         solutions.mobius = lambda g: transform.mobius(2 * g)
         try:
             solutions.su(game)
@@ -560,6 +570,8 @@ def test_proof_checks_run_under_python_O():
         "member VerificationError member of a verified family fails to separate",
         "restrict VerificationError restricted game does not end at the cluster's value",
         "cu VerificationError cu shares on P^N with n=3 do not sum to f(top) - f(bottom)",
+        "counts VerificationError 2^N with n=3 has 96 maximal chains counted up, "
+        "6 counted down",
         "su VerificationError su shares on P^N with n=3 do not sum to f(top) - f(bottom)",
         "covers VerificationError covers of element 0 on 2^N with n=2 overlap",
         "chains VerificationError 3 maximal chains listed on P^N with n=3, 99 counted",

@@ -9,13 +9,16 @@ operators on the element objects: frozenset operators on 2^N, and on
 P^N and the images of E^N in P^(n+1) the test-local partition algebra
 below (``refines``, ``partition_meet``, ``partition_join``,
 ``to_partition``), which the package no longer carries.  The chain
-count through an element is a test-local closed form too.  The
-elements, masks and order tables are checked against the constructions
-they replaced: a sort of all restricted-growth codes, the validating
-E^N preimage, and the |L|^2/2 mask-inclusion scan.
+counts of [bottom, x] and [x, top] are test-local closed forms too,
+checked against the lattice's cover-edge counts at every size up to
+the default cap.  The elements, masks and order tables are checked
+against the constructions they replaced: a sort of all
+restricted-growth codes, the validating E^N preimage, and the |L|^2/2
+mask-inclusion scan.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -25,6 +28,7 @@ import pytest
 
 from lattice_games.lattice import (
     CHAIN_CAP,
+    DEFAULT_MAX_N,
     ENV_MAX_N,
     EmbeddedSubset,
     Partition,
@@ -96,20 +100,34 @@ def covers(lat, y, x):
     return lat.rank(y) == lat.rank(x) + 1 and lat.leq(x, y)
 
 
-def chain_count_through(lat, x):
-    """Maximal chains through x: those of [bottom, x] times those of
-    [x, top].  On 2^N that is |x|!(n-|x|)!; on P^N [bottom, p] has
-    r! prod |b|! / 2^r chains (r the rank of p) and [p, top] is a
-    partition lattice on the k blocks of p, with k!(k-1)!/2^(k-1); E^N
+def chains_below_closed(lat, x):
+    """Maximal chains of [bottom, x] in closed form: |x|! on 2^N; on P^N
+    the interval is one partition lattice per block, interleaved freely,
+    which collapses to r! prod |b|! / 2^r (r the rank of p); E^N reads
+    its image in P^(n+1)."""
+    if lat.tag == "2^N":
+        return factorial(len(x))
+    p = x if lat.tag == "P^N" else to_partition(x)
+    num = factorial(p.rank)
+    for b in p.blocks:
+        num *= factorial(len(b))
+    return num // 2 ** p.rank
+
+
+def chains_above_closed(lat, x):
+    """Maximal chains of [x, top] in closed form: (n-|x|)! on 2^N; on
+    P^N a partition lattice on the k blocks of p, k!(k-1)!/2^(k-1); E^N
     reads its image in P^(n+1)."""
     if lat.tag == "2^N":
-        return factorial(len(x)) * factorial(lat.n - len(x))
-    p = x if lat.tag == "P^N" else to_partition(x)
-    r, k = p.rank, len(p.blocks)
-    below = factorial(r)
-    for b in p.blocks:
-        below *= factorial(len(b))
-    return below // 2 ** r * (factorial(k) * factorial(k - 1) // 2 ** (k - 1))
+        return factorial(lat.n - len(x))
+    k = len((x if lat.tag == "P^N" else to_partition(x)).blocks)
+    return factorial(k) * factorial(k - 1) // 2 ** (k - 1)
+
+
+def chain_count_through(lat, x):
+    """Maximal chains through x: those of [bottom, x] times those of
+    [x, top]."""
+    return chains_below_closed(lat, x) * chains_above_closed(lat, x)
 
 
 def test_bell_table():
@@ -563,33 +581,47 @@ def test_chain_through_hand_values():
 
 @pytest.mark.parametrize("tag,n", list(CHAIN_TOTALS))
 def test_chain_pair_ratios_match_enumeration(tag, n):
+    """below[i] * above[j] chains cross the cover edge i -> j, and each
+    atom is added on one step of every chain."""
     lat = lattice_for(tag, n)
+    below, above = lat._chain_counts()
     chains = lat.maximal_chains()
-    total = lat.chain_count_total()
+    steps = Counter(step for chain in chains for step in zip(chain, chain[1:]))
     for a in lat.atoms:
-        ratios = Fraction(0)
+        crossing = 0
         for x in lat.elements:
             if lat.leq(a, x):
                 continue
             target = lat.join(x, a)
-            crossing = sum(
-                1 for chain in chains
-                for u, v in zip(chain, chain[1:]) if u == x and v == target)
-            ratio = Fraction(lat._chain_step_count(x), total)
-            assert ratio == Fraction(crossing, total), (lat.key(x), lat.key(a))
-            ratios += ratio
-        assert ratios == 1
+            count = below[lat.index(x)] * above[lat.index(target)]
+            assert count == steps[x, target], (lat.key(x), lat.key(a))
+            crossing += count
+        assert crossing == above[0] == len(chains)
 
 
 def test_chain_pair_hand_values():
-    """The share of maximal chains through one covering step out of x."""
-    def share(lat, x):
-        return Fraction(lat._chain_step_count(x), lat.chain_count_total())
+    """The share of maximal chains through one covering step x -> y."""
+    def share(lat, x, y):
+        below, above = lat._chain_counts()
+        return Fraction(below[lat.index(x)] * above[lat.index(y)], lat.chain_count_total())
 
     lat3 = lattice_for("P^N", 3)
-    assert share(lat3, Partition.bottom(3)) == Fraction(1, 3)
-    assert share(lat3, Partition.pair(3, 1, 3)) == Fraction(1, 3)
-    assert share(lattice_for("P^N", 4), Partition.pair(4, 3, 4)) == Fraction(1, 18)
+    assert share(lat3, Partition.bottom(3), Partition.pair(3, 1, 2)) == Fraction(1, 3)
+    assert share(lat3, Partition.pair(3, 1, 3), Partition.top(3)) == Fraction(1, 3)
+    lat4 = lattice_for("P^N", 4)
+    assert share(lat4, Partition.pair(4, 3, 4), Partition.parse("1,2|3,4")) == Fraction(1, 18)
+    assert share(lat4, Partition.pair(4, 3, 4), Partition.parse("1,3,4|2")) == Fraction(1, 18)
+
+
+@pytest.mark.parametrize("tag,n", [(tag, n) for tag in ("2^N", "P^N")
+                                   for n in range(1, DEFAULT_MAX_N + 1)]
+                         + [("E^N", n) for n in range(1, DEFAULT_MAX_N)])
+def test_chain_counts_match_the_closed_forms(tag, n):
+    lat = lattice_for(tag, n)
+    below, above = lat._chain_counts()
+    assert below == tuple(chains_below_closed(lat, x) for x in lat.elements)
+    assert above == tuple(chains_above_closed(lat, x) for x in lat.elements)
+    assert lat.chain_count_total() == below[-1] == above[0]
 
 
 @pytest.mark.parametrize("tag,n", list(CHAIN_TOTALS))

@@ -448,7 +448,7 @@ def test_cu_matches_chain_census(tag, n):
 
 
 def cu_join_oracle(game):
-    """Chain-uniform sharing, via the closed-form chain ratios.
+    """Chain-uniform sharing, via the share of chains through each step.
 
     An atom is credited the per-size marginal of the covering step where
     it first appears under a uniformly random maximal chain.  This is the
@@ -457,6 +457,7 @@ def cu_join_oracle(game):
     """
     lat = game.lattice
     vals = game.values
+    below, above = lat._chain_counts()
     shares = {}
     for a in lat.atoms:
         acc = Fraction(0)
@@ -465,7 +466,7 @@ def cu_join_oracle(game):
                 continue
             y = lat.join(x, a)
             jump = lat.size(y) - lat.size(x)
-            ratio = Fraction(lat._chain_step_count(x), lat.chain_count_total())
+            ratio = Fraction(below[lat.index(x)] * above[lat.index(y)], above[0])
             acc += ratio * (vals[y] - vals[x]) / jump
         shares[a] = acc
     return Solution(lat, shares)
