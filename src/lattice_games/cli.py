@@ -31,6 +31,7 @@ from .lattice import (
 from .transform import (
     LatticeGame,
     MobiusCoefficients,
+    _known_keys,
     _parse_int,
     format_fraction,
     parse_fraction,
@@ -144,6 +145,7 @@ def _load_game(args):
     if args.cluster_file:
         raw = _load_json(args.cluster_file)
         if isinstance(raw, dict):
+            _known_keys(raw, ("cluster",), args.cluster_file)
             raw = raw.get("cluster")
         cluster = _parse_cluster(game.lattice, raw, args.cluster_file)
         game = clustering_restrict(game, cluster)
@@ -195,6 +197,7 @@ def cmd_solve(args):
 def _load_edges(path):
     raw = _load_json(path)
     if isinstance(raw, dict):
+        _known_keys(raw, ("edges",), path)
         raw = raw.get("edges")
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected an \"edges\" list")
@@ -282,13 +285,6 @@ def _trace_json(path):
             raise ValueError(f"{path}: period {label}: \"volumes\" must be an object")
         periods.append((label, volumes.items(), entry.get("clustering")))
     return n, periods
-
-
-def _known_keys(obj, known, where):
-    """Refuse a key outside known: a misspelt one would read as absent."""
-    for key in obj:
-        if key not in known:
-            raise ValueError(f"{where}: unknown key {key!r}; expected one of {list(known)}")
 
 
 def _trace_csv(path):

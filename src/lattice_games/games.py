@@ -227,11 +227,16 @@ def is_totally_positive(game):
 
 
 def is_monotone(game):
-    """Values never decrease along the order; witness = offending pair."""
+    """Values never decrease along the order, checked on the cover edges;
+    witness = the first pair x <= y in element order with f(y) < f(x)."""
     lat = game.lattice
+    masks = lat.masks
     vals = game.vector()
+    least = list(vals)  # the least value at or above each element
+    for i, row in reversed(tuple(enumerate(lat._hasse()[0]))):
+        least[i] = min([vals[i]] + [least[j] for j in row])
     for i, q in enumerate(vals):
-        for j in lat.upset_indices(i):
-            if vals[j] < q:
-                return PredicateReport(False, (lat.elements[i], lat.elements[j]))
+        if least[i] < q:
+            j = next(j for j in range(i, len(vals)) if vals[j] < q and not masks[i] & ~masks[j])
+            return PredicateReport(False, (lat.elements[i], lat.elements[j]))
     return PredicateReport(True)

@@ -15,24 +15,23 @@ and order tables of P^(n+1).
 
 All three lattices are atomistic: an element is fixed by the atoms below
 it.  Each element carries them as an integer bitmask; the order, meet,
-join, size, cover indices and up-set/down-set tables are read off the
-masks, and nothing else answers an order question: ``Partition`` and
-``EmbeddedSubset`` are element types with no order of their own.
-Elements are listed in a linear extension of the order, bottom first.
+join, size, covers and down-sets are read off the masks, and nothing
+else answers an order question: ``Partition`` and ``EmbeddedSubset``
+are element types with no order of their own.  Elements are listed in
+a linear extension of the order, bottom first.
 
 P^N is enumerated once, by a descending restricted-growth recursion
 that adds each pair to the mask as it places an element; the count and
-the distinctness of the masks are checked after.  The order tables
-take one bitset per atom, over element indices (the elements holding
-that atom): the down-set of element j is every index up to j outside
-the bitsets of the atoms j lacks, read off in ascending order, and the
-up-sets are filled by inverting the down-sets in the same pass.  The
-cost tracks the entries written, not the |L|^2/2 pairs of elements.
+the distinctness of the masks are checked after.  The order tables are
+one bitset per atom over element indices (the elements holding it) and
+the down-sets: that of element j is every index up to j outside the
+bitsets of the atoms j lacks.  The AND of the bitsets of j's atoms holds
+the elements above j; a join is the lowest index above both atom sets.
 
 ``rank`` counts covering steps from the bottom, ``size`` counts atoms
-below an element.  The maximal chains of [bottom, i] and of [i, top]
-are counted for every element i over the cover edges, once per lattice,
-in exact integers: the weights of the chain-uniform solution.
+below an element.  One Hasse table, built once per lattice, holds the
+covers of every element i and the maximal chains of [bottom, i] and of
+[i, top] counted over them in exact integers: the chain-uniform weights.
 """
 
 from __future__ import annotations
@@ -423,21 +422,17 @@ class Lattice:
     element (handed to ``_finish``), ``class_of`` and ``parse_element``;
     ``rank`` and ``key`` default to the element's own.  The lattices are
     atomistic, so an element's atoms fix it: ``leq``, ``meet``, ``join``,
-    ``size``, ``atoms_below``, ``cover_indices`` and the up-set/down-set
-    tables are derived here, once, from the masks, and the maximal-chain
-    counts of every interval [bottom, i] and [i, top] from the covers.
+    ``size``, ``atoms_below``, the atom bitsets, the down-sets and one Hasse
+    table (covers and maximal-chain counts) are derived here from the masks.
     """
 
     tag = "?"
 
     def __init__(self, n):
         self.n = n
-        self.elements = ()
-        self.atoms = ()
-        self._ups = None
-        self._downs = None
+        self._tables = None
         self._keys = None
-        self._chains = None
+        self._hasse_table = None
 
     def _finish(self, masks, bit_atoms=None, by_mask=None):
         """Index the elements; bit k of masks[i] is set when bit_atoms[k]
@@ -503,14 +498,13 @@ class Lattice:
         return self._by_mask[self._mask[i] & self._mask[j]]
 
     def join_index(self, i, j):
-        mask = self._mask
-        both = mask[i] | mask[j]
+        both = self._mask[i] | self._mask[j]
         # An element holding exactly both sets of atoms is the join; else the
-        # first common upper bound met in either up-set, a linear extension.
+        # first common upper bound in the element order, a linear extension.
         k = self._by_mask.get(both)
         if k is None:
-            ups = self._order_tables()[0]
-            k = next(k for k in min(ups[i], ups[j], key=len) if mask[k] & both == both)
+            above = self._above(both)
+            k = (above & -above).bit_length() - 1
         return k
 
     def size(self, x):
@@ -526,24 +520,8 @@ class Lattice:
         return x.rank
 
     def cover_indices(self, i):
-        """The covers of element i as (index, mask of the atoms it adds).
-
-        A cover of x is x v a for an atom a not below x (the lattices are
-        atomistic and upper-semimodular): the first element of x's up-set,
-        a linear extension, whose mask holds a.
-        """
-        mask = self._mask
-        below = mask[i]
-        rem = mask[-1] & ~below  # atoms not yet placed in a cover
-        for j in self.upset_indices(i):
-            if mask[j] & rem:
-                group = mask[j] & ~below
-                if group & ~rem:
-                    raise VerificationError(f"covers of element {i} on {self.describe()} overlap")
-                yield j, group
-                rem &= ~group
-                if not rem:
-                    return
+        """The covers of element i, ascending, as (index, mask of the atoms it adds)."""
+        return [(j, self._mask[j] & ~self._mask[i]) for j in self._hasse()[0][i]]
 
     def class_of(self, x):
         """Relabeling-invariant class of x (see each lattice)."""
@@ -558,19 +536,14 @@ class Lattice:
     # -- order tables ---------------------------------------------------
 
     def _order_tables(self):
-        # x <= y exactly when x's atoms are among y's, and only earlier
-        # elements can lie below a later one.  holders[k] is the bitset of
-        # the element indices whose mask holds atom k.  Both tables take
-        # their ints from idx, so each index is one object.
-        if self._ups is None:
+        # (downs, holders): x <= y exactly when x's atoms are among y's, and
+        # only earlier elements lie below a later one.  holders[k] is the
+        # bitset of the indices holding atom k; downs hold the ints of idx.
+        if self._tables is None:
             masks = self._mask
             idx = tuple(range(len(masks)))
-            holders = [0] * masks[-1].bit_length()
-            for i, m in zip(idx, masks):
-                for k in range(len(holders)):
-                    if m >> k & 1:
-                        holders[k] |= 1 << i
-            ups = [[] for _ in idx]
+            holders = tuple(sum(1 << i for i, m in enumerate(masks) if m >> k & 1)
+                            for k in range(masks[-1].bit_length()))
             downs = []
             for j, m in zip(idx, masks):
                 outside = 0
@@ -582,47 +555,67 @@ class Lattice:
                 i = bits.find("1")
                 while i >= 0:
                     down.append(idx[i])
-                    ups[i].append(j)
                     i = bits.find("1", i + 1)
                 downs.append(tuple(down))
-            self._ups = tuple(map(tuple, ups))
-            self._downs = tuple(downs)
-        return self._ups, self._downs
-
-    def upset_indices(self, i):
-        return self._order_tables()[0][i]
+            self._tables = (tuple(downs), holders)
+        return self._tables
 
     def downset_indices(self, i):
-        return self._order_tables()[1][i]
+        return self._order_tables()[0][i]
+
+    def _above(self, mask):
+        """Bitset of the element indices whose masks hold every bit of mask."""
+        holders = self._order_tables()[1]
+        above = (1 << len(self._mask)) - 1
+        while mask:
+            above &= holders[(mask & -mask).bit_length() - 1]
+            mask &= mask - 1
+        return above
 
     # -- chains ---------------------------------------------------------
 
     def _chain_ground(self):
         return self.n
 
-    def _chain_counts(self):
-        """(below, above): the maximal chains of [bottom, i] and of
-        [i, top] for every element i, built on first use.  Summed over
-        the cover edges i -> j, below[i] into below[j] in element order
-        and above[j] into above[i] in reverse; both ends count them all."""
-        if self._chains is None:
-            covers = [[j for j, _ in self.cover_indices(i)] for i in range(len(self))]
-            below = [1] + [0] * (len(covers) - 1)
-            for i, ups in enumerate(covers):
-                for j in ups:
-                    below[j] += below[i]
+    def _hasse(self):
+        """(covers, below, above): the covers of each element i, ascending,
+        and the maximal chains of [bottom, i] and of [i, top].  A cover of x
+        is x v a, a an atom not below x (the lattices are atomistic and upper-
+        semimodular); each must go one rank up and add atoms no other cover
+        of x adds."""
+        if self._hasse_table is None:
+            masks = self._mask
+            downs, holders = self._order_tables()
+            ranks = [self.rank(x) for x in self.elements]
+            where = self.describe()
+            covers = []
+            below = [1] + [0] * (len(masks) - 1)
+            for i, m in enumerate(masks):
+                above = self._above(m)
+                rem = masks[-1] & ~m  # atoms not yet placed in a cover
+                row = []
+                while rem:
+                    hit = above & holders[(rem & -rem).bit_length() - 1]
+                    j = (hit & -hit).bit_length() - 1
+                    group = masks[j] & ~m
+                    if group & ~rem:
+                        raise VerificationError(f"covers of element {i} on {where} overlap")
+                    if ranks[j] != ranks[i] + 1:
+                        raise VerificationError(f"element {j} of rank {ranks[j]} is no cover "
+                                                f"of element {i} of rank {ranks[i]} on {where}")
+                    row.append(downs[j][-1])  # index j, the object the down-sets hold
+                    below[j] += below[i]  # final: i covers only earlier elements
+                    rem &= ~group
+                covers.append(tuple(sorted(row)))
             above = [0] * (len(covers) - 1) + [1]
             for i in range(len(covers) - 2, -1, -1):
                 above[i] = sum(above[j] for j in covers[i])
-            if below[-1] != above[0]:
-                raise VerificationError(f"{self.describe()} has {below[-1]} maximal chains "
-                                        f"counted up, {above[0]} counted down")
-            self._chains = (tuple(below), tuple(above))
-        return self._chains
+            self._hasse_table = (tuple(covers), tuple(below), tuple(above))
+        return self._hasse_table
 
     def chain_count_total(self):
         """The number of maximal chains, bottom to top."""
-        return self._chain_counts()[1][0]
+        return self._hasse()[2][0]
 
     def maximal_chains(self):
         """All maximal chains bottom -> top, as tuples of elements."""
@@ -722,8 +715,8 @@ class EmbeddedLattice(Lattice):
     """Embedded subsets of {1..n}: P^(n+1) relabelled.
 
     Element i is the preimage of the inner lattice's element i, so the
-    masks, the mask index and the order tables are the inner lattice's
-    own; only the atom behind each mask bit is relabelled.
+    masks, the mask index, the order tables and the Hasse table are the
+    inner lattice's own; only the atom behind each mask bit is relabelled.
     """
 
     tag = "E^N"
@@ -760,8 +753,8 @@ class EmbeddedLattice(Lattice):
     def _chain_ground(self):
         return self.n + 1
 
-    def _chain_counts(self):
-        return self.inner._chain_counts()
+    def _hasse(self):
+        return self.inner._hasse()
 
 
 @lru_cache(maxsize=None)

@@ -161,12 +161,13 @@ def cu(game):
     """
     lat = game.lattice
     ints, scale = game._integers()
-    below, above = lat._chain_counts()
+    covers, below, above = lat._hasse()
+    masks = lat.masks
     common = lcm(*range(1, len(lat.atoms) + 1))  # a multiple of every group size
     credit = [0] * len(lat.atoms)  # per mask bit
-    for i in range(len(lat) - 1):  # the top covers nothing
-        for j, group in lat.cover_indices(i):
-            _credit(credit, group,
+    for i, row in enumerate(covers):
+        for j in row:
+            _credit(credit, group := masks[j] ^ masks[i],  # the atoms the edge adds
                     below[i] * above[j] * (ints[j] - ints[i]) * (common // group.bit_count()))
     total = common * above[0]
     if sum(credit) != total * (ints[-1] - ints[0]):

@@ -190,7 +190,16 @@ class LatticeGame(_TableOnLattice):
         A canonical key is found in the lattice's key table; any other
         spelling is parsed.
         """
-        lat = _lattice_from_payload(payload, max_n)
+        if not isinstance(payload, dict):
+            raise ValueError("payload must be a JSON object")
+        _known_keys(payload, ("lattice", "n", "values"), "game")
+        tag = payload.get("lattice")
+        if tag not in LATTICE_TAGS:
+            raise ValueError(f"unknown lattice tag {tag!r}; expected one of {LATTICE_TAGS}")
+        n = payload.get("n")
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"\"n\" must be an integer, got {n!r}")
+        lat = lattice_for(tag, n, max_n)
         raw = payload.get("values")
         if not isinstance(raw, dict):
             raise ValueError("payload needs a \"values\" object")
@@ -260,13 +269,8 @@ def zeta_game(lattice, x):
         lattice, [Fraction(1 if m & below == below else 0) for m in lattice.masks])
 
 
-def _lattice_from_payload(payload, max_n=None):
-    if not isinstance(payload, dict):
-        raise ValueError("payload must be a JSON object")
-    tag = payload.get("lattice")
-    if tag not in LATTICE_TAGS:
-        raise ValueError(f"unknown lattice tag {tag!r}; expected one of {LATTICE_TAGS}")
-    n = payload.get("n")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"\"n\" must be an integer, got {n!r}")
-    return lattice_for(tag, n, max_n)
+def _known_keys(obj, known, where):
+    """Refuse a key outside known: a misspelt one would read as absent."""
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{where}: unknown key {key!r}; expected one of {list(known)}")

@@ -170,7 +170,7 @@ def test_acceptance_06_chain_count_formulas():
             for chain in chains:
                 through.update(chain)
                 steps.update(zip(chain, chain[1:]))
-            below, above = lat._chain_counts()
+            _, below, above = lat._hasse()
             for i, x in enumerate(lat.elements):
                 assert chains_through(lat, x) == through[x] == below[i] * above[i]
                 for j, _ in lat.cover_indices(i):  # the weight cu gives the step

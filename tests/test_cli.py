@@ -449,6 +449,17 @@ MALFORMED = {
     "weights-do-not-sum-to-one": (
         "netshare", {"n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1"}}]},
         "--split", {"1,2": ["1/2", "1/3"]}),
+    "game-file-stray-key": (
+        "solve", {"lattice": "2^N", "n": 1, "values": {"": "0", "1": "5"}, "normalise": False},
+        None, None),
+    "graph-file-stray-key": (
+        "solve", {"lattice": "2^N", "n": 3, "values": {"": "0", "1": "0", "2": "0", "3": "0",
+                                                        "1,2": "1", "1,3": "0", "2,3": "0",
+                                                        "1,2,3": "1"}},
+        "--graph-file", {"edges": [[1, 2]], "edge": [[2, 3]]}),
+    "cluster-file-stray-key": (
+        "solve", {"lattice": "2^N", "n": 2, "values": {"": "0", "1": "0", "2": "0", "1,2": "1"}},
+        "--cluster-file", {"cluster": "1,2", "clustre": "x"}),
 }
 
 
@@ -456,8 +467,8 @@ MALFORMED = {
 def test_malformed_inputs_exit_2(tmp_path, capsys, case):
     command, main_input, flag, side_input = MALFORMED[case]
     argv = [command, write_json(tmp_path / "input.json", main_input)]
-    if command == "solve":
-        argv += ["--solver", "myerson"]
+    if command == "solve":  # myerson needs a graph file, so it fails without one
+        argv += ["--solver", "myerson" if flag == "--graph-file" else "su"]
     if flag is not None:
         argv += [flag, write_json(tmp_path / "side.json", side_input)]
     code, out, err = run_cli(argv, capsys)
@@ -844,6 +855,7 @@ REMOVED = [
     ("lattice.EmbeddedSubset", ["to_partition"]),
     ("lattice.Lattice", ["covers", "covers_of", "chain_pair_ratio", "chain_count_through",
                          "_chain_step_count"]),
+    ("lattice.Lattice", ["upset_indices"]),
     ("lattice.SubsetLattice", ["chain_count_through", "_chain_step_count"]),
     ("lattice.PartitionLattice", ["chain_count_through", "_chain_step_count"]),
     ("lattice.EmbeddedLattice", ["chain_count_through", "_chain_step_count"]),

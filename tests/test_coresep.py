@@ -465,12 +465,13 @@ def test_proof_checks_run_under_python_O():
     must still raise.
     A patched _phase1 hands core_feasible bad proof objects, a patched
     meet a wrong top value, patched cached chain counts wrong cu
-    weights, a patched cover walk that lists each element among its own
-    covers a count up from the bottom unlike the count down from the top,
-    a patched mobius another game's dividends to su, a patched up-set an
-    order that is no linear extension, a patched chain count a wrong
-    total, a patched enumeration one partition short or one mask
-    twice."""
+    weights, a patched mobius another game's dividends to su, a patched
+    chain count a wrong total, a patched enumeration one partition short
+    or one mask twice.  Two patched atom bitsets reach the Hasse table
+    build: one that leaves the singleton {1} out of atom 1's bitset makes
+    {1,2} the join of the bottom and {1}, two ranks up, and one that leaves
+    {2} out of atom 2's bitset makes {1,2} a cover of the bottom adding
+    atom 1 again, after {1} added it."""
     script = textwrap.dedent("""
         import sys
         from fractions import Fraction
@@ -512,14 +513,15 @@ def test_proof_checks_run_under_python_O():
             print("restrict returned")
         except Exception as err:
             print("restrict", type(err).__name__, err)
-        lat._chains = ((1,) * 5, (7,) * 5)
+        lat._hasse_table = (lat._hasse()[0], (1,) * 5, (7,) * 5)
         try:
             solutions.cu(game)
             print("cu returned")
         except Exception as err:
             print("cu", type(err).__name__, err)
         cubes = lattice_for("2^N", 3)
-        cubes.cover_indices = lambda i, walk=cubes.cover_indices: [(i, 0), *walk(i)]
+        downs, holders = cubes._order_tables()
+        cubes._order_tables = lambda: (downs, (holders[0] & ~0b10,) + holders[1:])
         try:
             cubes.chain_count_total()
             print("counts returned")
@@ -532,7 +534,8 @@ def test_proof_checks_run_under_python_O():
         except Exception as err:
             print("su", type(err).__name__, err)
         subsets = lattice_for("2^N", 2)
-        subsets.upset_indices = lambda i: (0, 1, 3, 2)
+        downs, holders = subsets._order_tables()
+        subsets._order_tables = lambda: (downs, (holders[0], holders[1] & ~0b100))
         try:
             list(subsets.cover_indices(0))
             print("covers returned")
@@ -570,8 +573,8 @@ def test_proof_checks_run_under_python_O():
         "member VerificationError member of a verified family fails to separate",
         "restrict VerificationError restricted game does not end at the cluster's value",
         "cu VerificationError cu shares on P^N with n=3 do not sum to f(top) - f(bottom)",
-        "counts VerificationError 2^N with n=3 has 96 maximal chains counted up, "
-        "6 counted down",
+        "counts VerificationError element 4 of rank 2 is no cover of element 0 of rank 0 "
+        "on 2^N with n=3",
         "su VerificationError su shares on P^N with n=3 do not sum to f(top) - f(bottom)",
         "covers VerificationError covers of element 0 on 2^N with n=2 overlap",
         "chains VerificationError 3 maximal chains listed on P^N with n=3, 99 counted",

@@ -261,6 +261,38 @@ def test_supermodular_scan_matches_the_full_pair_scan():
     assert verdicts == {True, False}
 
 
+def first_falling_pair(game):
+    """First pair x <= y with f(y) < f(x) over all pairs, in element order."""
+    lat = game.lattice
+    vals = game.values
+    for x in lat.elements:
+        for y in lat.elements:
+            if lat.leq(x, y) and vals[y] < vals[x]:
+                return (x, y)
+    return None
+
+
+def test_monotone_matches_the_full_pair_scan():
+    """Checking the cover edges keeps the verdict and the first witness of
+    the scan over all comparable pairs: games with nonnegative dividends,
+    one value moved up or down, fail at varied pairs."""
+    rng = random.Random(31)
+    verdicts = set()
+    for tag, n in [("2^N", 4), ("P^N", 4), ("E^N", 3), ("2^N", 5), ("P^N", 5), ("E^N", 4)]:
+        lat = lattice_for(tag, n)
+        for _ in range(12):
+            coeffs = {x: Fraction(rng.randint(0, 2), rng.choice((1, 2, 3))) for x in lat.elements}
+            values = dict(MobiusCoefficients(lat, coeffs).zeta_expand().values)
+            values[rng.choice(lat.elements)] += Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+            g = LatticeGame(lat, values)
+            expected = first_falling_pair(g)
+            report = is_monotone(g)
+            assert report.holds == (expected is None)
+            assert report.witness == expected
+            verdicts.add(report.holds)
+    assert verdicts == {True, False}
+
+
 def test_monotone_witnesses():
     lat = lattice_for("P^N", 3)
     assert is_monotone(rank_game(lat))

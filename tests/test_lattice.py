@@ -14,7 +14,8 @@ checked against the lattice's cover-edge counts at every size up to
 the default cap.  The elements, masks and order tables are checked
 against the constructions they replaced: a sort of all
 restricted-growth codes, the validating E^N preimage, and the |L|^2/2
-mask-inclusion scan.
+mask-inclusion scan; the cover table and the joins against the walk up
+the up-sets that scan yields.
 """
 
 import random
@@ -296,8 +297,9 @@ def test_mask_order_matches_the_object_order(tag, n):
                          + [("E^N", n) for n in range(1, 6)])
 def test_element_order_is_a_linear_extension(tag, n):
     lat = lattice_for(tag, n)
+    covers = lat._hasse()[0]
     for i in range(len(lat)):
-        assert all(j >= i for j in lat.upset_indices(i))
+        assert all(j > i for j in covers[i])
         assert all(j <= i for j in lat.downset_indices(i))
 
 
@@ -361,6 +363,24 @@ def partition_oracle(n):
     return parts, atoms, atoms, masks, scan_tables(masks)
 
 
+def upset_covers(masks, ups, i):
+    """The covers of element i by the walk the lattices once made: up the
+    up-set in order, taking each element that adds an atom not yet placed."""
+    rem = masks[-1] & ~masks[i]
+    out = []
+    for j in ups[i]:
+        if masks[j] & rem:
+            out.append(j)
+            rem &= ~masks[j]
+    return tuple(out)
+
+
+def upset_join(masks, ups, i, j):
+    """The first common upper bound in the shorter of the two up-sets."""
+    both = masks[i] | masks[j]
+    return next(k for k in min(ups[i], ups[j], key=len) if masks[k] & both == both)
+
+
 def lattice_oracle(tag, n):
     """(elements, atoms, atoms in mask-bit order, masks, (ups, downs))."""
     if tag == "2^N":
@@ -383,25 +403,47 @@ def lattice_oracle(tag, n):
                          + [("P^N", n) for n in range(1, 9)]
                          + [("E^N", n) for n in range(1, 8)])
 def test_lattice_build_matches_the_slow_construction(tag, n):
-    """Elements, atoms, masks, both order tables and the key map equal the
-    oracle's, entry by entry, up to the default cap."""
+    """Elements, atoms, masks, the down-sets, the atom bitsets, the cover
+    table and the key map equal the oracle's, entry by entry, up to the
+    default cap; the covers are the ones the up-set walk finds."""
     lat = lattice_for(tag, n)
     elems, atoms, bit_atoms, masks, (ups, downs) = lattice_oracle(tag, n)
     assert list(map(repr, lat.elements)) == list(map(repr, elems))
     assert list(map(repr, lat.atoms)) == list(map(repr, atoms))
     assert list(map(repr, lat.atoms_below(lat.top))) == list(map(repr, bit_atoms))
     assert lat.masks == masks
-    assert tuple(map(lat.upset_indices, range(len(lat)))) == ups
     assert tuple(map(lat.downset_indices, range(len(lat)))) == downs
+    assert lat._order_tables()[1] == tuple(
+        sum(1 << i for i, m in enumerate(masks) if m >> k & 1) for k in range(len(bit_atoms)))
+    assert lat._hasse()[0] == tuple(upset_covers(masks, ups, i) for i in range(len(masks)))
     assert lat.key_indices() == {lat.key(x): i for i, x in enumerate(elems)}
+
+
+@pytest.mark.parametrize("tag,n", [("2^N", n) for n in range(1, 9)]
+                         + [("P^N", n) for n in range(1, 9)]
+                         + [("E^N", n) for n in range(1, 8)])
+def test_join_index_matches_the_upset_scan(tag, n):
+    """Every pair up to |L| = 203, a seeded sample of 4000 pairs above."""
+    lat = lattice_for(tag, n)
+    _, _, _, masks, (ups, _) = lattice_oracle(tag, n)
+    size = len(lat)
+    if size <= 203:
+        pairs = [(i, j) for i in range(size) for j in range(size)]
+    else:
+        rng = random.Random(f"{tag}{n}")
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(4000)]
+    for i, j in pairs:
+        assert lat.join_index(i, j) == upset_join(masks, ups, i, j), (i, j)
 
 
 def test_order_tables_share_their_index_objects():
     lat = lattice_for("P^N", 7)
-    ups, downs = lat._order_tables()
+    downs, _ = lat._order_tables()
     shared = {id(i) for row in downs for i in row}
-    assert shared == {id(i) for row in ups for i in row}
     assert len(shared) == len(lat)
+    # every element but the bottom covers another; the bottom is down-set 0
+    covers = lat._hasse()[0]
+    assert {id(j) for row in covers for j in row} | {id(downs[0][0])} == shared
 
 
 @pytest.mark.parametrize("tag,n,strangers", [
@@ -584,7 +626,7 @@ def test_chain_pair_ratios_match_enumeration(tag, n):
     """below[i] * above[j] chains cross the cover edge i -> j, and each
     atom is added on one step of every chain."""
     lat = lattice_for(tag, n)
-    below, above = lat._chain_counts()
+    _, below, above = lat._hasse()
     chains = lat.maximal_chains()
     steps = Counter(step for chain in chains for step in zip(chain, chain[1:]))
     for a in lat.atoms:
@@ -602,7 +644,7 @@ def test_chain_pair_ratios_match_enumeration(tag, n):
 def test_chain_pair_hand_values():
     """The share of maximal chains through one covering step x -> y."""
     def share(lat, x, y):
-        below, above = lat._chain_counts()
+        _, below, above = lat._hasse()
         return Fraction(below[lat.index(x)] * above[lat.index(y)], lat.chain_count_total())
 
     lat3 = lattice_for("P^N", 3)
@@ -618,7 +660,7 @@ def test_chain_pair_hand_values():
                          + [("E^N", n) for n in range(1, DEFAULT_MAX_N)])
 def test_chain_counts_match_the_closed_forms(tag, n):
     lat = lattice_for(tag, n)
-    below, above = lat._chain_counts()
+    _, below, above = lat._hasse()
     assert below == tuple(chains_below_closed(lat, x) for x in lat.elements)
     assert above == tuple(chains_above_closed(lat, x) for x in lat.elements)
     assert lat.chain_count_total() == below[-1] == above[0]

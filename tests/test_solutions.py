@@ -447,6 +447,25 @@ def test_cu_matches_chain_census(tag, n):
         assert cu(g) == cu_chain_oracle(g)
 
 
+@pytest.mark.parametrize("tag,n", [("2^N", 5), ("P^N", 5), ("E^N", 4)])
+def test_cu_derives_the_covers_once(monkeypatch, tag, n):
+    """A second cu call reads the stored Hasse table: with the order tables
+    made to raise after the first call, it returns the same shares."""
+    lat = lattice_for(tag, n)
+    rng = random.Random(34)
+    game = random_game(lat, rng)
+    first = cu(game)
+
+    def gone():
+        raise AssertionError("the order tables were read again")
+
+    for holder in {lat, getattr(lat, "inner", lat)}:
+        monkeypatch.setattr(holder, "_order_tables", gone)
+    assert cu(LatticeGame(lat, game.values)) == first
+    with pytest.raises(AssertionError, match="read again"):
+        lat.downset_indices(0)
+
+
 def cu_join_oracle(game):
     """Chain-uniform sharing, via the share of chains through each step.
 
@@ -457,7 +476,7 @@ def cu_join_oracle(game):
     """
     lat = game.lattice
     vals = game.values
-    below, above = lat._chain_counts()
+    _, below, above = lat._hasse()
     shares = {}
     for a in lat.atoms:
         acc = Fraction(0)
