@@ -21,6 +21,7 @@ from .lattice import (
 )
 from .transform import (
     LatticeGame,
+    _known_keys,
     format_fraction,
     mobius,
     parse_fraction,
@@ -141,6 +142,7 @@ class SymmetricGame:
     def from_payload(cls, payload):
         if not isinstance(payload, dict):
             raise ValueError("payload must be a JSON object")
+        _known_keys(payload, ("lattice", "n", "classValues"), "symmetric game")
         tag = payload.get("lattice")
         n = payload.get("n")
         if tag not in LATTICE_TAGS:
@@ -172,15 +174,16 @@ class SymmetricGame:
 def is_symmetric(game):
     """The per-class table when the game is constant on classes, else None."""
     lat = game.lattice
+    ints, d = game._integers()
     seen = {}
-    for x, q in zip(lat.elements, game.vector()):
+    for x, q in zip(lat.elements, ints):
         cls = lat.class_of(x)
         if cls in seen:
             if seen[cls] != q:
                 return None
         else:
             seen[cls] = q
-    return SymmetricGame(lat.tag, lat.n, seen)
+    return SymmetricGame(lat.tag, lat.n, {cls: Fraction(q, d) for cls, q in seen.items()})
 
 
 def clustering_restrict(game, cluster):
@@ -188,15 +191,15 @@ def clustering_restrict(game, cluster):
 
     z <= y and z <= cluster exactly when z <= y ^ cluster, so the Mobius
     mass off the cluster's down-set is dropped; the top value is f(cluster).
+    The restricted game holds only its integer view.
     """
     lat = game.lattice
     c = lat.index(cluster)
-    vals = game.vector()
-    restricted = LatticeGame._from_vector(lat, [vals[lat.meet_index(i, c)]
-                                                for i in range(len(lat))])
-    if restricted.top_value != game[cluster]:
+    vals, d = game._integers()
+    restricted = [vals[lat.meet_index(i, c)] for i in range(len(lat))]
+    if restricted[-1] != vals[c]:
         raise VerificationError("restricted game does not end at the cluster's value")
-    return restricted
+    return LatticeGame._from_ints(lat, restricted, d)
 
 
 def is_supermodular(game):
@@ -219,8 +222,9 @@ def is_supermodular(game):
 
 
 def is_totally_positive(game):
-    """All Mobius coefficients nonnegative; witness = first negative element."""
-    for x, q in zip(game.lattice.elements, mobius(game).vector()):
+    """All Mobius coefficients nonnegative; witness = first negative element.
+    The denominator is positive, so the signs are those of the ints."""
+    for x, q in zip(game.lattice.elements, mobius(game)._integers()[0]):
         if q < 0:
             return PredicateReport(False, x)
     return PredicateReport(True)
@@ -228,10 +232,11 @@ def is_totally_positive(game):
 
 def is_monotone(game):
     """Values never decrease along the order, checked on the cover edges;
-    witness = the first pair x <= y in element order with f(y) < f(x)."""
+    witness = the first pair x <= y in element order with f(y) < f(x),
+    compared on the integer view over its positive denominator."""
     lat = game.lattice
     masks = lat.masks
-    vals = game.vector()
+    vals, _ = game._integers()
     least = list(vals)  # the least value at or above each element
     for i, row in reversed(tuple(enumerate(lat._hasse()[0]))):
         least[i] = min([vals[i]] + [least[j] for j in row])

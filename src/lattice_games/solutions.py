@@ -353,12 +353,13 @@ def graph_restrict(game, edges):
     A coalition earns v(empty) plus v(C) - v(empty) for each connected
     component C of the subgraph it induces, so connected coalitions keep
     v and the dividends of disconnected ones vanish.  On 2^N bit i-1 of
-    an element's mask is node i.
+    an element's mask is node i.  The restricted game holds only its
+    integer view.
     """
     _subset_only(game, "graph_restrict")
     lat = game.lattice
     near = _neighbours(lat.n, edges)
-    vals = game.vector()
+    vals, d = game._integers()
     empty = vals[0]
     restricted = []
     for rest in lat.masks:
@@ -373,7 +374,7 @@ def graph_restrict(game, edges):
             acc += vals[lat.mask_index(comp)] - empty
             rest &= ~comp
         restricted.append(acc)
-    return LatticeGame._from_vector(lat, restricted)
+    return LatticeGame._from_ints(lat, restricted, d)
 
 
 def myerson(game, edges):

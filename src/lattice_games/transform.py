@@ -5,13 +5,28 @@ coefficients are the unique weights with f(y) = sum of mu(x) over x <= y;
 they are recovered by the usual top-down recursion and inverted back by
 zeta expansion.
 
-A table holds its rationals in element-index order, read straight from a
-payload, and builds on first use one integer view: the values as ints
-over one common denominator.  Mobius inversion, the solvers, the
-supermodularity scan and the core LP read that view, so a game is scaled
-once; Mobius inversion hands its result the ints it computed.  Zeta
-expansion sums the index vector over each down-set, still in Fractions.
-Every value a table hands out is an exact Fraction.
+A table stores one of two forms of its rationals, in element-index
+order, and builds the other on first use:
+
+- the integer view (ints, d): the values as ints over one common
+  denominator, canonical (d > 0 and gcd(d, *ints) == 1), so two tables
+  hold the same rationals exactly when their views are equal;
+- the Fraction tuple.
+
+A table the package derives holds only its integer view: the game
+``normalize_bottom`` returns, the Mobius coefficients ``mobius`` returns,
+and the games ``clustering_restrict`` and ``graph_restrict`` return.
+Mobius inversion, the solvers, the predicates and the core LP read the
+view, so a game is scaled once and a solve builds no Fraction table in
+between.  The Fraction tuple of such a table is built on the first call
+of ``vector()``, ``value``/``[]``, the ``values``/``coefficients`` dicts
+or ``payload()``; ``top_value`` and ``bottom_value`` read whichever form
+the table holds.  Every value a table hands out is an exact Fraction.
+
+Parsing a payload, zeta expansion and game arithmetic still build
+Fraction tables, whose view is then built on first use.  Moving them to
+ints waits on a benchmark whose peak-memory reading does not grow with
+the number of requests completed (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -19,7 +34,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .lattice import LATTICE_TAGS, SizeLimitError, lattice_for
 
@@ -70,9 +85,10 @@ def _too_many_digits():
 class _TableOnLattice:
     """Shared plumbing for anything that maps every element to a rational.
 
-    The rationals are held as a tuple in element-index order; the dict
+    A table holds its Fraction tuple, its canonical integer view, or
+    both; whichever is missing is built on first use, as is the dict
     keyed by element (``values`` of a game, ``coefficients`` of a Mobius
-    table) and the integer view are built on first use.
+    table).
     """
 
     def __init__(self, lattice, values, fill=None):
@@ -91,51 +107,69 @@ class _TableOnLattice:
                 vector.append(fill)
             else:
                 raise ValueError(f"missing value for {lattice.key(x)}")
-        self._set(lattice, vector)
+        self._set(lattice, tuple(vector), None)
 
     @classmethod
-    def _from_vector(cls, lattice, vector, ints=None):
-        """A table from rationals this package computed, already in
-        element-index order, with their integer view when the caller has
-        it; nothing is checked or parsed."""
+    def _from_vector(cls, lattice, vector):
+        """A table from Fractions this package computed, already in
+        element-index order; nothing is checked or parsed."""
         table = cls.__new__(cls)
-        table._set(lattice, vector, ints)
+        table._set(lattice, tuple(vector), None)
         return table
 
-    def _set(self, lattice, vector, ints=None):
+    @classmethod
+    def _from_ints(cls, lattice, ints, d):
+        """A table holding only the integer view ints / d (d > 0) that
+        this package computed, in element-index order, reduced to
+        canonical form; no Fraction is built."""
+        table = cls.__new__(cls)
+        table._set(lattice, None, _canonical(ints, d))
+        return table
+
+    def _set(self, lattice, vector, ints):
         self.lattice = lattice
-        self._vector = tuple(vector)
+        self._vector = vector
         self._view = None
         self._ints = ints
 
     def _integers(self):
-        """(ints, d) with d > 0 and ints[i] / d == vector()[i]; built once."""
+        """(ints, d), canonical, with ints[i] / d == vector()[i]; built once."""
         if self._ints is None:
             self._ints = _scaled(self._vector)
         return self._ints
 
+    def _end(self, i):
+        """Entry i (0 or -1) in whichever form the table holds."""
+        if self._vector is None:
+            ints, d = self._ints
+            return Fraction(ints[i], d)
+        return self._vector[i]
+
     def _table(self):
         if self._view is None:
-            self._view = dict(zip(self.lattice.elements, self._vector))
+            self._view = dict(zip(self.lattice.elements, self.vector()))
         return self._view
 
     def vector(self):
-        """The rationals in element-index order."""
+        """The rationals in element-index order, as Fractions."""
+        if self._vector is None:
+            ints, d = self._ints
+            self._vector = tuple(Fraction(q, d) for q in ints)
         return self._vector
 
     def value(self, x):
-        return self._vector[self.lattice.index(x)]
+        return self.vector()[self.lattice.index(x)]
 
     __getitem__ = value
 
     def __eq__(self, other):
         return (type(other) is type(self)
                 and other.lattice is self.lattice
-                and other._vector == self._vector)
+                and other._integers() == self._integers())
 
     def __repr__(self):
         lat = self.lattice
-        return f"{type(self).__name__}({lat.describe()}, {len(self._vector)} entries)"
+        return f"{type(self).__name__}({lat.describe()}, {len(lat)} entries)"
 
 
 class LatticeGame(_TableOnLattice):
@@ -145,35 +179,37 @@ class LatticeGame(_TableOnLattice):
 
     @property
     def bottom_value(self):
-        return self._vector[0]
+        return self._end(0)
 
     @property
     def top_value(self):
-        return self._vector[-1]
+        return self._end(-1)
 
     def normalize_bottom(self):
-        """Shift so the bottom sits at zero; returns (game, shift removed)."""
-        shift = self.bottom_value
-        if shift == 0:
+        """Shift so the bottom sits at zero; returns (game, shift removed).
+
+        The shifted game holds only its integer view."""
+        ints, d = self._integers()
+        low = ints[0]
+        if low == 0:
             return self, Fraction(0)
-        return LatticeGame._from_vector(self.lattice,
-                                        [q - shift for q in self._vector]), shift
+        return LatticeGame._from_ints(self.lattice, [q - low for q in ints], d), Fraction(low, d)
 
     def __add__(self, other):
         if not isinstance(other, LatticeGame) or other.lattice is not self.lattice:
             return NotImplemented
         return LatticeGame._from_vector(self.lattice,
-                                        [p + q for p, q in zip(self._vector, other._vector)])
+                                        [p + q for p, q in zip(self.vector(), other.vector())])
 
     def __sub__(self, other):
         if not isinstance(other, LatticeGame) or other.lattice is not self.lattice:
             return NotImplemented
         return LatticeGame._from_vector(self.lattice,
-                                        [p - q for p, q in zip(self._vector, other._vector)])
+                                        [p - q for p, q in zip(self.vector(), other.vector())])
 
     def __mul__(self, scalar):
         c = parse_fraction(scalar)
-        return LatticeGame._from_vector(self.lattice, [c * q for q in self._vector])
+        return LatticeGame._from_vector(self.lattice, [c * q for q in self.vector()])
 
     __rmul__ = __mul__
 
@@ -181,7 +217,7 @@ class LatticeGame(_TableOnLattice):
         lat = self.lattice
         return {"lattice": lat.tag, "n": lat.n,
                 "values": {lat.key(x): format_fraction(q)
-                           for x, q in zip(lat.elements, self._vector)}}
+                           for x, q in zip(lat.elements, self.vector())}}
 
     @classmethod
     def from_payload(cls, payload, max_n=None):
@@ -227,22 +263,34 @@ class MobiusCoefficients(_TableOnLattice):
         super().__init__(lattice, coefficients, fill=Fraction(0))
 
     def support(self):
-        return tuple(x for x, q in zip(self.lattice.elements, self._vector) if q != 0)
+        return tuple(x for x, q in zip(self.lattice.elements, self._integers()[0]) if q)
 
     def zeta_expand(self):
         return zeta_expand(self)
 
 
 def _scaled(vector):
-    """(ints, d): the rationals as integers over d, the lcm of their denominators."""
+    """(ints, d): the rationals as integers over d, the lcm of their
+    denominators.  The view is canonical: a prime's highest power in d
+    divides some denominator q, whose int then lacks that prime."""
     d = lcm(*(q.denominator for q in vector))
     return [q.numerator * (d // q.denominator) for q in vector], d
+
+
+def _canonical(ints, d):
+    """ints / d (d > 0) reduced to the canonical view: gcd(d, *ints) == 1."""
+    g = gcd(d, *ints)
+    if g == 1:
+        return ints, d
+    return [q // g for q in ints], d // g
 
 
 def mobius(game):
     """Mobius coefficients of a game, by recursion in element order (a
     linear extension, so every element comes after its down-set), on the
-    game's integer view; the result's view is its ints over the same d."""
+    game's integer view.  The result holds only its ints, over the same
+    d: the recursion and zeta expansion are integer maps inverse to each
+    other, so the ints keep the game's gcd of 1 with d."""
     lat = game.lattice
     ints, d = game._integers()
     mu = [0] * len(ints)
@@ -250,7 +298,7 @@ def mobius(game):
     for i, v in enumerate(ints):
         # the down-set of i ends with i itself, whose entry is still 0
         mu[i] = v - sum(map(entry, lat.downset_indices(i)))
-    return MobiusCoefficients._from_vector(lat, [Fraction(m, d) for m in mu], (mu, d))
+    return MobiusCoefficients._from_ints(lat, mu, d)
 
 
 def zeta_expand(coeffs):

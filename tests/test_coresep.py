@@ -9,7 +9,7 @@ import textwrap
 from pathlib import Path
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -237,6 +237,36 @@ def test_check_sums_the_shares_on_each_mask(tag, n):
             point = [Fraction(rng.randint(-6, 9), rng.randint(1, 2)) for _ in lat.atoms]
             sol = Solution(lat, dict(zip(lat.atoms, point)))
             assert system.check(sol._vector) == dense_check(game, point)
+
+
+def scaled_oracle(vector):
+    """The lcm-of-denominators scaling of Fractions, spelt out."""
+    d = 1
+    for q in vector:
+        d = d * q.denominator // gcd(d, q.denominator)
+    return [q.numerator * (d // q.denominator) for q in vector], d
+
+
+@pytest.mark.parametrize("tag,n", [("2^N", n) for n in range(1, 8)]
+                         + [("P^N", n) for n in range(1, 7)]
+                         + [("E^N", n) for n in range(1, 6)])
+def test_core_bounds_equal_the_fraction_oracle(tag, n):
+    """The core LP's ints and d, read off the int-only game normalize_bottom
+    derives, are those of the shift done in Fractions, up to |L| = 203:
+    the simplex gets the same inputs and makes the same pivots."""
+    rng = random.Random(47 * n + ord(tag[0]))
+    lat = lattice_for(tag, n)
+    for k in range(3):
+        dens = ((1,), (2, 4, 6), (1, 2, 3, 5, 12))[k]
+        vector = [Fraction(2 * rng.randint(-30, 30), rng.choice(dens)) for _ in lat.elements]
+        game = LatticeGame(lat, {x: f"{q.numerator * 3}/{q.denominator * 3}"
+                                 for x, q in zip(lat.elements, vector)})
+        shifted = game.normalize_bottom()[0]
+        system = CoreSystem(shifted)
+        assert (shifted._vector is None) == (vector[0] != 0)  # a zero bottom keeps the game
+        ints, d = scaled_oracle([q - vector[0] for q in vector])
+        assert (system.ints, system.d) == (ints, d)
+        assert gcd(d, *ints) == 1
 
 
 # ---------------------------------------------------------------------------

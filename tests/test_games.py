@@ -308,3 +308,80 @@ def test_predicate_report_shapes():
     bad = PredicateReport(False, witness="spot")
     assert not bad
     assert "spot" in repr(bad)
+
+
+def test_symmetric_payload_rejects_stray_keys():
+    good = SymmetricGame("2^N", 2, {0: 0, 1: 1, 2: 3}).payload()
+    with pytest.raises(ValueError, match="unknown key 'clasValues'"):
+        SymmetricGame.from_payload({**good, "clasValues": {"0": "9"}})
+    with pytest.raises(ValueError, match="unknown key"):
+        SymmetricGame.from_payload({"lattice": "2^N", "n": 2, "values": good["classValues"]})
+
+
+def fraction_is_monotone(game):
+    """is_monotone on the Fraction vector: the cover-edge form before it
+    read the integer view."""
+    lat = game.lattice
+    masks = lat.masks
+    vals = game.vector()
+    least = list(vals)
+    for i, row in reversed(tuple(enumerate(lat._hasse()[0]))):
+        least[i] = min([vals[i]] + [least[j] for j in row])
+    for i, q in enumerate(vals):
+        if least[i] < q:
+            j = next(j for j in range(i, len(vals)) if vals[j] < q and not masks[i] & ~masks[j])
+            return PredicateReport(False, (lat.elements[i], lat.elements[j]))
+    return PredicateReport(True)
+
+
+def fraction_is_symmetric(game):
+    """is_symmetric on the Fraction vector, before it read the integer view."""
+    lat = game.lattice
+    seen = {}
+    for x, q in zip(lat.elements, game.vector()):
+        cls = lat.class_of(x)
+        if cls in seen:
+            if seen[cls] != q:
+                return None
+        else:
+            seen[cls] = q
+    return SymmetricGame(lat.tag, lat.n, seen)
+
+
+def test_predicates_on_the_integer_view_match_the_fraction_forms():
+    """is_monotone and is_symmetric give the verdicts, witnesses and class
+    tables of their Fraction forms, on parsed games and on the int-only
+    games normalize_bottom and clustering_restrict derive, whose Fraction
+    tuples they leave unbuilt."""
+    rng = random.Random(37)
+    verdicts = set()
+    bare_seen = 0
+    for tag, n in [("2^N", 3), ("P^N", 4), ("E^N", 3), ("2^N", 5), ("P^N", 5), ("E^N", 4)]:
+        lat = lattice_for(tag, n)
+        classes = sorted({lat.class_of(x) for x in lat.elements})
+        for k in range(8):
+            dens = (1,) if k % 2 else (1, 2, 3, 4, 6)
+            if k % 4 < 2:
+                coeffs = {x: Fraction(rng.randint(0, 3), rng.choice(dens)) for x in lat.elements}
+                values = dict(MobiusCoefficients(lat, coeffs).zeta_expand().values)
+            else:
+                table = {c: Fraction(rng.randint(-6, 9), rng.choice(dens)) for c in classes}
+                values = {x: table[lat.class_of(x)] for x in lat.elements}
+            if k % 3:
+                values[rng.choice(lat.elements)] += Fraction(rng.randint(-3, 3), rng.choice(dens))
+            game = LatticeGame(lat, values)
+            derived = [game.normalize_bottom()[0],
+                       clustering_restrict(game, rng.choice(lat.elements))]
+            for g in [game, *derived]:
+                bare = g._vector is None
+                mono = is_monotone(g)
+                sym = is_symmetric(g)
+                assert (g._vector is None) == bare
+                bare_seen += bare
+                oracle = LatticeGame(lat, dict(zip(lat.elements, g.vector())))
+                expected = fraction_is_monotone(oracle)
+                assert (mono.holds, mono.witness) == (expected.holds, expected.witness)
+                assert sym == fraction_is_symmetric(oracle)
+                verdicts.add((mono.holds, sym is None))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+    assert bare_seen >= 48

@@ -3,14 +3,18 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
 from lattice_games.games import clustering_restrict
 from lattice_games.lattice import lattice_for
+from lattice_games.solutions import graph_restrict
 from lattice_games.transform import (
     LatticeGame,
     MobiusCoefficients,
+    _canonical,
+    _scaled,
     format_fraction,
     mobius,
     parse_fraction,
@@ -175,20 +179,80 @@ def test_size_game_dividends_on_partitions():
 
 @pytest.mark.parametrize("tag,n", SMALL_LATTICES)
 def test_integer_view_is_the_vector_over_one_denominator(tag, n):
-    """A table's integer view is built once, on first use; mobius hands
-    its result the ints it computed, over the game's denominator.  Either
-    way ints[i] / d is vector()[i]."""
+    """A table's integer view is built once, on first use, or is all a
+    derived table holds; mobius hands its result the ints it computed,
+    over the game's denominator.  Either way the view is canonical and
+    ints[i] / d is vector()[i]."""
     rng = random.Random(31 * n + ord(tag[0]))
     lat = lattice_for(tag, n)
     for _ in range(4):
         game = random_game(lat, rng)
         coeffs = mobius(game)
         assert coeffs._integers()[1] == game._integers()[1]
-        for table in (game, coeffs, game.normalize_bottom()[0], zeta_expand(coeffs)):
+        tables = [game, coeffs, game.normalize_bottom()[0], zeta_expand(coeffs),
+                  clustering_restrict(game, rng.choice(lat.elements))]
+        if tag == "2^N":
+            edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5]
+            tables.append(graph_restrict(game, edges))
+        for table in tables:
             ints, d = table._integers()
             assert table._integers() is table._integers()
             assert d > 0 and len(ints) == len(lat)
+            assert gcd(d, *ints) == 1
             assert [Fraction(q, d) for q in ints] == list(table.vector())
+
+
+def seeded_vectors(rng, size):
+    """Fraction vectors with shared factors, unreduced "p/q" spellings and
+    a zero bottom among them, as (vector, spellings)."""
+    for k in range(24):
+        factor = rng.choice((1, 2, 6, 10))
+        dens = rng.choice(((1,), (2, 4), (3, 9), (1, 2, 3, 5, 12)))
+        pairs = [(factor * rng.randint(-20, 20), rng.choice(dens)) for _ in range(size)]
+        if k % 3 == 0:
+            pairs[0] = (0, rng.choice(dens))
+        yield ([Fraction(p, q) for p, q in pairs],
+               [f"{p * m}/{q * m}" for (p, q), m in zip(pairs, rng.choices((1, 2, 7), k=size))])
+
+
+@pytest.mark.parametrize("tag,n", SMALL_LATTICES)
+def test_canonical_view_equals_the_scaled_fractions(tag, n):
+    """Reducing any integer form of a vector gives _scaled of its
+    Fractions, and so does every table the package derives in ints:
+    normalize_bottom against the shift done in Fractions."""
+    rng = random.Random(41 * n + ord(tag[0]))
+    lat = lattice_for(tag, n)
+    for vector, spellings in seeded_vectors(rng, len(lat)):
+        want = _scaled(vector)
+        ints, d = want
+        k = rng.randint(1, 30)
+        assert _canonical([q * k for q in ints], d * k) == want
+        game = LatticeGame(lat, dict(zip(lat.elements, spellings)))
+        assert game._integers() == want and game.vector() == tuple(vector)
+        shifted, shift = game.normalize_bottom()
+        assert shift == vector[0]
+        assert shifted._integers() == _scaled([q - vector[0] for q in vector])
+        assert shifted.bottom_value == 0 and shifted.top_value == vector[-1] - vector[0]
+
+
+def test_derived_tables_build_fractions_on_demand():
+    """A derived table holds only ints until a Fraction is asked for;
+    its ends read the ints, and equality compares canonical views."""
+    lat = lattice_for("P^N", 3)
+    game = LatticeGame(lat, {x: f"{4 * lat.rank(x) + 6}/4" for x in lat.elements})
+    shifted, shift = game.normalize_bottom()
+    coeffs = mobius(shifted)
+    assert shift == Fraction(3, 2)
+    for table in (shifted, coeffs):
+        assert table._vector is None
+    assert shifted._integers() == ([0, 1, 1, 1, 2], 1)
+    assert (shifted.bottom_value, shifted.top_value) == (0, 2)
+    assert shifted._vector is None
+    assert coeffs.support() == lat.elements[1:] and coeffs._vector is None  # the top at -1
+    rank = LatticeGame(lat, {x: lat.rank(x) for x in lat.elements})
+    assert shifted == rank and shifted._vector is None
+    assert shifted[lat.top] == 2 and shifted.vector() == rank.vector()
+    assert mobius(rank).coefficients == coeffs.coefficients
 
 
 def test_mobius_table_rejects_strays():
