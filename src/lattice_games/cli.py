@@ -27,6 +27,7 @@ from .lattice import (
     class_vectors,
     ground_cap,
     lattice_for,
+    parse_int,
 )
 from .transform import (
     LatticeGame,
@@ -99,7 +100,7 @@ def _rows(kind, values, *lead):
 
 def _parse_edge(key, n):
     try:
-        i, j = (int(tok) for tok in str(key).split(","))
+        i, j = (parse_int(tok) for tok in str(key).split(","))
     except ValueError:
         raise ValueError(f"bad edge key {key!r}; expected \"i,j\"") from None
     return _edge(i, j, n)
@@ -303,7 +304,7 @@ def _trace_csv(path):
                 raise ValueError(f"{path}:{lineno}: expected 4 columns")
             label, i, j, volume = (cell.strip() for cell in row)
             try:
-                n = max(n, int(i), int(j))
+                n = max(n, parse_int(i), parse_int(j))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad edge {i!r},{j!r}") from None
             periods.setdefault(label, []).append((f"{i},{j}", volume))

@@ -18,6 +18,7 @@ from .lattice import (
     class_vectors,
     lattice_for,
     parse_class_key,
+    parse_int,
 )
 from .transform import (
     LatticeGame,
@@ -155,9 +156,11 @@ class SymmetricGame:
         ground = n + 1 if tag == "E^N" else n
         values = {}
         for key, text in raw.items():
+            if not isinstance(key, str):
+                raise ValueError(f"bad class key {key!r}")
             if tag == "2^N":
                 try:
-                    k = int(key)
+                    k = parse_int(key)
                 except ValueError:
                     raise ValueError(f"bad class key {key!r}") from None
                 if not 0 <= k <= n:

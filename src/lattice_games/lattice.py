@@ -37,6 +37,7 @@ covers of every element i and the maximal chains of [bottom, i] and of
 from __future__ import annotations
 
 import os
+import re
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
@@ -47,10 +48,25 @@ ENV_MAX_N = "LATTICE_GAMES_MAX_N"
 
 LATTICE_TAGS = ("2^N", "P^N", "E^N")
 
+# An integer in text: an optionally signed run of ASCII digits.  int()
+# alone also reads other scripts' digits ("\u0661", "\uff11") and
+# underscores ("1_0"), which no number or key here is spelt with.
+INTEGER = re.compile(r"[+-]?[0-9]+")
+
 
 class SizeLimitError(ValueError):
     """A requested ground set exceeds the configured size cap, or a number
     Python's limit on int-string digits."""
+
+
+def parse_int(text):
+    """int(text) for an integer in text, blanks around it allowed; any
+    other text, or a text that is not a str, raises ValueError."""
+    if isinstance(text, str):
+        text = text.strip()
+        if INTEGER.fullmatch(text):
+            return int(text)
+    raise ValueError(f"not an integer: {text!r}")
 
 
 class VerificationError(RuntimeError):
@@ -75,7 +91,7 @@ def ground_cap(override=None):
     if raw is None:
         return DEFAULT_MAX_N
     try:
-        return int(raw)
+        return parse_int(raw)
     except ValueError:
         raise ValueError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
 
@@ -143,7 +159,7 @@ def class_key(cvec):
 def parse_class_key(text, n):
     """Inverse of class_key for a ground set of size n."""
     try:
-        sizes = [int(tok) for tok in text.split(",")]
+        sizes = [parse_int(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"bad class key {text!r}") from None
     if any(s < 1 for s in sizes) or sum(sizes) != n:
@@ -256,7 +272,7 @@ class Partition:
     def from_rgs(cls, code, n=None):
         if isinstance(code, str):
             try:
-                digits = [int(ch) for ch in code]
+                digits = [parse_int(ch) for ch in code]
             except ValueError:
                 raise ValueError(f"bad restricted-growth string {code!r}") from None
         else:
@@ -289,7 +305,7 @@ class Partition:
         blocks = []
         for part in text.split("|"):
             try:
-                block = [int(tok) for tok in part.split(",")]
+                block = [parse_int(tok) for tok in part.split(",")]
             except ValueError:
                 raise ValueError(f"bad partition string {text!r}") from None
             blocks.append(block)
@@ -352,7 +368,7 @@ class EmbeddedSubset:
         part = Partition.parse(tail, n)
         if head:
             try:
-                subset = [int(tok) for tok in head.split(",")]
+                subset = [parse_int(tok) for tok in head.split(",")]
             except ValueError:
                 raise ValueError(f"bad embedded subset {text!r}") from None
         else:
@@ -674,7 +690,7 @@ class SubsetLattice(Lattice):
         if not text:
             return frozenset()
         try:
-            items = [int(tok) for tok in text.split(",")]
+            items = [parse_int(tok) for tok in text.split(",")]
         except ValueError:
             raise ValueError(f"bad subset {text!r}") from None
         out = frozenset(items)

@@ -13,20 +13,27 @@ order, and builds the other on first use:
   hold the same rationals exactly when their views are equal;
 - the Fraction tuple.
 
-A table the package derives holds only its integer view: the game
-``normalize_bottom`` returns, the Mobius coefficients ``mobius`` returns,
-and the games ``clustering_restrict`` and ``graph_restrict`` return.
-Mobius inversion, the solvers, the predicates and the core LP read the
-view, so a game is scaled once and a solve builds no Fraction table in
-between.  The Fraction tuple of such a table is built on the first call
-of ``vector()``, ``value``/``[]``, the ``values``/``coefficients`` dicts
-or ``payload()``; ``top_value`` and ``bottom_value`` read whichever form
-the table holds.  Every value a table hands out is an exact Fraction.
+Every value that enters the package is read once into a numerator and
+a denominator, by the grammar ``parse_fraction`` also uses, and a table
+takes its view over the lcm of the denominators with no Fraction built.
+So a table holds only its integer view when it is read from a payload,
+built by the ``LatticeGame`` or ``MobiusCoefficients`` constructor, made
+by game ``+``, ``-`` or scalar ``*`` or by ``zeta_game``, or derived:
+the game ``normalize_bottom`` returns, the Mobius coefficients ``mobius``
+returns, and the games ``clustering_restrict`` and ``graph_restrict``
+return.  Mobius inversion, the solvers, the predicates and the core LP
+read the view, so a solve builds no Fraction table from input to answer.
+The Fraction tuple is built on the first call of ``vector()``,
+``value``/``[]``, the ``values``/``coefficients`` dicts or ``payload()``;
+``top_value`` and ``bottom_value`` read whichever form the table holds.
+Every value a table hands out is an exact Fraction.
 
-Parsing a payload, zeta expansion and game arithmetic still build
-Fraction tables, whose view is then built on first use.  Moving them to
-ints waits on a benchmark whose peak-memory reading does not grow with
-the number of requests completed (ROADMAP item 1).
+Zeta expansion alone, with the per-period dividends ``netshare`` feeds
+it, still builds a Fraction table.  An integer
+``zeta_expand`` runs the netshare benchmark about four times as fast, and
+so reads 30-36% more peak memory there, over that metric's 10% bound,
+until the benchmark's peak-memory reading stops growing with the number
+of requests completed (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -36,9 +43,9 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-from .lattice import LATTICE_TAGS, SizeLimitError, lattice_for
+from .lattice import INTEGER, LATTICE_TAGS, SizeLimitError, lattice_for
 
-_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+_RATIONAL = re.compile(rf"({INTEGER.pattern})(?:/([0-9]+))?")
 
 
 def parse_fraction(value):
@@ -49,15 +56,23 @@ def parse_fraction(value):
     denominator longer than Python's int-string limit raises
     SizeLimitError.
     """
+    return Fraction(*_ratio(value))
+
+
+def _ratio(value):
+    """(p, q) with q > 0 and p/q the rational parse_fraction reads from
+    value, unreduced: the one reader of every value the package takes in."""
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value.strip())
         if match:
             num, den = match.groups()
-            den = _parse_int(den or "1")
+            den = _parse_int(den) if den else 1
             if den:
-                return Fraction(_parse_int(num), den)
-    elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return Fraction(value)
+                return _parse_int(num), den
+    elif isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
     raise ValueError(f"not a rational: {value!r}")
 
 
@@ -88,7 +103,7 @@ class _TableOnLattice:
     A table holds its Fraction tuple, its canonical integer view, or
     both; whichever is missing is built on first use, as is the dict
     keyed by element (``values`` of a game, ``coefficients`` of a Mobius
-    table).
+    table).  The constructor reads the values straight into the view.
     """
 
     def __init__(self, lattice, values, fill=None):
@@ -99,15 +114,15 @@ class _TableOnLattice:
                 ok = False
             if not ok:
                 raise ValueError(f"{k!r} is not an element of {lattice.describe()}")
-        vector = []
+        pairs = []
         for x in lattice.elements:
             if x in values:
-                vector.append(parse_fraction(values[x]))
+                pairs.append(_ratio(values[x]))
             elif fill is not None:
-                vector.append(fill)
+                pairs.append(fill)
             else:
                 raise ValueError(f"missing value for {lattice.key(x)}")
-        self._set(lattice, tuple(vector), None)
+        self._set(lattice, None, _canonical(*_over_lcm(pairs)))
 
     @classmethod
     def _from_vector(cls, lattice, vector):
@@ -198,18 +213,24 @@ class LatticeGame(_TableOnLattice):
     def __add__(self, other):
         if not isinstance(other, LatticeGame) or other.lattice is not self.lattice:
             return NotImplemented
-        return LatticeGame._from_vector(self.lattice,
-                                        [p + q for p, q in zip(self.vector(), other.vector())])
+        return self._plus(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, LatticeGame) or other.lattice is not self.lattice:
             return NotImplemented
-        return LatticeGame._from_vector(self.lattice,
-                                        [p - q for p, q in zip(self.vector(), other.vector())])
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        """self + sign * other, in ints over the lcm of both denominators."""
+        (a, d), (b, e) = self._integers(), other._integers()
+        m = lcm(d, e)
+        s, t = m // d, sign * (m // e)
+        return LatticeGame._from_ints(self.lattice, [p * s + q * t for p, q in zip(a, b)], m)
 
     def __mul__(self, scalar):
-        c = parse_fraction(scalar)
-        return LatticeGame._from_vector(self.lattice, [c * q for q in self.vector()])
+        p, q = _ratio(scalar)
+        ints, d = self._integers()
+        return LatticeGame._from_ints(self.lattice, [p * v for v in ints], q * d)
 
     __rmul__ = __mul__
 
@@ -240,18 +261,19 @@ class LatticeGame(_TableOnLattice):
         if not isinstance(raw, dict):
             raise ValueError("payload needs a \"values\" object")
         keys = lat.key_indices()
-        vector = [None] * len(lat)
+        pairs = [None] * len(lat)
         for key, text in raw.items():
             i = keys.get(key)
             if i is None:
+                if not isinstance(key, str):
+                    raise ValueError(f"element keys are strings, got {key!r}")
                 i = lat.index(lat.parse_element(key))
-            if vector[i] is not None:
+            if pairs[i] is not None:
                 raise ValueError(f"duplicate value for element {lat.key(lat.elements[i])}")
-            vector[i] = parse_fraction(text)
-        if len(raw) != len(vector):  # keys are distinct elements, so some are missing
-            i = next(i for i, q in enumerate(vector) if q is None)
-            raise ValueError(f"missing value for {lat.key(lat.elements[i])}")
-        return cls._from_vector(lat, vector)
+            pairs[i] = _ratio(text)
+        if len(raw) != len(pairs):  # keys are distinct elements, so some are missing
+            raise ValueError(f"missing value for {lat.key(lat.elements[pairs.index(None)])}")
+        return cls._from_ints(lat, *_over_lcm(pairs))
 
 
 class MobiusCoefficients(_TableOnLattice):
@@ -260,7 +282,7 @@ class MobiusCoefficients(_TableOnLattice):
     coefficients = property(_TableOnLattice._table, doc="{element: coefficient}")
 
     def __init__(self, lattice, coefficients):
-        super().__init__(lattice, coefficients, fill=Fraction(0))
+        super().__init__(lattice, coefficients, fill=(0, 1))
 
     def support(self):
         return tuple(x for x, q in zip(self.lattice.elements, self._integers()[0]) if q)
@@ -275,6 +297,13 @@ def _scaled(vector):
     divides some denominator q, whose int then lacks that prime."""
     d = lcm(*(q.denominator for q in vector))
     return [q.numerator * (d // q.denominator) for q in vector], d
+
+
+def _over_lcm(pairs):
+    """(ints, d): the rationals p/q (q > 0) of pairs as integers over d,
+    the lcm of their q, not yet reduced."""
+    d = lcm(*(q for _, q in pairs))
+    return [p * (d // q) for p, q in pairs], d
 
 
 def _canonical(ints, d):
@@ -313,8 +342,7 @@ def zeta_game(lattice, x):
     """Indicator of the up-set of x: worth 1 once cooperation reaches x,
     on every element whose mask holds the mask of x."""
     below = lattice.masks[lattice.index(x)]
-    return LatticeGame._from_vector(
-        lattice, [Fraction(1 if m & below == below else 0) for m in lattice.masks])
+    return LatticeGame._from_ints(lattice, [int(m & below == below) for m in lattice.masks], 1)
 
 
 def _known_keys(obj, known, where):

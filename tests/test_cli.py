@@ -460,13 +460,32 @@ MALFORMED = {
     "cluster-file-stray-key": (
         "solve", {"lattice": "2^N", "n": 2, "values": {"": "0", "1": "0", "2": "0", "1,2": "1"}},
         "--cluster-file", {"cluster": "1,2", "clustre": "x"}),
+    # numbers in text are ASCII digits: int() alone would read these
+    "game-value-in-arabic-indic-digits": (
+        "solve", {"lattice": "2^N", "n": 1, "values": {"": "0", "1": "\u0661/\u0662"}},
+        None, None),
+    "game-value-in-a-fullwidth-digit": (
+        "solve", {"lattice": "2^N", "n": 1, "values": {"": "0", "1": "\uff11"}}, None, None),
+    "game-key-in-an-arabic-indic-digit": (
+        "solve", {"lattice": "2^N", "n": 1, "values": {"": "0", "\u0661": "1"}}, None, None),
+    "trace-edge-key-in-an-arabic-indic-digit": (
+        "netshare", {"n": 3, "periods": [{"volumes": {"\u0662,3": "1"}}]}, None, None),
+    "trace-csv-node-with-an-underscore": (
+        "netshare", "period,i,j,volume\nt0,1_0,2,1\n", None, None),
+    "trace-csv-node-in-an-arabic-indic-digit": (
+        "netshare", "period,i,j,volume\nt0,\u0663,2,1\nt0,1,2,1\n", None, None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_inputs_exit_2(tmp_path, capsys, case):
     command, main_input, flag, side_input = MALFORMED[case]
-    argv = [command, write_json(tmp_path / "input.json", main_input)]
+    if isinstance(main_input, str):  # a CSV trace
+        main = tmp_path / "input.csv"
+        main.write_text(main_input, encoding="utf-8")
+        argv = [command, str(main)]
+    else:
+        argv = [command, write_json(tmp_path / "input.json", main_input)]
     if command == "solve":  # myerson needs a graph file, so it fails without one
         argv += ["--solver", "myerson" if flag == "--graph-file" else "su"]
     if flag is not None:

@@ -226,7 +226,7 @@ def test_check_sums_the_shares_on_each_mask(tag, n):
     inside = su(game)
     assert CoreSystem(game).check(inside._vector) == dense_check(game, inside.vector()) == []
     # the same shares overpay a top lowered by one: only the equality breaks
-    lowered = LatticeGame._from_vector(lat, game.vector()[:-1] + (game.top_value - 1,))
+    lowered = game - zeta_game(lat, lat.top)
     assert (CoreSystem(lowered).check(inside._vector)
             == dense_check(lowered, inside.vector()) == [lat.top])
     mixed = LatticeGame(lat, {x: Fraction(rng.randint(-9, 9), rng.randint(1, 3))
@@ -263,7 +263,8 @@ def test_core_bounds_equal_the_fraction_oracle(tag, n):
                                  for x, q in zip(lat.elements, vector)})
         shifted = game.normalize_bottom()[0]
         system = CoreSystem(shifted)
-        assert (shifted._vector is None) == (vector[0] != 0)  # a zero bottom keeps the game
+        assert (shifted is game) == (vector[0] == 0)  # a zero bottom keeps the game
+        assert shifted._vector is None  # and a parsed one holds only its ints
         ints, d = scaled_oracle([q - vector[0] for q in vector])
         assert (system.ints, system.d) == (ints, d)
         assert gcd(d, *ints) == 1

@@ -150,14 +150,18 @@ def test_symmetric_payload_roundtrip():
 
 def test_symmetric_payload_rejects_bad_keys():
     good = SymmetricGame("2^N", 2, {0: 0, 1: 1, 2: 2}).payload()
-    with pytest.raises(ValueError, match="class key"):
-        SymmetricGame.from_payload({**good, "classValues": {"x": "0"}})
+    for stray in ("x", "\u0661", 1):  # an Arabic-Indic one, and a key that is no string
+        with pytest.raises(ValueError, match="class key"):
+            SymmetricGame.from_payload({**good, "classValues": {stray: "0"}})
     with pytest.raises(ValueError, match="out of range"):
         SymmetricGame.from_payload(
             {**good, "classValues": {**good["classValues"], "7": "0"}})
     psym = SymmetricGame("P^N", 3, {(3, 0, 0): 0, (1, 1, 0): 1, (0, 0, 1): 2})
     p = psym.payload()
     assert SymmetricGame.from_payload(p) == psym
+    for stray in ((3,), 3):
+        with pytest.raises(ValueError, match="class key"):
+            SymmetricGame.from_payload({**p, "classValues": {**p["classValues"], stray: "0"}})
     dup = {**p["classValues"], "1,2": "5"}  # same class as "2,1", resorted
     with pytest.raises(ValueError, match="duplicate"):
         SymmetricGame.from_payload({**p, "classValues": dup})

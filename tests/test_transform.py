@@ -1,5 +1,6 @@
 """Mobius/zeta layer: inversion against closed forms and defining sums."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -83,15 +84,43 @@ def test_normalize_bottom():
     assert again is base and zero == 0
 
 
-def test_game_arithmetic():
+def arithmetic_operands(kind):
+    """Two games on P^3, rank and size, held in one of the forms a table
+    can take: built by the constructor, read from a payload, derived in
+    ints only, or a Fraction tuple with no integer view yet."""
     lat = lattice_for("P^N", 3)
-    g = LatticeGame(lat, {x: lat.rank(x) for x in lat.elements})
-    h = LatticeGame(lat, {x: lat.size(x) for x in lat.elements})
+    rank = LatticeGame(lat, {x: lat.rank(x) for x in lat.elements})
+    size = LatticeGame(lat, {x: lat.size(x) for x in lat.elements})
+    if kind == "parsed":
+        return tuple(LatticeGame.from_payload(g.payload()) for g in (rank, size))
+    if kind == "derived":
+        shift = zeta_game(lat, lat.bottom)
+        return tuple((g + 5 * shift).normalize_bottom()[0] for g in (rank, size))
+    if kind == "fractions":
+        return tuple(zeta_expand(mobius(g)) for g in (rank, size))
+    return rank, size
+
+
+@pytest.mark.parametrize("kind", ["constructed", "parsed", "derived", "fractions"])
+def test_game_arithmetic(kind):
+    """Sums, differences and scalar multiples hold only ints, whatever
+    form their operands hold, and equal the Fraction arithmetic."""
+    g, h = arithmetic_operands(kind)
+    lat = g.lattice
+    assert kind != "fractions" or g._ints is None
     s = g + h
+    diff = s - h
+    scaled = {c: (c * g, g * c) for c in (2, Fraction(1, 2), "-3/6", 0)}
+    for table in (s, diff, *(t for pair in scaled.values() for t in pair)):
+        assert table._vector is None
     assert s[lat.top] == 2 + 3
-    assert (s - h) == g
-    assert (2 * g)[lat.top] == 4
-    assert (g * Fraction(1, 2))[lat.top] == 1
+    assert s.vector() == tuple(p + q for p, q in zip(g.vector(), h.vector()))
+    assert diff == g and diff.vector() == g.vector()
+    assert scaled[2][0][lat.top] == 4
+    assert scaled[Fraction(1, 2)][1][lat.top] == 1
+    for c, (left, right) in scaled.items():
+        assert left == right
+        assert left.vector() == tuple(parse_fraction(c) * q for q in g.vector())
     other = LatticeGame(lattice_for("P^N", 4),
                         {x: 0 for x in lattice_for("P^N", 4).elements})
     with pytest.raises(TypeError):
@@ -148,6 +177,7 @@ def test_zeta_game_has_indicator_dividend():
         lat = lattice_for(tag, n)
         for x in (lat.bottom, lat.atoms[0], lat.top):
             z = zeta_game(lat, x)
+            assert z._vector is None and z._integers()[1] == 1
             mu = mobius(z)
             for y in lat.elements:
                 assert mu.coefficients[y] == (1 if y == x else 0)
@@ -294,6 +324,8 @@ def test_payload_rejects_bad_input():
     bad_val = {**good, "values": {**good["values"], "1,2": "0.5"}}
     with pytest.raises(ValueError, match="not a rational"):
         LatticeGame.from_payload(bad_val)
+    with pytest.raises(ValueError, match="element keys are strings, got 1"):
+        LatticeGame.from_payload({**good, "values": {"": "0", 1: "1"}})
     with pytest.raises(ValueError):
         LatticeGame.from_payload("nope")
 
@@ -474,3 +506,65 @@ def test_from_payload_keeps_the_error_messages():
         with pytest.raises(ValueError) as got:
             LatticeGame.from_payload(payload)
         assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# reading values straight into the integer view
+
+CAP_LATTICES = ([("2^N", n) for n in range(1, 9)]
+                + [("P^N", n) for n in range(1, 9)]
+                + [("E^N", n) for n in range(1, 8)])
+
+
+def spell(q, rng):
+    """One text for the rational q among those the reader takes: "p/q"
+    unreduced, signed, zero-padded or blank-padded, or a JSON int."""
+    p, d = q.numerator, q.denominator
+    k = rng.choice((1, 2, 7))
+    form = rng.randrange(5)
+    if form == 0:
+        return f"{p * k}/{d * k}"  # "6/4"
+    if form == 1:
+        if d * k == 1:
+            return f"{p:+d}"  # "+3"
+        return f"{'-' if p <= 0 else '+'}{abs(p) * k}/{d * k}"  # "-0/7"
+    if form == 2:
+        return f"{p * k:03d}/{d * k:03d}"  # "007/010"
+    if form == 3:
+        return f" {p}/{d} " if d > 1 else f" {p} "  # " 5 "
+    return p if d == 1 else f"{p}/{d}"  # a JSON int
+
+
+def seeded_rationals(rng, size):
+    return [Fraction(0) if rng.random() < 0.2
+            else Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 4, 6, 10)))
+            for _ in range(size)]
+
+
+@pytest.mark.parametrize("tag,n", CAP_LATTICES)
+def test_integer_ingest_equals_the_fraction_parse(tag, n):
+    """A payload, the constructors and a sparse Mobius table read their
+    values straight into the canonical view: the view parsed_then_validated
+    gives, and _scaled of the values read as Fractions, with no Fraction
+    tuple built on the way in."""
+    rng = random.Random(59 * n + ord(tag[0]))
+    lat = lattice_for(tag, n)
+    vector = seeded_rationals(rng, len(lat))
+    spellings = [spell(q, rng) for q in vector]
+    assert [Fraction(s) for s in spellings] == vector  # the spellings are right
+    assert [parse_fraction(s) for s in spellings] == vector
+    want = _scaled(vector)
+    payload = json.loads(json.dumps({"lattice": tag, "n": n, "values": {
+        lat.key(x): s for x, s in zip(lat.elements, spellings)}}))
+    read = LatticeGame.from_payload(payload)
+    assert read._vector is None and read._integers() == want
+    assert read == parsed_then_validated(payload)
+    for values in (spellings, vector, [int(q) if q.denominator == 1 else q for q in vector]):
+        built = LatticeGame(lat, dict(zip(lat.elements, values)))
+        assert built._vector is None and built._integers() == want
+    kept = rng.sample(range(len(lat)), min(6, len(lat)))
+    coeffs = MobiusCoefficients(lat, {lat.elements[i]: spellings[i] for i in kept})
+    assert coeffs._vector is None
+    assert coeffs._integers() == _scaled([vector[i] if i in kept else Fraction(0)
+                                          for i in range(len(lat))])
+    assert read.vector() == tuple(vector)
