@@ -101,10 +101,7 @@ def arithmetic_operands(kind):
     return rank, size
 
 
-@pytest.mark.parametrize("kind", ["constructed", "parsed", "derived", "fractions"])
-def test_game_arithmetic(kind):
-    """Sums, differences and scalar multiples hold only ints, whatever
-    form their operands hold, and equal the Fraction arithmetic."""
+def check_game_arithmetic(kind):
     g, h = arithmetic_operands(kind)
     lat = g.lattice
     assert kind != "fractions" or g._ints is None
@@ -125,6 +122,13 @@ def test_game_arithmetic(kind):
                         {x: 0 for x in lattice_for("P^N", 4).elements})
     with pytest.raises(TypeError):
         g + other
+
+
+def test_game_arithmetic():
+    """Sums, differences and scalar multiples hold only ints, whatever
+    form their operands hold, and equal the Fraction arithmetic."""
+    for kind in ("constructed", "parsed", "derived", "fractions"):
+        check_game_arithmetic(kind)
 
 
 def subset_mobius_closed_form(game, coalition):
