@@ -33,7 +33,9 @@ from .transform import (
     LatticeGame,
     MobiusCoefficients,
     _known_keys,
+    _over_lcm,
     _parse_int,
+    _ratio,
     format_fraction,
     parse_fraction,
     zeta_game,
@@ -331,11 +333,13 @@ def _period_dividends(lat, volumes, cluster=None):
     """A period's Mobius mass: edge k's volume sits on the atom of mask bit
     k, kept under a cluster only when bit k is set in the cluster's mask."""
     kept = lat.masks[-1 if cluster is None else lat.index(cluster)]
-    mass = [Fraction(0)] * len(lat)
-    for k, edge in enumerate(combinations(range(1, lat.n + 1), 2)):
-        if kept >> k & 1:
-            mass[lat.mask_index(1 << k)] = parse_fraction(volumes.get(edge, 0))
-    return MobiusCoefficients._from_vector(lat, mass)
+    atoms = {lat.mask_index(1 << k): _ratio(volumes.get(edge, 0))
+             for k, edge in enumerate(combinations(range(1, lat.n + 1), 2)) if kept >> k & 1}
+    ints, d = _over_lcm(atoms.values())  # the other entries are 0
+    mass = [0] * len(lat)
+    for i, q in zip(atoms, ints):
+        mass[i] = q
+    return MobiusCoefficients._from_ints(lat, mass, d)
 
 
 def cmd_netshare(args):
@@ -634,7 +638,7 @@ def build_parser():
                        help="split edge shares to nodes (partition games only)")
     solve.add_argument("--cluster-file", help="JSON element key to restrict to")
     solve.add_argument("--no-bottom-normalize", action="store_true")
-    solve.add_argument("--max-n", type=int)
+    solve.add_argument("--max-n", type=parse_int)
     solve.add_argument("--format", default="json", choices=["json", "csv"])
     solve.set_defaults(func=cmd_solve)
 
@@ -642,7 +646,7 @@ def build_parser():
     core.add_argument("game", help="JSON game file")
     core.add_argument("--cluster-file", help="JSON element key to restrict to")
     core.add_argument("--no-bottom-normalize", action="store_true")
-    core.add_argument("--max-n", type=int)
+    core.add_argument("--max-n", type=parse_int)
     core.add_argument("--format", default="json", choices=["json", "csv"])
     core.set_defaults(func=cmd_core)
 
@@ -654,13 +658,13 @@ def build_parser():
     net.add_argument("--split", default="equal", metavar="equal|WEIGHTS")
     net.add_argument("--cluster-file",
                      help="partition key, or JSON object period -> key")
-    net.add_argument("--max-n", type=int)
+    net.add_argument("--max-n", type=parse_int)
     net.add_argument("--format", default="json", choices=["json", "csv"])
     net.set_defaults(func=cmd_netshare)
 
     check = sub.add_parser("selfcheck",
                            help="run the bundled worked examples and report")
-    check.add_argument("--max-n", type=int)
+    check.add_argument("--max-n", type=parse_int)
     check.set_defaults(func=cmd_selfcheck)
     return parser
 

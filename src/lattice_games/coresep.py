@@ -15,9 +15,9 @@ parts' columns are -u and the surplus columns are signed copies of the
 artificial ones; every pivot is one exact linear map on the columns, so
 those copies stay exact and are read through a column map, and their
 reduced costs through a cost map.  An empty core comes with a Farkas
-certificate, a nonempty one with a witness point, and both are
-re-verified exactly before they are returned; a failed check raises
-VerificationError.
+certificate, a nonempty one with a witness point, both ints over the
+final determinant, re-verified on those ints before they are returned;
+a failed check raises VerificationError.
 
 Separability asks the converse of building a partition game from a set
 function on the affected groups: which games arise that way?  The test
@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lattice import EmbeddedSubset, Partition, VerificationError
-from .transform import _scaled, format_fraction, parse_fraction
+from .transform import format_fraction, parse_fraction
 from .games import PredicateReport
 from .solutions import Solution, _credit
 
@@ -51,15 +51,14 @@ class CoreSystem:
         lat = game.lattice
         self.lattice = lat
         self.cols = [lat.masks[lat.index(a)] for a in lat.atoms]
-        self.ints, self.d = game._integers()
+        self.ints, self.d = game._ints
 
-    def check(self, vector):
-        """Elements whose lower bound the shares violate, for shares in
-        mask-bit order (each bound sums the shares on its element's bits);
-        the top equality counts when it fails in either direction.  With
-        the shares as ints over their own denominator e, a bound b over d
-        holds when the sum times d reaches b times e."""
-        shares, e = _scaled(vector)
+    def check(self, shares, e):
+        """Elements whose lower bound the shares violate, for shares given
+        as ints over their own denominator e > 0 in mask-bit order (each
+        bound sums the shares on its element's bits); the top equality
+        counts when it fails in either direction.  A bound b over d holds
+        when the sum times d reaches b times e."""
         lat, d = self.lattice, self.d
         violated = [x for x, m, b in zip(lat.elements, lat.masks, self.ints)
                     if sum(q for k, q in enumerate(shares) if m >> k & 1) * d < b * e]
@@ -74,9 +73,10 @@ def _phase1(masks, cols, rhs):
     Row k of A is read off masks[k]: its coefficient on x_j is 1 when
     masks[k] holds the bit cols[j] and 0 otherwise.  The last mask is
     the equality's row c, and rhs holds the ints b and then d.  Returns
-    ("feasible", point) or ("infeasible", (y, lam)) where y >= 0 pairs
-    with the inequalities, lam with the equality, and sum y_i a_i + lam c
-    = 0 while sum y_i b_i + lam d > 0.
+    ("feasible", point, det) or ("infeasible", (y, lam), det), the proof
+    as ints over det > 0, where y >= 0 pairs with the inequalities, lam
+    with the equality, and sum y_i a_i + lam c = 0 while
+    sum y_i b_i + lam d > 0.
 
     The tableau holds only ints (Edmonds 1967; Bareiss 1968): the stored
     rows are det(B) times the rational tableau of the current basis B,
@@ -162,10 +162,10 @@ def _phase1(masks, cols, rhs):
         for i, bv in enumerate(basis):
             if bv < ncols:
                 x[bv] = rows[i][width]
-        return "feasible", [Fraction(x[j] - x[nvars + j], det) for j in range(nvars)]
+        return "feasible", [x[j] - x[nvars + j] for j in range(nvars)], det
     # optimal duals of the phase-1 problem, read off the artificial columns
-    y = [s * Fraction(det - r, det) for s, r in zip(sigma, red[nvars:width])]
-    return "infeasible", (y[:-1], y[-1])
+    y = [s * (det - r) for s, r in zip(sigma, red[nvars:width])]
+    return "infeasible", (y[:-1], y[-1]), det
 
 
 def _eliminate(row, pivot, p, f, det):
@@ -212,24 +212,26 @@ def core_feasible(game):
     a verified infeasibility certificate."""
     system = CoreSystem(game)
     lat, ints = system.lattice, system.ints
-    status, proof = _phase1([*lat.masks, lat.masks[-1]], system.cols, [*ints, ints[-1]])
+    status, proof, det = _phase1([*lat.masks, lat.masks[-1]], system.cols, [*ints, ints[-1]])
     if status == "feasible":
         # the point's columns are in lat.atoms order; sort them by mask bit
-        vector = [q / system.d for _, q in sorted(zip(system.cols, proof))]
-        if system.check(vector):
+        shares = [q for _, q in sorted(zip(system.cols, proof))]
+        if system.check(shares, det * system.d):
             raise VerificationError("simplex returned an infeasible point")
-        return CoreReport(game, "nonempty", witness=Solution._from_vector(lat, vector))
+        return CoreReport(game, "nonempty",
+                          witness=Solution._from_ints(lat, shares, det * system.d))
     multipliers, lam = proof
     _check_certificate(system, multipliers, lam)
-    named = {x: q for x, q in zip(lat.elements, multipliers) if q != 0}
-    return CoreReport(game, "empty", certificate=(named, lam))
+    named = {x: Fraction(q, det) for x, q in zip(lat.elements, multipliers) if q}
+    return CoreReport(game, "empty", certificate=(named, Fraction(lam, det)))
 
 
 def _check_certificate(system, multipliers, lam):
     """Farkas check: the combination cancels every variable yet demands a
-    positive total, so no shares can satisfy the system.  Each multiplier
-    is credited to its element's bits, lam to every bit; the total is
-    read at the bounds' scale d > 0, which keeps its sign."""
+    positive total, so no shares can satisfy the system.  The multipliers
+    and lam are ints over one positive denominator, which keeps every
+    sign.  Each multiplier is credited to its element's bits, lam to every
+    bit; the total is read at the bounds' scale d > 0."""
     if any(q < 0 for q in multipliers):
         raise VerificationError("negative inequality multiplier")
     credit = [lam] * len(system.cols)
@@ -247,7 +249,7 @@ def core_contains(game, shares):
     sol = shares if isinstance(shares, Solution) else Solution(game.lattice, shares)
     if sol.lattice is not game.lattice:
         raise ValueError("shares live on a different lattice than the game")
-    violated = CoreSystem(game).check(sol._vector)
+    violated = CoreSystem(game).check(*sol._ints)
     return PredicateReport(not violated, violated or None)
 
 

@@ -177,7 +177,7 @@ class SymmetricGame:
 def is_symmetric(game):
     """The per-class table when the game is constant on classes, else None."""
     lat = game.lattice
-    ints, d = game._integers()
+    ints, d = game._ints
     seen = {}
     for x, q in zip(lat.elements, ints):
         cls = lat.class_of(x)
@@ -198,7 +198,7 @@ def clustering_restrict(game, cluster):
     """
     lat = game.lattice
     c = lat.index(cluster)
-    vals, d = game._integers()
+    vals, d = game._ints
     restricted = [vals[lat.meet_index(i, c)] for i in range(len(lat))]
     if restricted[-1] != vals[c]:
         raise VerificationError("restricted game does not end at the cluster's value")
@@ -214,7 +214,7 @@ def is_supermodular(game):
     comparable to an earlier one exactly when it holds all its atoms.
     """
     lat = game.lattice
-    vals, _ = game._integers()
+    vals, _ = game._ints
     masks = lat.masks
     for i, below in enumerate(masks):
         for j in range(i + 1, len(masks)):
@@ -227,7 +227,7 @@ def is_supermodular(game):
 def is_totally_positive(game):
     """All Mobius coefficients nonnegative; witness = first negative element.
     The denominator is positive, so the signs are those of the ints."""
-    for x, q in zip(game.lattice.elements, mobius(game)._integers()[0]):
+    for x, q in zip(game.lattice.elements, mobius(game)._ints[0]):
         if q < 0:
             return PredicateReport(False, x)
     return PredicateReport(True)
@@ -239,7 +239,7 @@ def is_monotone(game):
     compared on the integer view over its positive denominator."""
     lat = game.lattice
     masks = lat.masks
-    vals, _ = game._integers()
+    vals, _ = game._ints
     least = list(vals)  # the least value at or above each element
     for i, row in reversed(tuple(enumerate(lat._hasse()[0]))):
         least[i] = min([vals[i]] + [least[j] for j in row])

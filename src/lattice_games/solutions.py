@@ -7,48 +7,59 @@ averages per-size marginal contributions over uniformly random maximal
 chains (each cover edge weighed by the chains through it), and the
 egalitarian solution ignores structure entirely.  On the subset lattice
 the first two collapse to the Shapley value.
+
+A solution stores its shares as one canonical integer view, like a
+table in ``transform``; Fractions are built only when asked for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import factorial, lcm
 
 from .lattice import VerificationError, lattice_for
-from .transform import LatticeGame, format_fraction, mobius, parse_fraction
+from .transform import (LatticeGame, _canonical, _fractions, _over_lcm, _ratio,
+                        format_fraction, mobius, parse_fraction)
 from .games import SymmetricGame, is_symmetric
 
 
 class Solution:
     """Shares per atom; an exact allocation of f(top) - f(bottom).
 
-    The shares are one tuple in mask-bit order: share k belongs to
-    ``lattice.atoms_below(lattice.top)[k]``, which is ``lattice.atoms``
-    order on 2^N and P^N and P^(n+1)'s pair order on E^N.  ``shares`` is
-    a dict view built on each access; ``vector()`` is in atoms order.
+    The shares are one canonical integer view ``_ints`` in mask-bit
+    order: share k belongs to ``lattice.atoms_below(lattice.top)[k]``,
+    which is ``lattice.atoms`` order on 2^N and P^N and P^(n+1)'s pair
+    order on E^N.  ``shares`` is a dict view built on each access;
+    ``vector()`` is in atoms order.
     """
 
     def __init__(self, lattice, shares):
-        vector = [None] * len(lattice.atoms)
+        pairs = [None] * len(lattice.atoms)
         for a in lattice.atoms:
             if a not in shares:
                 raise ValueError(f"missing share for atom {lattice.key(a)}")
-            vector[lattice.masks[lattice.index(a)].bit_length() - 1] = parse_fraction(shares[a])
-        if len(shares) != len(vector):
+            pairs[lattice.masks[lattice.index(a)].bit_length() - 1] = _ratio(shares[a])
+        if len(shares) != len(pairs):
             stray = next(k for k in shares if k not in lattice.atoms)
             raise ValueError(f"{stray!r} is not an atom of {lattice.describe()}")
         self.lattice = lattice
-        self._vector = tuple(vector)
+        self._ints = _canonical(*_over_lcm(pairs))
 
     @classmethod
-    def _from_vector(cls, lattice, vector):
-        """A solution from Fractions this package computed, already in
-        mask-bit order; nothing is checked or parsed."""
+    def _from_ints(cls, lattice, ints, d):
+        """A solution of the shares ints / d (d > 0) that this package
+        computed, in mask-bit order, reduced to canonical form."""
         sol = cls.__new__(cls)
         sol.lattice = lattice
-        sol._vector = tuple(vector)
+        sol._ints = _canonical(ints, d)
         return sol
+
+    @cached_property
+    def _vector(self):
+        """The shares in mask-bit order, as Fractions."""
+        return _fractions(self._ints)
 
     @property
     def shares(self):
@@ -69,11 +80,12 @@ class Solution:
         return tuple(view[a] for a in self.lattice.atoms)
 
     def efficiency(self):
-        return sum(self._vector, Fraction(0))
+        ints, d = self._ints
+        return Fraction(sum(ints), d)
 
     def __eq__(self, other):
         return (isinstance(other, Solution)
-                and other.lattice is self.lattice and other._vector == self._vector)
+                and other.lattice is self.lattice and other._ints == self._ints)
 
     def __repr__(self):
         return f"Solution({self.lattice.describe()}, {self.vector()!r})"
@@ -84,13 +96,17 @@ class Solution:
 
         Mobius inversion is unique and a bottom shift moves only the bottom
         coefficient, so this holds exactly when expanding the shares gives
-        the game back with its bottom shifted to zero.
+        the game back with its bottom shifted to zero.  The two views may
+        have different denominators, so entries are cross-multiplied.
         """
         lat = self.lattice
+        if coeffs.lattice is not lat:
+            return False
+        (shares, d), (mass, e) = self._ints, coeffs._ints
         want = [0] * len(lat)
-        for k, q in enumerate(self._vector):
-            want[lat.mask_index(1 << k)] = q
-        return coeffs.lattice is lat and coeffs.vector()[1:] == tuple(want[1:])  # bottom first
+        for k, q in enumerate(shares):
+            want[lat.mask_index(1 << k)] = q * e
+        return all(p == q * d for p, q in zip(want[1:], mass[1:]))  # bottom first
 
     def payload(self):
         lat = self.lattice
@@ -139,7 +155,7 @@ def su(game):
     C = lcm(1..#atoms) is a multiple of every element's size.
     """
     lat = game.lattice
-    ints, scale = mobius(game)._integers()
+    ints, scale = mobius(game)._ints
     common = lcm(*range(1, len(lat.atoms) + 1))
     credit = [0] * len(lat.atoms)  # per mask bit
     for q, group in zip(ints, lat.masks):
@@ -148,7 +164,7 @@ def su(game):
     surplus = game.top_value - game.bottom_value
     if sum(credit) * surplus.denominator != common * scale * surplus.numerator:
         raise VerificationError(f"su shares on {lat.describe()} do not sum to f(top) - f(bottom)")
-    return Solution._from_vector(lat, [Fraction(c, common * scale) for c in credit])
+    return Solution._from_ints(lat, credit, common * scale)
 
 
 def cu(game):
@@ -160,7 +176,7 @@ def cu(game):
     and adds that many integer marginals to every atom it adds.
     """
     lat = game.lattice
-    ints, scale = game._integers()
+    ints, scale = game._ints
     covers, below, above = lat._hasse()
     masks = lat.masks
     common = lcm(*range(1, len(lat.atoms) + 1))  # a multiple of every group size
@@ -172,7 +188,7 @@ def cu(game):
     total = common * above[0]
     if sum(credit) != total * (ints[-1] - ints[0]):
         raise VerificationError(f"cu shares on {lat.describe()} do not sum to f(top) - f(bottom)")
-    return Solution._from_vector(lat, [Fraction(c, total * scale) for c in credit])
+    return Solution._from_ints(lat, credit, total * scale)
 
 
 def _credit(credit, group, gain):
@@ -200,8 +216,8 @@ def cu_chain_oracle(game):
 
 def _uniform(lat, surplus):
     """The same share of surplus for every atom; no atoms, no shares."""
-    atoms = lat.atoms
-    return Solution._from_vector(lat, [surplus / len(atoms) for _ in atoms])
+    k = len(lat.atoms)
+    return Solution._from_ints(lat, [surplus.numerator] * k, surplus.denominator * max(k, 1))
 
 
 def egalitarian(game):
@@ -266,7 +282,7 @@ def transport_solution(sol):
         target = lattice_for("E^N", lat.n - 1, lat.n)
     else:
         raise ValueError("transport connects E^N with P^(n+1)")
-    return Solution._from_vector(target, sol._vector)
+    return Solution._from_ints(target, *sol._ints)
 
 
 class NodeShares:
@@ -359,7 +375,7 @@ def graph_restrict(game, edges):
     _subset_only(game, "graph_restrict")
     lat = game.lattice
     near = _neighbours(lat.n, edges)
-    vals, d = game._integers()
+    vals, d = game._ints
     empty = vals[0]
     restricted = []
     for rest in lat.masks:

@@ -5,35 +5,27 @@ coefficients are the unique weights with f(y) = sum of mu(x) over x <= y;
 they are recovered by the usual top-down recursion and inverted back by
 zeta expansion.
 
-A table stores one of two forms of its rationals, in element-index
-order, and builds the other on first use:
-
-- the integer view (ints, d): the values as ints over one common
-  denominator, canonical (d > 0 and gcd(d, *ints) == 1), so two tables
-  hold the same rationals exactly when their views are equal;
-- the Fraction tuple.
+A table stores one form of its rationals, in element-index order: the
+integer view (ints, d), the values as ints over one common denominator,
+canonical (d > 0 and gcd(d, *ints) == 1), so two tables hold the same
+rationals exactly when their views are equal.
 
 Every value that enters the package is read once into a numerator and
 a denominator, by the grammar ``parse_fraction`` also uses, and a table
 takes its view over the lcm of the denominators with no Fraction built.
-So a table holds only its integer view when it is read from a payload,
-built by the ``LatticeGame`` or ``MobiusCoefficients`` constructor, made
-by game ``+``, ``-`` or scalar ``*`` or by ``zeta_game``, or derived:
-the game ``normalize_bottom`` returns, the Mobius coefficients ``mobius``
-returns, and the games ``clustering_restrict`` and ``graph_restrict``
-return.  Mobius inversion, the solvers, the predicates and the core LP
-read the view, so a solve builds no Fraction table from input to answer.
-The Fraction tuple is built on the first call of ``vector()``,
-``value``/``[]``, the ``values``/``coefficients`` dicts or ``payload()``;
-``top_value`` and ``bottom_value`` read whichever form the table holds.
-Every value a table hands out is an exact Fraction.
+Mobius inversion, zeta expansion, game arithmetic, the derived games,
+the solvers, the predicates and the core LP hand each other views.
+Fractions exist only as a cache, built on the first call of
+``vector()``, ``value``/``[]``, the ``values``/``coefficients`` dicts or
+``payload()``; ``top_value`` and ``bottom_value`` read the view.  Every
+value a table hands out is an exact Fraction.
 
-Zeta expansion alone, with the per-period dividends ``netshare`` feeds
-it, still builds a Fraction table.  An integer
-``zeta_expand`` runs the netshare benchmark about four times as fast, and
-so reads 30-36% more peak memory there, over that metric's 10% bound,
-until the benchmark's peak-memory reading stops growing with the number
-of requests completed (ROADMAP item 1).
+Zeta expansion still sums Fractions, read off its Mobius table's
+``vector()``, before it takes the view of the sums.  Integer sums run
+the netshare benchmark about 4.4 times as fast, and so read 58-75% more
+peak memory there, over that metric's 10% bound, until the benchmark's
+peak-memory reading stops growing with the number of requests completed
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -100,10 +92,10 @@ def _too_many_digits():
 class _TableOnLattice:
     """Shared plumbing for anything that maps every element to a rational.
 
-    A table holds its Fraction tuple, its canonical integer view, or
-    both; whichever is missing is built on first use, as is the dict
-    keyed by element (``values`` of a game, ``coefficients`` of a Mobius
-    table).  The constructor reads the values straight into the view.
+    A table stores only its canonical integer view ``_ints``; the
+    Fraction tuple and the dict keyed by element (``values`` of a game,
+    ``coefficients`` of a Mobius table) are caches built on first use.
+    The constructor reads the values straight into the view.
     """
 
     def __init__(self, lattice, values, fill=None):
@@ -122,43 +114,26 @@ class _TableOnLattice:
                 pairs.append(fill)
             else:
                 raise ValueError(f"missing value for {lattice.key(x)}")
-        self._set(lattice, None, _canonical(*_over_lcm(pairs)))
-
-    @classmethod
-    def _from_vector(cls, lattice, vector):
-        """A table from Fractions this package computed, already in
-        element-index order; nothing is checked or parsed."""
-        table = cls.__new__(cls)
-        table._set(lattice, tuple(vector), None)
-        return table
+        self._set(lattice, _canonical(*_over_lcm(pairs)))
 
     @classmethod
     def _from_ints(cls, lattice, ints, d):
-        """A table holding only the integer view ints / d (d > 0) that
-        this package computed, in element-index order, reduced to
-        canonical form; no Fraction is built."""
+        """A table of the rationals ints / d (d > 0) that this package
+        computed, in element-index order, reduced to canonical form."""
         table = cls.__new__(cls)
-        table._set(lattice, None, _canonical(ints, d))
+        table._set(lattice, _canonical(ints, d))
         return table
 
-    def _set(self, lattice, vector, ints):
+    def _set(self, lattice, ints):
         self.lattice = lattice
-        self._vector = vector
-        self._view = None
         self._ints = ints
-
-    def _integers(self):
-        """(ints, d), canonical, with ints[i] / d == vector()[i]; built once."""
-        if self._ints is None:
-            self._ints = _scaled(self._vector)
-        return self._ints
+        self._vector = None
+        self._view = None
 
     def _end(self, i):
-        """Entry i (0 or -1) in whichever form the table holds."""
-        if self._vector is None:
-            ints, d = self._ints
-            return Fraction(ints[i], d)
-        return self._vector[i]
+        """Entry i (0 or -1), read off the view."""
+        ints, d = self._ints
+        return Fraction(ints[i], d)
 
     def _table(self):
         if self._view is None:
@@ -168,8 +143,7 @@ class _TableOnLattice:
     def vector(self):
         """The rationals in element-index order, as Fractions."""
         if self._vector is None:
-            ints, d = self._ints
-            self._vector = tuple(Fraction(q, d) for q in ints)
+            self._vector = _fractions(self._ints)
         return self._vector
 
     def value(self, x):
@@ -180,7 +154,7 @@ class _TableOnLattice:
     def __eq__(self, other):
         return (type(other) is type(self)
                 and other.lattice is self.lattice
-                and other._integers() == self._integers())
+                and other._ints == self._ints)
 
     def __repr__(self):
         lat = self.lattice
@@ -204,7 +178,7 @@ class LatticeGame(_TableOnLattice):
         """Shift so the bottom sits at zero; returns (game, shift removed).
 
         The shifted game holds only its integer view."""
-        ints, d = self._integers()
+        ints, d = self._ints
         low = ints[0]
         if low == 0:
             return self, Fraction(0)
@@ -222,14 +196,14 @@ class LatticeGame(_TableOnLattice):
 
     def _plus(self, other, sign):
         """self + sign * other, in ints over the lcm of both denominators."""
-        (a, d), (b, e) = self._integers(), other._integers()
+        (a, d), (b, e) = self._ints, other._ints
         m = lcm(d, e)
         s, t = m // d, sign * (m // e)
         return LatticeGame._from_ints(self.lattice, [p * s + q * t for p, q in zip(a, b)], m)
 
     def __mul__(self, scalar):
         p, q = _ratio(scalar)
-        ints, d = self._integers()
+        ints, d = self._ints
         return LatticeGame._from_ints(self.lattice, [p * v for v in ints], q * d)
 
     __rmul__ = __mul__
@@ -285,18 +259,10 @@ class MobiusCoefficients(_TableOnLattice):
         super().__init__(lattice, coefficients, fill=(0, 1))
 
     def support(self):
-        return tuple(x for x, q in zip(self.lattice.elements, self._integers()[0]) if q)
+        return tuple(x for x, q in zip(self.lattice.elements, self._ints[0]) if q)
 
     def zeta_expand(self):
         return zeta_expand(self)
-
-
-def _scaled(vector):
-    """(ints, d): the rationals as integers over d, the lcm of their
-    denominators.  The view is canonical: a prime's highest power in d
-    divides some denominator q, whose int then lacks that prime."""
-    d = lcm(*(q.denominator for q in vector))
-    return [q.numerator * (d // q.denominator) for q in vector], d
 
 
 def _over_lcm(pairs):
@@ -314,6 +280,14 @@ def _canonical(ints, d):
     return [q // g for q in ints], d // g
 
 
+def _fractions(view):
+    """The rationals of a view (ints, d) as a tuple of Fractions.  A zero
+    int gets one shared Fraction(0): a Mobius mass is mostly zeros."""
+    ints, d = view
+    zero = Fraction(0)
+    return tuple(Fraction(q, d) if q else zero for q in ints)
+
+
 def mobius(game):
     """Mobius coefficients of a game, by recursion in element order (a
     linear extension, so every element comes after its down-set), on the
@@ -321,7 +295,7 @@ def mobius(game):
     d: the recursion and zeta expansion are integer maps inverse to each
     other, so the ints keep the game's gcd of 1 with d."""
     lat = game.lattice
-    ints, d = game._integers()
+    ints, d = game._ints
     mu = [0] * len(ints)
     entry = mu.__getitem__
     for i, v in enumerate(ints):
@@ -333,9 +307,10 @@ def mobius(game):
 def zeta_expand(coeffs):
     """The game with value sum of coefficients over the down-set of each element."""
     lat = coeffs.lattice
+    # Fraction sums: int sums run 4.4x as fast but wait on ROADMAP item 1
     entry = coeffs.vector().__getitem__
-    return LatticeGame._from_vector(lat, [sum(map(entry, lat.downset_indices(i)), Fraction(0))
-                                          for i in range(len(lat))])
+    sums = [sum(map(entry, lat.downset_indices(i)), Fraction(0)) for i in range(len(lat))]
+    return LatticeGame._from_ints(lat, *_over_lcm(list(map(Fraction.as_integer_ratio, sums))))
 
 
 def zeta_game(lattice, x):

@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from pathlib import Path
 
 from lattice_games.lattice import (
     CHAIN_CAP,
@@ -357,3 +358,21 @@ def test_acceptance_12_desk_scale_note(monkeypatch):
     run_check(12, "every number above is an exact rational computed at desk "
                   "scale (ground cap 8, chain listing cap 5); no large-scale "
                   "empirical claims are made", body)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_acceptance_13_readme_library_example(capsys):
+    def body():
+        section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        comments = [line.split("#", 1)[1].strip()
+                    for line in code.splitlines() if line.startswith("print(")]
+        assert comments == ["(Fraction(1, 1), Fraction(0, 1), Fraction(0, 1))",
+                            "(Fraction(2, 3), Fraction(1, 6), Fraction(1, 6))",
+                            "nonempty"]
+        exec(compile(code, str(README), "exec"), {})
+        assert capsys.readouterr().out.splitlines() == comments
+
+    run_check(13, "the README library example prints what its comments say", body)

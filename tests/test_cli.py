@@ -474,13 +474,25 @@ MALFORMED = {
         "netshare", "period,i,j,volume\nt0,1_0,2,1\n", None, None),
     "trace-csv-node-in-an-arabic-indic-digit": (
         "netshare", "period,i,j,volume\nt0,\u0663,2,1\nt0,1,2,1\n", None, None),
+    # --max-n takes the flag's text itself, refused before any file is read
+    "solve-max-n-in-an-arabic-indic-digit": (
+        "solve", {"lattice": "2^N", "n": 1, "values": {"": "0", "1": "1"}},
+        "--max-n", "\u0663"),
+    "core-max-n-in-a-fullwidth-digit": (
+        "core", {"lattice": "2^N", "n": 1, "values": {"": "0", "1": "1"}},
+        "--max-n", "\uff13"),
+    "netshare-max-n-in-an-arabic-indic-digit": (
+        "netshare", {"n": 3, "periods": [{"volumes": {"1,2": "1"}}]}, "--max-n", "\u0663"),
+    "selfcheck-max-n-in-an-arabic-indic-digit": ("selfcheck", None, "--max-n", "\u0663"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_inputs_exit_2(tmp_path, capsys, case):
     command, main_input, flag, side_input = MALFORMED[case]
-    if isinstance(main_input, str):  # a CSV trace
+    if main_input is None:  # selfcheck reads no file
+        argv = [command]
+    elif isinstance(main_input, str):  # a CSV trace
         main = tmp_path / "input.csv"
         main.write_text(main_input, encoding="utf-8")
         argv = [command, str(main)]
@@ -488,6 +500,16 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, case):
         argv = [command, write_json(tmp_path / "input.json", main_input)]
     if command == "solve":  # myerson needs a graph file, so it fails without one
         argv += ["--solver", "myerson" if flag == "--graph-file" else "su"]
+    if flag == "--max-n":
+        # argparse refuses the flag: usage and the error on stderr, exit 2
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + [flag, side_input])
+        code, (out, err) = info.value.code, capsys.readouterr()
+        assert code == 2, out
+        assert out == ""
+        assert err.startswith("usage: ")
+        assert f"error: argument --max-n: invalid parse_int value: {side_input!r}" in err
+        return
     if flag is not None:
         argv += [flag, write_json(tmp_path / "side.json", side_input)]
     code, out, err = run_cli(argv, capsys)

@@ -154,9 +154,19 @@ def fraction_phase1(masks, cols, rhs):
 
 
 def assert_same_phase1(masks, cols, rhs):
-    got = _phase1(masks, cols, rhs)
-    assert got == fraction_phase1(masks, cols, rhs)
-    return got[0]
+    """_phase1's proof, ints over det > 0, read as Fractions is the
+    oracle's; returns the status."""
+    status, proof, det = _phase1(masks, cols, rhs)
+    assert isinstance(det, int) and det > 0
+    if status == "feasible":
+        assert all(isinstance(q, int) for q in proof)
+        got = [Fraction(q, det) for q in proof]
+    else:
+        y, lam = proof
+        assert all(isinstance(q, int) for q in (*y, lam))
+        got = [Fraction(q, det) for q in y], Fraction(lam, det)
+    assert (status, got) == fraction_phase1(masks, cols, rhs)
+    return status
 
 
 def core_lp(game):
@@ -216,18 +226,19 @@ def dense_check(game, point):
                          + [("P^N", n) for n in range(1, 6)]
                          + [("E^N", n) for n in range(1, 5)])
 def test_check_sums_the_shares_on_each_mask(tag, n):
-    """check reads a vector in mask-bit order and lists what the dense rows
-    list, the top equality alone included."""
+    """check reads shares as ints over their denominator, in mask-bit
+    order, and lists what the dense rows list, the top equality alone
+    included."""
     rng = random.Random(43 * n + ord(tag[0]))
     lat = lattice_for(tag, n)
     # nonnegative mass off the bottom: su is a core point
     game = zeta_expand(MobiusCoefficients(lat, {x: rng.randint(0, 4)
                                                 for x in lat.elements[1:]}))
     inside = su(game)
-    assert CoreSystem(game).check(inside._vector) == dense_check(game, inside.vector()) == []
+    assert CoreSystem(game).check(*inside._ints) == dense_check(game, inside.vector()) == []
     # the same shares overpay a top lowered by one: only the equality breaks
     lowered = game - zeta_game(lat, lat.top)
-    assert (CoreSystem(lowered).check(inside._vector)
+    assert (CoreSystem(lowered).check(*inside._ints)
             == dense_check(lowered, inside.vector()) == [lat.top])
     mixed = LatticeGame(lat, {x: Fraction(rng.randint(-9, 9), rng.randint(1, 3))
                               for x in lat.elements})
@@ -236,7 +247,7 @@ def test_check_sums_the_shares_on_each_mask(tag, n):
         for _ in range(8):
             point = [Fraction(rng.randint(-6, 9), rng.randint(1, 2)) for _ in lat.atoms]
             sol = Solution(lat, dict(zip(lat.atoms, point)))
-            assert system.check(sol._vector) == dense_check(game, point)
+            assert system.check(*sol._ints) == dense_check(game, point)
 
 
 def scaled_oracle(vector):
@@ -362,6 +373,39 @@ def test_core_contains_lists_violations():
     with pytest.raises(ValueError, match="lattice"):
         core_contains(g, su(zeta_game(lattice_for("P^N", 4),
                                       lattice_for("P^N", 4).top)))
+
+
+def test_core_contains_reads_shares_over_their_own_denominator():
+    """Shares whose denominator is unlike the game's: halves in the game,
+    thirds, fifths, sixths and sevenths in the shares.  The verdict and
+    the violated elements are those of the dense Fraction rows."""
+    lat = lattice_for("P^N", 3)
+    half = size_game(lat) * Fraction(1, 2)  # atoms 1/2, top 3/2
+    wide = half + zeta_game(lat, lat.top)   # atoms 1/2, top 5/2
+    assert CoreSystem(half).d == CoreSystem(wide).d == 2
+    inside = Solution(lat, dict(zip(lat.atoms, ("4/5", "4/5", "9/10"))))
+    short = Solution(lat, dict(zip(lat.atoms, ("2/3", "1/2", "1/3"))))
+    thirds = Solution(lat, dict.fromkeys(lat.atoms, "2/3"))
+    assert (inside._ints[1], short._ints[1], thirds._ints[1]) == (10, 6, 3)
+    assert core_contains(wide, inside) and not core_contains(half, inside)
+    report = core_contains(half, short)
+    assert not report and report.witness == dense_check(half, short.vector())
+    assert core_contains(half, thirds).witness == [lat.top]  # 2 > 3/2
+    assert core_contains(wide, thirds).witness == [lat.top]  # 2 < 5/2
+    rng = random.Random(53)
+    for tag, n in [("2^N", 3), ("P^N", 4), ("E^N", 3)]:
+        lat = lattice_for(tag, n)
+        for _ in range(12):
+            game = LatticeGame(lat, {x: Fraction(rng.randint(-4, 8), rng.choice((2, 4)))
+                                     for x in lat.elements})
+            point = [Fraction(rng.randint(-4, 12), rng.choice((3, 5, 7))) for _ in lat.atoms]
+            report = core_contains(game, dict(zip(lat.atoms, point)))
+            violated = dense_check(game, point)
+            assert report.holds == (not violated) and report.witness == (violated or None)
+        # su shares of a nonnegative mass lie in the core, over their own d
+        game = zeta_expand(MobiusCoefficients(lat, {x: Fraction(rng.randint(0, 4), 3)
+                                                    for x in lat.elements[1:]})) * Fraction(1, 5)
+        assert core_contains(game, su(game))
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +561,11 @@ def test_proof_checks_run_under_python_O():
               is lattice_games.VerificationError)
         lat = lattice_for("P^N", 3)  # 5 lower bounds, top value 3
         game = LatticeGame(lat, {x: lat.size(x) for x in lat.elements})
-        one, zero = Fraction(1), Fraction(0)
-        cases = [
-            ("witness", ("feasible", [Fraction(3), zero, zero])),
-            ("negative", ("infeasible", ([-one, zero, zero, zero, zero], zero))),
-            ("uncancelled", ("infeasible", ([one] * 5, zero))),
-            ("nonpositive", ("infeasible", ([zero] * 5, zero))),
+        cases = [  # proofs as ints over det, last
+            ("witness", ("feasible", [6, 0, 0], 2)),
+            ("negative", ("infeasible", ([-1, 0, 0, 0, 0], 0), 1)),
+            ("uncancelled", ("infeasible", ([2] * 5, 0), 2)),
+            ("nonpositive", ("infeasible", ([0] * 5, 0), 3)),
         ]
         for name, proof in cases:
             coresep._phase1 = lambda *args, proof=proof: proof

@@ -10,6 +10,7 @@ characterize them.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
@@ -98,22 +99,82 @@ def test_solution_container():
 def test_solver_shares_read_back_through_the_atom_view():
     """Solvers hold shares in mask-bit order, which on E^N is not the order
     of lat.atoms; the dict view, the vector, indexing and the payload all
-    name each share by its own atom."""
+    name each share by its own atom.  Every solver's view is canonical, so
+    it equals the view the constructor reads from the shares, on every
+    lattice up to the default cap."""
     rng = random.Random(21)
-    cases = ([("2^N", n) for n in range(1, 6)] + [("P^N", n) for n in range(1, 7)]
-             + [("E^N", n) for n in range(1, 6)])
+    cases = ([("2^N", n) for n in range(1, 9)] + [("P^N", n) for n in range(1, 9)]
+             + [("E^N", n) for n in range(1, 8)])
     for tag, n in cases:
         lat = lattice_for(tag, n)
         game = random_game(lat, rng)
-        for solver in (su, cu, egalitarian):
+        solvers = [su, cu, egalitarian]
+        if tag == "2^N":
+            solvers += [shapley_dividends, shapley_chain]
+        for solver in solvers:
             sol = solver(game)
             view = sol.shares
+            ints, d = sol._ints
+            assert d > 0 and gcd(d, *ints) == 1
             assert list(view) == list(lat.atoms_below(lat.top))
             assert sol == Solution(lat, view)
             assert sol.vector() == tuple(view[a] for a in lat.atoms)
             assert all(sol[a] == view[a] for a in lat.atoms)
             assert list(sol.payload()["shares"].values()) == \
                 [str(view[a]) for a in lat.atoms]
+
+
+def test_solutions_equal_across_denominators():
+    """A solution made from ints over an unreduced denominator reduces to
+    the view the constructor reads, so == holds whatever the denominator
+    it was handed; shares that differ are unequal even with equal ints."""
+    rng = random.Random(23)
+    for tag, n in SMALL_LATTICES:
+        lat = lattice_for(tag, n)
+        bits = lat.atoms_below(lat.top)  # mask-bit order
+        for _ in range(6):
+            shares = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6))) for _ in bits]
+            d = lcm(*(q.denominator for q in shares))
+            k = rng.randint(2, 30)
+            made = Solution._from_ints(lat, [q.numerator * (d // q.denominator) * k
+                                             for q in shares], d * k)
+            read = Solution(lat, dict(zip(bits, shares)))
+            ints, e = made._ints
+            assert made == read and gcd(e, *ints) == 1
+            assert made.shares == read.shares == dict(zip(bits, shares))
+            assert made.efficiency() == sum(shares)
+            if any(ints):
+                assert made != Solution._from_ints(lat, ints, 2 * e)
+
+
+def test_matches_cross_multiplies_unlike_denominators():
+    """Shares over 6 against Mobius masses over 30: the 1/5 at the bottom
+    sets the mass's denominator and is ignored, so the shares 1/2, 1/3, 0
+    match it; a mass with the same ints as the shares over 30 does not."""
+    lat = lattice_for("P^N", 3)
+    a, b, c = lat.atoms
+    sol = Solution(lat, {a: Fraction(1, 2), b: Fraction(1, 3), c: 0})
+    same = MobiusCoefficients(lat, {lat.bottom: Fraction(1, 5), a: Fraction(1, 2),
+                                    b: Fraction(1, 3)})
+    scaled_down = MobiusCoefficients(lat, {lat.bottom: "1/30", a: "1/10", b: "1/15"})
+    assert sol._ints == ([3, 2, 0], 6)
+    assert same._ints[1] == scaled_down._ints[1] == 30
+    assert [scaled_down._ints[0][lat.index(x)] for x in (a, b, c)] == [3, 2, 0]
+    assert sol.matches(same) and not sol.matches(scaled_down)
+    game = zeta_expand(same)
+    assert su(game) == sol and is_fixed_point(su, game)
+    assert not is_fixed_point(cu, game)
+    # a third of the top's dividend on each atom: shares over 18, mass over 30
+    topped = zeta_expand(MobiusCoefficients(lat, {lat.bottom: Fraction(1, 5),
+                                                  a: Fraction(1, 2), lat.top: Fraction(1, 3)}))
+    assert su(topped)._ints == ([11, 2, 2], 18)
+    assert not is_fixed_point(su, topped)
+    volumes = {(1, 2): Fraction(1, 2), (1, 3): Fraction(1, 3)}
+    mass = _period_dividends(lat, volumes)
+    assert mass._ints[1] == 6 and su(zeta_expand(mass)).matches(mass)
+    kept = _period_dividends(lat, volumes, lat.parse_element("1,2|3"))
+    assert sorted(kept._ints[0]) == [0, 0, 0, 0, 1] and kept._ints[1] == 2
+    assert not su(zeta_expand(mass)).matches(kept) and su(zeta_expand(kept)).matches(kept)
 
 
 def test_solution_expand():

@@ -4,7 +4,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -15,7 +15,6 @@ from lattice_games.transform import (
     LatticeGame,
     MobiusCoefficients,
     _canonical,
-    _scaled,
     format_fraction,
     mobius,
     parse_fraction,
@@ -24,6 +23,14 @@ from lattice_games.transform import (
 )
 
 SMALL_LATTICES = [("2^N", 3), ("2^N", 4), ("P^N", 3), ("P^N", 4), ("E^N", 2), ("E^N", 3)]
+
+
+def scaled_oracle(vector):
+    """(ints, d): Fractions as integers over d, the lcm of their
+    denominators.  The view is canonical: a prime's highest power in d
+    divides some denominator q, whose int then lacks that prime."""
+    d = lcm(*(q.denominator for q in vector))
+    return [q.numerator * (d // q.denominator) for q in vector], d
 
 
 def random_game(lat, rng):
@@ -85,9 +92,8 @@ def test_normalize_bottom():
 
 
 def arithmetic_operands(kind):
-    """Two games on P^3, rank and size, held in one of the forms a table
-    can take: built by the constructor, read from a payload, derived in
-    ints only, or a Fraction tuple with no integer view yet."""
+    """Two games on P^3, rank and size, made in one of the ways a table
+    is made: built by the constructor, read from a payload, or derived."""
     lat = lattice_for("P^N", 3)
     rank = LatticeGame(lat, {x: lat.rank(x) for x in lat.elements})
     size = LatticeGame(lat, {x: lat.size(x) for x in lat.elements})
@@ -96,15 +102,12 @@ def arithmetic_operands(kind):
     if kind == "derived":
         shift = zeta_game(lat, lat.bottom)
         return tuple((g + 5 * shift).normalize_bottom()[0] for g in (rank, size))
-    if kind == "fractions":
-        return tuple(zeta_expand(mobius(g)) for g in (rank, size))
     return rank, size
 
 
 def check_game_arithmetic(kind):
     g, h = arithmetic_operands(kind)
     lat = g.lattice
-    assert kind != "fractions" or g._ints is None
     s = g + h
     diff = s - h
     scaled = {c: (c * g, g * c) for c in (2, Fraction(1, 2), "-3/6", 0)}
@@ -125,9 +128,9 @@ def check_game_arithmetic(kind):
 
 
 def test_game_arithmetic():
-    """Sums, differences and scalar multiples hold only ints, whatever
-    form their operands hold, and equal the Fraction arithmetic."""
-    for kind in ("constructed", "parsed", "derived", "fractions"):
+    """Sums, differences and scalar multiples hold only ints, however
+    their operands were made, and equal the Fraction arithmetic."""
+    for kind in ("constructed", "parsed", "derived"):
         check_game_arithmetic(kind)
 
 
@@ -181,7 +184,7 @@ def test_zeta_game_has_indicator_dividend():
         lat = lattice_for(tag, n)
         for x in (lat.bottom, lat.atoms[0], lat.top):
             z = zeta_game(lat, x)
-            assert z._vector is None and z._integers()[1] == 1
+            assert z._vector is None and z._ints[1] == 1
             mu = mobius(z)
             for y in lat.elements:
                 assert mu.coefficients[y] == (1 if y == x else 0)
@@ -213,24 +216,23 @@ def test_size_game_dividends_on_partitions():
 
 @pytest.mark.parametrize("tag,n", SMALL_LATTICES)
 def test_integer_view_is_the_vector_over_one_denominator(tag, n):
-    """A table's integer view is built once, on first use, or is all a
-    derived table holds; mobius hands its result the ints it computed,
-    over the game's denominator.  Either way the view is canonical and
-    ints[i] / d is vector()[i]."""
+    """A table's integer view is all it stores, a zeta expansion's too;
+    mobius hands its result the ints it computed, over the game's
+    denominator.  Every view is canonical and ints[i] / d is
+    vector()[i]."""
     rng = random.Random(31 * n + ord(tag[0]))
     lat = lattice_for(tag, n)
     for _ in range(4):
         game = random_game(lat, rng)
         coeffs = mobius(game)
-        assert coeffs._integers()[1] == game._integers()[1]
+        assert coeffs._ints[1] == game._ints[1]
         tables = [game, coeffs, game.normalize_bottom()[0], zeta_expand(coeffs),
                   clustering_restrict(game, rng.choice(lat.elements))]
         if tag == "2^N":
             edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5]
             tables.append(graph_restrict(game, edges))
         for table in tables:
-            ints, d = table._integers()
-            assert table._integers() is table._integers()
+            ints, d = table._ints
             assert d > 0 and len(ints) == len(lat)
             assert gcd(d, *ints) == 1
             assert [Fraction(q, d) for q in ints] == list(table.vector())
@@ -251,21 +253,21 @@ def seeded_vectors(rng, size):
 
 @pytest.mark.parametrize("tag,n", SMALL_LATTICES)
 def test_canonical_view_equals_the_scaled_fractions(tag, n):
-    """Reducing any integer form of a vector gives _scaled of its
+    """Reducing any integer form of a vector gives scaled_oracle of its
     Fractions, and so does every table the package derives in ints:
     normalize_bottom against the shift done in Fractions."""
     rng = random.Random(41 * n + ord(tag[0]))
     lat = lattice_for(tag, n)
     for vector, spellings in seeded_vectors(rng, len(lat)):
-        want = _scaled(vector)
+        want = scaled_oracle(vector)
         ints, d = want
         k = rng.randint(1, 30)
         assert _canonical([q * k for q in ints], d * k) == want
         game = LatticeGame(lat, dict(zip(lat.elements, spellings)))
-        assert game._integers() == want and game.vector() == tuple(vector)
+        assert game._ints == want and game.vector() == tuple(vector)
         shifted, shift = game.normalize_bottom()
         assert shift == vector[0]
-        assert shifted._integers() == _scaled([q - vector[0] for q in vector])
+        assert shifted._ints == scaled_oracle([q - vector[0] for q in vector])
         assert shifted.bottom_value == 0 and shifted.top_value == vector[-1] - vector[0]
 
 
@@ -279,7 +281,7 @@ def test_derived_tables_build_fractions_on_demand():
     assert shift == Fraction(3, 2)
     for table in (shifted, coeffs):
         assert table._vector is None
-    assert shifted._integers() == ([0, 1, 1, 1, 2], 1)
+    assert shifted._ints == ([0, 1, 1, 1, 2], 1)
     assert (shifted.bottom_value, shifted.top_value) == (0, 2)
     assert shifted._vector is None
     assert coeffs.support() == lat.elements[1:] and coeffs._vector is None  # the top at -1
@@ -549,7 +551,7 @@ def seeded_rationals(rng, size):
 def test_integer_ingest_equals_the_fraction_parse(tag, n):
     """A payload, the constructors and a sparse Mobius table read their
     values straight into the canonical view: the view parsed_then_validated
-    gives, and _scaled of the values read as Fractions, with no Fraction
+    gives, and scaled_oracle of the values read as Fractions, with no Fraction
     tuple built on the way in."""
     rng = random.Random(59 * n + ord(tag[0]))
     lat = lattice_for(tag, n)
@@ -557,18 +559,18 @@ def test_integer_ingest_equals_the_fraction_parse(tag, n):
     spellings = [spell(q, rng) for q in vector]
     assert [Fraction(s) for s in spellings] == vector  # the spellings are right
     assert [parse_fraction(s) for s in spellings] == vector
-    want = _scaled(vector)
+    want = scaled_oracle(vector)
     payload = json.loads(json.dumps({"lattice": tag, "n": n, "values": {
         lat.key(x): s for x, s in zip(lat.elements, spellings)}}))
     read = LatticeGame.from_payload(payload)
-    assert read._vector is None and read._integers() == want
+    assert read._vector is None and read._ints == want
     assert read == parsed_then_validated(payload)
     for values in (spellings, vector, [int(q) if q.denominator == 1 else q for q in vector]):
         built = LatticeGame(lat, dict(zip(lat.elements, values)))
-        assert built._vector is None and built._integers() == want
+        assert built._vector is None and built._ints == want
     kept = rng.sample(range(len(lat)), min(6, len(lat)))
     coeffs = MobiusCoefficients(lat, {lat.elements[i]: spellings[i] for i in kept})
     assert coeffs._vector is None
-    assert coeffs._integers() == _scaled([vector[i] if i in kept else Fraction(0)
+    assert coeffs._ints == scaled_oracle([vector[i] if i in kept else Fraction(0)
                                           for i in range(len(lat))])
     assert read.vector() == tuple(vector)
