@@ -622,6 +622,15 @@ def cmd_selfcheck(args):
 # argument plumbing
 
 
+def _max_n(text):
+    """The --max-n value; argparse prints a refusal's message as it stands."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"takes an integer in ASCII digits, got {text!r}") from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lattice-games",
@@ -638,7 +647,7 @@ def build_parser():
                        help="split edge shares to nodes (partition games only)")
     solve.add_argument("--cluster-file", help="JSON element key to restrict to")
     solve.add_argument("--no-bottom-normalize", action="store_true")
-    solve.add_argument("--max-n", type=parse_int)
+    solve.add_argument("--max-n", type=_max_n)
     solve.add_argument("--format", default="json", choices=["json", "csv"])
     solve.set_defaults(func=cmd_solve)
 
@@ -646,7 +655,7 @@ def build_parser():
     core.add_argument("game", help="JSON game file")
     core.add_argument("--cluster-file", help="JSON element key to restrict to")
     core.add_argument("--no-bottom-normalize", action="store_true")
-    core.add_argument("--max-n", type=parse_int)
+    core.add_argument("--max-n", type=_max_n)
     core.add_argument("--format", default="json", choices=["json", "csv"])
     core.set_defaults(func=cmd_core)
 
@@ -658,13 +667,13 @@ def build_parser():
     net.add_argument("--split", default="equal", metavar="equal|WEIGHTS")
     net.add_argument("--cluster-file",
                      help="partition key, or JSON object period -> key")
-    net.add_argument("--max-n", type=parse_int)
+    net.add_argument("--max-n", type=_max_n)
     net.add_argument("--format", default="json", choices=["json", "csv"])
     net.set_defaults(func=cmd_netshare)
 
     check = sub.add_parser("selfcheck",
                            help="run the bundled worked examples and report")
-    check.add_argument("--max-n", type=parse_int)
+    check.add_argument("--max-n", type=_max_n)
     check.set_defaults(func=cmd_selfcheck)
     return parser
 

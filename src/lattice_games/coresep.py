@@ -21,18 +21,18 @@ a failed check raises VerificationError.
 
 Separability asks the converse of building a partition game from a set
 function on the affected groups: which games arise that way?  The test
-recovers the only candidate set functions and checks them against every
-partition.
+recovers the only candidate set functions and checks each through the
+additive lift that builds such games (``games._lift``), comparing the
+lifted integer view with the game's on every element.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
-from .lattice import EmbeddedSubset, Partition, VerificationError
-from .transform import format_fraction, parse_fraction
-from .games import PredicateReport
+from .lattice import EmbeddedSubset, Partition, VerificationError, lattice_for
+from .transform import LatticeGame, format_fraction, parse_fraction
+from .games import PredicateReport, _lift
 from .solutions import Solution, _credit
 
 
@@ -267,25 +267,27 @@ def _merge_bottom(n, group):
 def _recover(game, singletons):
     """The only set function with these singleton values that could
     separate the game: read each larger value off the partition that
-    merges exactly that group."""
-    lat = game.lattice
-    n = lat.n
+    merges exactly that group.  v(empty), which no block reads, is 0."""
+    n = game.lattice.n
     total = sum(singletons.values(), Fraction(0))
     v = {frozenset((i,)): singletons[i] for i in range(1, n + 1)}
-    for size in range(2, n + 1):
-        for combo in combinations(range(1, n + 1), size):
-            group = frozenset(combo)
-            outside = total - sum(singletons[i] for i in combo)
-            v[group] = game[_merge_bottom(n, group)] - outside
+    for group in lattice_for("2^N", n, n).elements[n + 1:]:  # by size, then in lex order
+        outside = total - sum(singletons[i] for i in group)
+        v[group] = game[_merge_bottom(n, group)] - outside
+    v[frozenset()] = Fraction(0)
     return v
 
 
 def _first_violation(game, v):
-    """First partition (in lattice order) where the blockwise sum misses."""
-    for p, q in zip(game.lattice.elements, game.vector()):
-        if sum((v[frozenset(b)] for b in p.blocks), Fraction(0)) != q:
-            return p
-    return None
+    """First element (in lattice order) where the lift of the set function
+    v misses the game, or None.  Only the groups of 1..n are read, and an
+    absent v(empty), which counts on E^N only, reads as 0; the two
+    integer views are cross-multiplied."""
+    lat = game.lattice
+    groups = lattice_for("2^N", lat.n, lat.n)  # past any cap lat was built past
+    lifted = _lift(LatticeGame(groups, {g: v.get(g, 0) for g in groups.elements}), lat)
+    (a, d), (b, e) = lifted._ints, game._ints
+    return next((x for x, p, q in zip(lat.elements, a, b) if p * e != q * d), None)
 
 
 class SeparatingFamily:
@@ -317,7 +319,6 @@ class SeparatingFamily:
                 f"singleton values sum to {total}, "
                 f"need {self.singleton_total()}")
         v = _recover(self.game, chosen)
-        v[frozenset()] = Fraction(0)
         if _first_violation(self.game, v) is not None:
             raise VerificationError("member of a verified family fails to separate")
         return v
@@ -325,9 +326,7 @@ class SeparatingFamily:
     def contains(self, v):
         """Whether a set function separates the game; v(empty) is ignored."""
         table = {frozenset(k): parse_fraction(q) for k, q in v.items()}
-        needed = {frozenset(c) for size in range(1, self.n + 1)
-                  for c in combinations(range(1, self.n + 1), size)}
-        if not needed <= set(table):
+        if not all(g in table for g in lattice_for("2^N", self.n, self.n).elements[1:]):
             return False
         return _first_violation(self.game, table) is None
 
@@ -373,17 +372,14 @@ def _separate_partition_game(game):
     bad = _first_violation(game, v)
     if bad is not None:
         return SeparabilityReport(False, violated=bad)
-    base = dict(v)
-    base[frozenset()] = Fraction(0)
-    return SeparabilityReport(True, family=SeparatingFamily(game, base))
+    return SeparabilityReport(True, family=SeparatingFamily(game, v))
 
 
 def _separate_embedded_game(game):
     """With a distinguished block the set function is forced, the empty
     group included: marking a singleton counts it twice, so differences
     along the bottom row untangle everything."""
-    lat = game.lattice
-    n = lat.n
+    n = game.lattice.n
 
     def at_bottom(group):
         inner = _merge_bottom(n, group) if len(group) > 1 else Partition.bottom(n)
@@ -396,21 +392,10 @@ def _separate_embedded_game(game):
     v = {frozenset(): empty}
     for i in range(1, n + 1):
         v[frozenset((i,))] = empty + diffs[i]
-    for size in range(2, n + 1):
-        for combo in combinations(range(1, n + 1), size):
-            group = frozenset(combo)
-            outside = sum(v[frozenset((i,))]
-                          for i in range(1, n + 1) if i not in group)
-            v[group] = (at_bottom(group) - outside) / 2
-    bad = next((x for x, q in zip(lat.elements, game.vector()) if pff_value(v, x) != q), None)
+    for group in lattice_for("2^N", n, n).elements[n + 1:]:
+        outside = sum(v[frozenset((i,))] for i in range(1, n + 1) if i not in group)
+        v[group] = (at_bottom(group) - outside) / 2
+    bad = _first_violation(game, v)
     if bad is not None:
         return SeparabilityReport(False, violated=bad)
     return SeparabilityReport(True, v=v)
-
-
-def pff_value(v, x):
-    """Evaluate the embedded-subset game built from a set function."""
-    acc = parse_fraction(v[frozenset(x.subset)])
-    for b in x.partition.blocks:
-        acc += parse_fraction(v[frozenset(b)])
-    return acc

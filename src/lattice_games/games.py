@@ -2,9 +2,11 @@
 
 Additive families turn a subset game v into a partition game (sum of v
 over blocks) or an embedded-subset game (same sum plus v on the
-distinguished block, which therefore enters twice).  Symmetric games are
-stored per relabeling class.  Predicates return a witness on failure,
-not just False.
+distinguished block, which therefore enters twice).  Both are one lift
+on the integer view, ``_lift``, which separability also checks its
+candidate set function through.  Symmetric games are stored per
+relabeling class.  Predicates return a witness on failure, not just
+False.
 """
 
 from __future__ import annotations
@@ -54,11 +56,7 @@ def additive_global(v):
     """Partition game f(P) = sum of v over the blocks of P, on a P^n built
     past any cap v's lattice was built past (both have ground size n)."""
     _require_subset_game(v, "additive_global")
-    lat = lattice_for("P^N", v.lattice.n, v.lattice.n)
-    values = {}
-    for p in lat.elements:
-        values[p] = sum((v[frozenset(b)] for b in p.blocks), Fraction(0))
-    return LatticeGame(lat, values)
+    return _lift(v, lattice_for("P^N", v.lattice.n, v.lattice.n))
 
 
 def additive_pff(v):
@@ -68,14 +66,17 @@ def additive_pff(v):
     E^n needs ground size n+1, one more than v's lattice, so the cap holds.
     """
     _require_subset_game(v, "additive_pff")
-    lat = lattice_for("E^N", v.lattice.n)
-    values = {}
-    for e in lat.elements:
-        acc = v[frozenset(e.subset)]
-        for b in e.partition.blocks:
-            acc += v[frozenset(b)]
-        values[e] = acc
-    return LatticeGame(lat, values)
+    return _lift(v, lattice_for("E^N", v.lattice.n))
+
+
+def _lift(v, lat):
+    """The blockwise sum of the subset game v on lat, P^n or E^n of v's n:
+    v's ints summed over each element's blocks, plus v(A) on E^n."""
+    ints, d = v._ints
+    at = {tuple(sorted(x)): q for x, q in zip(v.lattice.elements, ints)}.__getitem__
+    sums = ([sum(map(at, p.blocks)) for p in lat.elements] if lat.tag == "P^N" else
+            [at(e.subset) + sum(map(at, e.partition.blocks)) for e in lat.elements])
+    return LatticeGame._from_ints(lat, sums, d)
 
 
 def _expected_classes(tag, n):

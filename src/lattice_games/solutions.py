@@ -6,7 +6,9 @@ dividend over the atoms below its element, the chain-uniform solution
 averages per-size marginal contributions over uniformly random maximal
 chains (each cover edge weighed by the chains through it), and the
 egalitarian solution ignores structure entirely.  On the subset lattice
-the first two collapse to the Shapley value.
+the first two collapse to the Shapley value.  Both are one crediting
+step: su hands it each dividend with the atoms below its element, cu
+each group of atoms with the marginals of the cover edges that add it.
 
 A solution stores its shares as one canonical integer view, like a
 table in ``transform``; Fractions are built only when asked for.
@@ -148,23 +150,10 @@ def shapley_dividends(game):
 
 def su(game):
     """Size-uniform sharing: each dividend spreads evenly over the atoms
-    below its element.  Works on any of the three lattices.
-
-    Each dividend, an integer over the dividends' common denominator,
-    credits every atom below it the same integer multiple of 1/C, where
-    C = lcm(1..#atoms) is a multiple of every element's size.
-    """
-    lat = game.lattice
-    ints, scale = mobius(game)._ints
-    common = lcm(*range(1, len(lat.atoms) + 1))
-    credit = [0] * len(lat.atoms)  # per mask bit
-    for q, group in zip(ints, lat.masks):
-        if q and group:  # the bottom's mask is empty: its dividend reaches no atom
-            _credit(credit, group, q * (common // group.bit_count()))
-    surplus = game.top_value - game.bottom_value
-    if sum(credit) * surplus.denominator != common * scale * surplus.numerator:
-        raise VerificationError(f"su shares on {lat.describe()} do not sum to f(top) - f(bottom)")
-    return Solution._from_ints(lat, credit, common * scale)
+    below its element.  Works on any of the three lattices.  The dividends
+    are ints over the game's denominator, which mobius keeps; the bottom's
+    mask is empty, so its dividend reaches no atom."""
+    return _shares(game, zip(game.lattice.masks[1:], mobius(game)._ints[0][1:]), 1, "su")
 
 
 def cu(game):
@@ -173,22 +162,36 @@ def cu(game):
     An atom is credited the per-size marginal of the covering step where
     it first appears under a uniformly random maximal chain.  Cover edge
     i -> j lies on below[i] * above[j] of the above[0] maximal chains,
-    and adds that many integer marginals to every atom it adds.
+    and adds that many integer marginals to every atom it adds.  The
+    edges that add the same atoms are summed into one gain first.
     """
-    lat = game.lattice
-    ints, scale = game._ints
-    covers, below, above = lat._hasse()
-    masks = lat.masks
-    common = lcm(*range(1, len(lat.atoms) + 1))  # a multiple of every group size
-    credit = [0] * len(lat.atoms)  # per mask bit
+    ints, masks = game._ints[0], game.lattice.masks
+    covers, below, above = game.lattice._hasse()
+    gains = {}  # per group of atoms a cover edge adds
     for i, row in enumerate(covers):
+        low, chains, start = masks[i], below[i], ints[i]
         for j in row:
-            _credit(credit, group := masks[j] ^ masks[i],  # the atoms the edge adds
-                    below[i] * above[j] * (ints[j] - ints[i]) * (common // group.bit_count()))
-    total = common * above[0]
+            group = masks[j] ^ low
+            gains[group] = gains.get(group, 0) + chains * above[j] * (ints[j] - start)
+    return _shares(game, gains.items(), above[0], "cu")
+
+
+def _shares(game, gains, weight, name):
+    """Spread each int gain evenly over the atoms of its mask group, as
+    ints over C * weight * d (C = lcm(1..#atoms), d the game's), checked
+    on the game's ints to sum to f(top) - f(bottom)."""
+    lat = game.lattice
+    ints, d = game._ints
+    common = lcm(*range(1, len(lat.atoms) + 1))
+    credit = [0] * len(lat.atoms)  # per mask bit
+    for group, gain in gains:
+        if gain:
+            _credit(credit, group, gain * (common // group.bit_count()))
+    total = common * weight
     if sum(credit) != total * (ints[-1] - ints[0]):
-        raise VerificationError(f"cu shares on {lat.describe()} do not sum to f(top) - f(bottom)")
-    return Solution._from_ints(lat, credit, total * scale)
+        raise VerificationError(
+            f"{name} shares on {lat.describe()} do not sum to f(top) - f(bottom)")
+    return Solution._from_ints(lat, credit, total * d)
 
 
 def _credit(credit, group, gain):

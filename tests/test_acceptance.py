@@ -376,3 +376,27 @@ def test_acceptance_13_readme_library_example(capsys):
         assert capsys.readouterr().out.splitlines() == comments
 
     run_check(13, "the README library example prints what its comments say", body)
+
+
+def test_acceptance_14_readme_command_examples(tmp_path, capsys):
+    def body():
+        text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+        game = tmp_path / "game.json"
+        game.write_text(text.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+        commands = [line.split()[1:] for line in text.splitlines()
+                    if line.startswith("lattice-games ") and " game.json" in line]
+        assert commands == [["solve", "game.json", "--solver", "cu"],
+                            ["solve", "game.json", "--solver", "su", "--split", "equal"],
+                            ["core", "game.json"]]
+        for argv in commands:
+            code = cli.main([str(game) if a == "game.json" else a for a in argv])
+            out, err = capsys.readouterr()
+            assert (code, err) == (0, ""), argv
+            report = json.loads(out)
+            if argv[0] == "solve":
+                assert report["efficiencyCheck"] == "1"
+            else:  # the core witness is efficient: its shares sum to f(top)
+                assert report["status"] == "nonempty"
+                assert sum(map(Fraction, report["witness"].values())) == 1
+
+    run_check(14, "the README game file runs through its solve and core commands", body)

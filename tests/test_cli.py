@@ -508,7 +508,8 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, case):
         assert code == 2, out
         assert out == ""
         assert err.startswith("usage: ")
-        assert f"error: argument --max-n: invalid parse_int value: {side_input!r}" in err
+        assert (f"error: argument --max-n: takes an integer in ASCII digits, "
+                f"got {side_input!r}") in err
         return
     if flag is not None:
         argv += [flag, write_json(tmp_path / "side.json", side_input)]

@@ -14,8 +14,15 @@ from math import comb, gcd
 import pytest
 
 import lattice_games
-from lattice_games.lattice import lattice_for
-from lattice_games.transform import LatticeGame, MobiusCoefficients, zeta_expand, zeta_game
+from lattice_games import coresep
+from lattice_games.lattice import EmbeddedSubset, SizeLimitError, lattice_for
+from lattice_games.transform import (
+    LatticeGame,
+    MobiusCoefficients,
+    parse_fraction,
+    zeta_expand,
+    zeta_game,
+)
 from lattice_games.games import (
     additive_global,
     additive_pff,
@@ -28,7 +35,6 @@ from lattice_games.coresep import (
     _phase1,
     core_contains,
     core_feasible,
-    pff_value,
     separability_test,
 )
 
@@ -849,3 +855,146 @@ def test_embedded_top_indicator_is_not_separable():
     report = separability_test(zeta_game(lat, lat.top))
     assert not report
     assert report.violated == lat.parse_element(";1,2")
+
+
+# ---------------------------------------------------------------------------
+# the additive lift and separability against their Fraction forms
+
+
+def pff_value(v, x):
+    """Evaluate the embedded-subset game built from a set function."""
+    acc = parse_fraction(v[frozenset(x.subset)])
+    for b in x.partition.blocks:
+        acc += parse_fraction(v[frozenset(b)])
+    return acc
+
+
+def blockwise_value(v, x):
+    """The Fraction blockwise sum of a set function at an element of P^n
+    or E^n; v(A) counts once more on the distinguished block A of E^n."""
+    if isinstance(x, EmbeddedSubset):
+        return pff_value(v, x)
+    return sum((v[frozenset(b)] for b in x.blocks), Fraction(0))
+
+
+def blockwise_oracle(v, lat):
+    """The game of blockwise sums of v on every element of lat."""
+    return LatticeGame(lat, {x: blockwise_value(v, x) for x in lat.elements})
+
+
+def first_violation_oracle(game, v):
+    """First element (in lattice order) whose Fraction blockwise sum
+    misses the game's value."""
+    for x, q in zip(game.lattice.elements, game.vector()):
+        if blockwise_value(v, x) != q:
+            return x
+    return None
+
+
+def random_set_function(n, rng):
+    """A subset game with negative and fractional values."""
+    return subset_game(n, lambda a: Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 5, 12))))
+
+
+def test_additive_lifts_equal_the_fraction_blockwise_sum():
+    rng = random.Random(67)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            v = random_set_function(n, rng)
+            f, h = additive_global(v), additive_pff(v)
+            assert f._ints == blockwise_oracle(v.values, lattice_for("P^N", n))._ints
+            assert h._ints == blockwise_oracle(v.values, lattice_for("E^N", n))._ints
+
+
+def separability_cases(lat, rng):
+    """Random games, lifted games and lifted games bumped at one seeded
+    element."""
+    n = lat.n
+    lift = additive_global if lat.tag == "P^N" else additive_pff
+    for _ in range(3):
+        yield LatticeGame(lat, {x: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                                for x in lat.elements})
+        lifted = lift(random_set_function(n, rng))
+        yield lifted
+        bumped = dict(lifted.values)
+        bumped[rng.choice(lat.elements)] += Fraction(rng.choice((-1, 1)), rng.choice((1, 2, 7)))
+        yield LatticeGame(lat, bumped)
+
+
+def report_and_members(game, rng_seed):
+    """A separability report's verdict, witness, base or set function,
+    and the family members at seeded singleton values."""
+    report = separability_test(game)
+    out = [bool(report), report.violated,
+           None if report.v is None else list(report.v.items())]
+    if report.family is not None:
+        fam = report.family
+        base = list(fam.base.items())
+        # singletons, then larger groups by size in lex order, the empty group last
+        assert [g for g, _ in base] == [frozenset(c) for size in range(1, fam.n + 1)
+                                        for c in combinations(range(1, fam.n + 1), size)
+                                        ] + [frozenset()]
+        out.append(base)
+        rng = random.Random(rng_seed)
+        for _ in range(2):
+            chosen = {i: Fraction(rng.randint(-9, 9), rng.choice((1, 4)))
+                      for i in range(1, fam.n)}
+            chosen[fam.n] = fam.singleton_total() - sum(chosen.values(), Fraction(0))
+            out.append(list(fam.member(chosen).items()))
+    return out
+
+
+@pytest.mark.parametrize("tag,n", [("P^N", n) for n in range(1, 6)]
+                         + [("E^N", n) for n in range(1, 5)])
+def test_separability_matches_the_fraction_check(monkeypatch, tag, n):
+    """Verdict, witness, base (keys in the same order) and members agree
+    with the check that re-evaluates every blockwise sum in Fractions."""
+    lat = lattice_for(tag, n)
+    rng = random.Random(70 + 10 * n + len(tag))
+    verdicts = set()
+    for k, game in enumerate(separability_cases(lat, rng)):
+        got = report_and_members(game, k)
+        with monkeypatch.context() as m:
+            m.setattr(coresep, "_first_violation", first_violation_oracle)
+            want = report_and_members(game, k)
+        assert got == want
+        verdicts.add(got[0])
+    assert True in verdicts
+    if n > (3 if tag == "P^N" else 1):  # below that every game separates
+        assert False in verdicts
+
+
+def test_contains_ignores_the_empty_group_and_stray_keys():
+    lat = lattice_for("P^N", 4)
+    fam = separability_test(size_game(lat)).family
+    v = {tuple(sorted(g)): q for g, q in fam.base.items() if g}
+    assert fam.contains(v)
+    assert fam.contains({**v, (): "5/3", (7,): 1, (1, 9): "-2", (1, 2, 3, 4, 5): 0})
+    assert not fam.contains({**v, (1, 2): v[(1, 2)] + 1})
+    missing = dict(v)
+    del missing[(2, 3, 4)]
+    assert not fam.contains({**missing, (2, 3, 4, 5): 3})
+
+
+def test_separability_past_a_lowered_environment_cap(monkeypatch):
+    """Games built past a lowered LATTICE_GAMES_MAX_N still get a verdict,
+    while additive_pff keeps refusing to build E^3 under that cap."""
+    rng = random.Random(71)
+    v = random_set_function(3, rng)
+    h, f = additive_pff(v), additive_global(v)
+    bumped = dict(h.values)
+    bumped[h.lattice.top] += 1
+    monkeypatch.setenv("LATTICE_GAMES_MAX_N", "2")
+    report = separability_test(h)
+    assert report
+    assert report.v == v.values
+    report = separability_test(LatticeGame(h.lattice, bumped))
+    assert not report
+    # the top pins v({1,2,3}), so the bump surfaces where that value is summed
+    assert report.violated == h.lattice.parse_element(";1,2,3")
+    fam = separability_test(f).family
+    assert fam.contains(v.values)
+    assert fam.member({i: v.values[frozenset((i,))] for i in (1, 2, 3)}) == {
+        **{g: q for g, q in v.values.items() if g}, frozenset(): 0}
+    with pytest.raises(SizeLimitError, match="over the cap 2"):
+        additive_pff(v)

@@ -563,6 +563,37 @@ def test_cu_matches_the_join_formula(tag, n):
         assert cu(g) == cu_join_oracle(g)
 
 
+def cu_edge_oracle(game):
+    """cu as one credit per cover edge: every edge credits each atom it
+    adds directly, without summing the edges that add the same atoms."""
+    lat = game.lattice
+    ints, scale = game._ints
+    covers, below, above = lat._hasse()
+    masks = lat.masks
+    common = lcm(*range(1, len(lat.atoms) + 1))
+    credit = [0] * len(lat.atoms)  # per mask bit
+    for i, row in enumerate(covers):
+        for j in row:
+            group = masks[j] ^ masks[i]
+            gain = below[i] * above[j] * (ints[j] - ints[i]) * (common // group.bit_count())
+            for k in range(len(credit)):
+                if group >> k & 1:
+                    credit[k] += gain
+    return Solution._from_ints(lat, credit, common * above[0] * scale)
+
+
+@pytest.mark.parametrize("tag,n", [("2^N", n) for n in range(1, 9)]
+                         + [("P^N", n) for n in range(1, 9)]
+                         + [("E^N", n) for n in range(1, 8)])
+def test_cu_equals_the_per_edge_credit_up_to_the_cap(tag, n):
+    """The grouped cu against the per-edge loop on every lattice up to
+    the default cap, where the chain census no longer reaches."""
+    rng = random.Random(160 + 10 * n + len(tag))
+    lat = lattice_for(tag, n)
+    for g in (random_game(lat, rng), random_game(lat, rng).normalize_bottom()[0]):
+        assert cu(g)._ints == cu_edge_oracle(g)._ints
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_solvers_commute_with_transport(n):
     rng = random.Random(90 + n)
