@@ -32,6 +32,7 @@ from .lattice import (
 from .transform import (
     LatticeGame,
     MobiusCoefficients,
+    _format_ratio,
     _known_keys,
     _over_lcm,
     _parse_int,
@@ -59,7 +60,8 @@ from .coresep import core_contains, core_feasible, separability_test
 
 
 def _load_json(path):
-    """The JSON document in path; a key named twice in one object is refused."""
+    """The JSON document in path; a key named twice in one object, or
+    nesting deeper than the parser's recursion limit, is refused."""
     def unique(pairs):
         obj = dict(pairs)
         if len(obj) < len(pairs):
@@ -73,6 +75,8 @@ def _load_json(path):
             return json.load(fh, parse_int=_parse_int, object_pairs_hook=unique)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: {err}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _print_json(report):
@@ -295,11 +299,11 @@ def _trace_csv(path):
     periods = {}
     n = 0
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(fh, path)
+        header = next(rows, None)
         if header is None or [h.strip() for h in header] != ["period", "i", "j", "volume"]:
             raise ValueError(f"{path}: expected header period,i,j,volume")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 4:
@@ -313,6 +317,16 @@ def _trace_csv(path):
     if n < 2:
         raise ValueError(f"{path}: trace names fewer than two network elements")
     return n, [(label, volumes, None) for label, volumes in periods.items()]
+
+
+def _csv_rows(fh, path):
+    """The CSV rows of fh; a row the csv module cannot read, such as one
+    with a field over csv.field_size_limit(), is refused as path:line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise ValueError(f"{path}:{reader.line_num}: {err}") from None
 
 
 def _cluster_map(path, periods):
@@ -350,6 +364,7 @@ def cmd_netshare(args):
     weights = None
     if args.split and args.split != "equal":
         weights = _parse_weights(args.split, n)
+    edge_keys = [f"{i},{j}" for i, j in combinations(range(1, n + 1), 2)]  # P^N atom order
     out_periods = []
     for entry in periods:
         # a file entry wins, even a null one, which _parse_cluster refuses
@@ -360,13 +375,13 @@ def cmd_netshare(args):
         mu = _period_dividends(lat, entry["volumes"], cluster)
         sol = solver(mu.zeta_expand())
         nodes = split_to_nodes(sol, weights)
+        ints, d = sol._ints
         out_periods.append({
             "period": entry["period"],
             "clustering": None if cluster is None else lat.key(cluster),
-            "edgeShares": {f"{i},{j}": format_fraction(q)  # P^N atoms are in pair order
-                           for (i, j), q in zip(combinations(range(1, n + 1), 2), sol.vector())},
+            "edgeShares": {key: _format_ratio(q, d) for key, q in zip(edge_keys, ints)},
             "nodeShares": nodes.payload()["shares"],
-            "efficiencyCheck": format_fraction(sol.efficiency()),
+            "efficiencyCheck": _format_ratio(sum(ints), d),
             "fixedPoint": sol.matches(mu),
         })
     report = {"command": "netshare", "n": n, "solver": args.solver,

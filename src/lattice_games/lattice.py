@@ -448,6 +448,7 @@ class Lattice:
         self.n = n
         self._tables = None
         self._keys = None
+        self._atom_keys = None
         self._hasse_table = None
 
     def _finish(self, masks, bit_atoms=None, by_mask=None):
@@ -489,6 +490,14 @@ class Lattice:
         if self._keys is None:
             self._keys = {self.key(x): i for i, x in enumerate(self.elements)}
         return self._keys
+
+    def atom_key_bits(self):
+        """(key(a), mask bit of a) for the atoms a in atoms order, built on
+        first use."""
+        if self._atom_keys is None:
+            self._atom_keys = tuple((self.key(a), self._mask[self._pos[a]].bit_length() - 1)
+                                    for a in self.atoms)
+        return self._atom_keys
 
     @property
     def masks(self):

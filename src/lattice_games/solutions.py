@@ -11,7 +11,10 @@ step: su hands it each dividend with the atoms below its element, cu
 each group of atoms with the marginals of the cover edges that add it.
 
 A solution stores its shares as one canonical integer view, like a
-table in ``transform``; Fractions are built only when asked for.
+table in ``transform``; Fractions are built only when asked for
+(``shares``, ``vector()``, ``value``/``[]``, ``efficiency()``).
+``payload()`` prints the ints through ``transform``'s one renderer, with
+no Fraction built per share.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from itertools import combinations
 from math import factorial, lcm
 
 from .lattice import VerificationError, lattice_for
-from .transform import (LatticeGame, _canonical, _fractions, _over_lcm, _ratio,
-                        format_fraction, mobius, parse_fraction)
+from .transform import (LatticeGame, _canonical, _format_ratio, _fractions, _over_lcm,
+                        _ratio, format_fraction, mobius, parse_fraction)
 from .games import SymmetricGame, is_symmetric
 
 
@@ -112,10 +115,10 @@ class Solution:
 
     def payload(self):
         lat = self.lattice
+        ints, d = self._ints
         return {"lattice": lat.tag, "n": lat.n,
-                "shares": {lat.key(a): format_fraction(q)
-                           for a, q in zip(lat.atoms, self.vector())},
-                "efficiencyCheck": format_fraction(self.efficiency())}
+                "shares": {key: _format_ratio(ints[k], d) for key, k in lat.atom_key_bits()},
+                "efficiencyCheck": _format_ratio(sum(ints), d)}
 
 
 def _subset_only(game, who):

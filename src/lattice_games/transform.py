@@ -13,12 +13,21 @@ rationals exactly when their views are equal.
 Every value that enters the package is read once into a numerator and
 a denominator, by the grammar ``parse_fraction`` also uses, and a table
 takes its view over the lcm of the denominators with no Fraction built.
+A game payload whose keys are all canonical and whose values are all
+plain ("p/q" or "p" with nothing around them, or JSON ints) is read in
+one pass: one lookup of the keys, one check of the values, ``int`` over
+the numerators and the distinct denominators, one lcm, and the ints
+placed in index order.  Any other payload is read item by item, and
+that loop is the only one that words a refusal.
+
 Mobius inversion, zeta expansion, game arithmetic, the derived games,
 the solvers, the predicates and the core LP hand each other views.
 Fractions exist only as a cache, built on the first call of
-``vector()``, ``value``/``[]``, the ``values``/``coefficients`` dicts or
-``payload()``; ``top_value`` and ``bottom_value`` read the view.  Every
-value a table hands out is an exact Fraction.
+``vector()``, ``value``/``[]`` or the ``values``/``coefficients``
+dicts; ``top_value`` and ``bottom_value`` read the view.  Every value a
+table hands out is an exact Fraction.  One renderer, ``_format_ratio``,
+prints a rational (p, d) of a view as ``str(Fraction(p, d))`` would,
+after one gcd; ``format_fraction`` and every payload print through it.
 
 Zeta expansion still sums Fractions, read off its Mobius table's
 ``vector()``, before it takes the view of the sums.  Integer sums run
@@ -34,10 +43,14 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .lattice import INTEGER, LATTICE_TAGS, SizeLimitError, lattice_for
 
 _RATIONAL = re.compile(rf"({INTEGER.pattern})(?:/([0-9]+))?")
+# A character outside the plain values, "p/q" or "p" with nothing around
+# them (a subset of _RATIONAL's language), and the "," that joins them
+_NOT_PLAIN = re.compile(r"[^-+0-9/,]")
 
 
 def parse_fraction(value):
@@ -68,10 +81,46 @@ def _ratio(value):
     raise ValueError(f"not a rational: {value!r}")
 
 
+def _plain_over_lcm(values):
+    """_over_lcm of the values' (p, q) in one pass, when every value is a
+    JSON int or a plain "p/q" or "p" string; else None, and _ratio, the
+    only reader that words a refusal, reads them one by one.  Numbers past
+    Python's int-string limit are left to _ratio too."""
+    kinds = set(map(type, values))
+    if not kinds <= {str, int}:  # a bool, a Fraction, a str or int subclass
+        return None
+    try:
+        text = ",".join(map(str, values) if int in kinds else values)
+        if _NOT_PLAIN.search(text):  # a blank, a "_", a digit of another script
+            return None
+        nums, slashes, dens = zip(*[t.partition("/") for t in text.split(",")])
+        if len(nums) != len(values) or slashes.count("") != dens.count(""):
+            return None  # a "," inside a value, or a "p/" with no q
+        # on what is left, int() takes exactly a signed run of digits
+        nums = list(map(int, nums))
+        scale = {t: int(t) if t.isdigit() else None for t in set(dens) if t}
+        scale[""] = 1  # the q of a "p" value
+    except ValueError:  # a bad p, or a number past the int-string limit
+        return None
+    if None in scale.values() or 0 in scale.values():  # a signed or bad q, or q = 0
+        return None
+    d = lcm(*scale.values())
+    for t, q in scale.items():
+        scale[t] = d // q
+    return list(map(mul, nums, map(scale.__getitem__, dens))), d
+
+
 def format_fraction(value):
     value = Fraction(value)
+    return _format_ratio(value.numerator, value.denominator)
+
+
+def _format_ratio(p, d):
+    """str(Fraction(p, d)) for d > 0 with no Fraction built: one gcd, then
+    "p/q" in lowest terms, or "p" when q is 1."""
+    g = gcd(p, d)
     try:
-        return str(value)
+        return str(p // g) if d == g else f"{p // g}/{d // g}"
     except ValueError:  # p or q is longer than Python's int-string limit
         raise _too_many_digits() from None
 
@@ -210,16 +259,19 @@ class LatticeGame(_TableOnLattice):
 
     def payload(self):
         lat = self.lattice
+        ints, d = self._ints
         return {"lattice": lat.tag, "n": lat.n,
-                "values": {lat.key(x): format_fraction(q)
-                           for x, q in zip(lat.elements, self.vector())}}
+                "values": {key: _format_ratio(q, d) for key, q in zip(lat.key_indices(), ints)}}
 
     @classmethod
     def from_payload(cls, payload, max_n=None):
         """Read {"lattice", "n", "values": {element key: "p/q"}}; strict totality.
 
-        A canonical key is found in the lattice's key table; any other
-        spelling is parsed.
+        When every key is canonical (found in the lattice's key table)
+        and every value plain, the values are read in one pass
+        (_plain_over_lcm) and placed in index order.  Any other payload is
+        read item by item: a key in another spelling is parsed, and that
+        loop words every refusal.
         """
         if not isinstance(payload, dict):
             raise ValueError("payload must be a JSON object")
@@ -235,6 +287,15 @@ class LatticeGame(_TableOnLattice):
         if not isinstance(raw, dict):
             raise ValueError("payload needs a \"values\" object")
         keys = lat.key_indices()
+        at = list(map(keys.get, raw))
+        if len(at) == len(lat) and None not in at:  # canonical keys, one per element
+            view = _plain_over_lcm(raw.values())
+            if view is not None:
+                ints = [None] * len(at)
+                for i, q in zip(at, view[0]):
+                    ints[i] = q
+                if None not in ints:  # no two keys name one element
+                    return cls._from_ints(lat, ints, view[1])
         pairs = [None] * len(lat)
         for key, text in raw.items():
             i = keys.get(key)

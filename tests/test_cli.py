@@ -8,6 +8,7 @@ installer writes it, so the declared console script is checked to run
 cli.main and pass its exit code through without installing the package.
 """
 
+import csv
 import json
 import os
 import random
@@ -412,6 +413,11 @@ def test_netshare_rejects_an_edge_named_twice_in_either_form(tmp_path, capsys):
         assert "duplicate edge 2,1" in err
 
 
+class JSONText(str):
+    """A main input written as it stands to a .json file: json.dumps cannot
+    write nesting this deep."""
+
+
 MALFORMED = {
     "trace-clustering-not-a-key": (
         "netshare", {"n": 3, "periods": [{"volumes": {"1,2": "1"}, "clustering": 5}]},
@@ -484,6 +490,15 @@ MALFORMED = {
     "netshare-max-n-in-an-arabic-indic-digit": (
         "netshare", {"n": 3, "periods": [{"volumes": {"1,2": "1"}}]}, "--max-n", "\u0663"),
     "selfcheck-max-n-in-an-arabic-indic-digit": ("selfcheck", None, "--max-n", "\u0663"),
+    # past the JSON parser's recursion limit, or csv's field size limit
+    "game-file-nested-too-deeply": (
+        "core", JSONText('{"a": ' * 100_000 + "1" + "}" * 100_000), None, None),
+    "trace-periods-nested-too-deeply": (
+        "netshare", JSONText('{"n": 3, "periods": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+        None, None),
+    "trace-csv-field-past-the-csv-limit": (
+        "netshare", "period,i,j,volume\nt0,1,2,%s\n" % ("1" * (csv.field_size_limit() + 1)),
+        None, None),
 }
 
 
@@ -492,8 +507,8 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, case):
     command, main_input, flag, side_input = MALFORMED[case]
     if main_input is None:  # selfcheck reads no file
         argv = [command]
-    elif isinstance(main_input, str):  # a CSV trace
-        main = tmp_path / "input.csv"
+    elif isinstance(main_input, str):  # a CSV trace, or JSON text as it stands
+        main = tmp_path / ("input.json" if isinstance(main_input, JSONText) else "input.csv")
         main.write_text(main_input, encoding="utf-8")
         argv = [command, str(main)]
     else:
@@ -690,8 +705,8 @@ def test_size_cap_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
-BIG = 10 ** 2200
 LIMIT = sys.get_int_max_str_digits()
+BIG = 10 ** (LIMIT // 2 + 100)  # prints; a product of two such numbers does not
 
 
 @pytest.mark.parametrize("argv, values", [
@@ -701,8 +716,9 @@ LIMIT = sys.get_int_max_str_digits()
       for argv in (["solve", "--solver", "su"], ["solve", "--solver", "cu"],
                    ["solve", "--solver", "egalitarian"], ["core"])],
     (["solve"], '{"": "0", "1": "1%s"}' % ("0" * LIMIT)),
+    (["solve"], '{"": "0", "1": "1/1%s"}' % ("0" * LIMIT)),
     (["solve"], '{"": 0, "1": 1%s}' % ("0" * LIMIT)),
-], ids=["su", "cu", "egalitarian", "core", "input", "input-number"])
+], ids=["su", "cu", "egalitarian", "core", "input", "input-denominator", "input-number"])
 def test_a_number_past_the_int_string_limit_exits_3(tmp_path, capsys, argv, values):
     """An answer too long to print, or an input value too long to read,
     as a string or as a JSON number, is refused as over a size cap, with
@@ -713,6 +729,32 @@ def test_a_number_past_the_int_string_limit_exits_3(tmp_path, capsys, argv, valu
     assert code == 3
     assert out == ""
     assert f"more than {LIMIT} digits" in err
+
+
+def test_a_netshare_total_past_the_int_string_limit_exits_3(tmp_path, capsys):
+    """Every edge and node share prints, but the efficiency check, their
+    total, has a denominator of about LIMIT + 200 digits."""
+    trace = write_json(tmp_path / "long.json", {"n": 4, "periods": [
+        {"period": "t0", "volumes": {"1,2": "1/%d" % (BIG + 1), "3,4": "1/%d" % (BIG + 3)}}]})
+    code, out, err = run_cli(["netshare", trace], capsys)
+    assert code == 3
+    assert out == ""
+    assert f"more than {LIMIT} digits" in err
+
+
+def test_deep_json_and_long_csv_fields_are_refused_with_the_file_named(tmp_path, capsys):
+    game = tmp_path / "deep.json"
+    game.write_text("[" * 100_000 + "]" * 100_000)
+    trace = tmp_path / "long.csv"
+    trace.write_text("period,i,j,volume\nt0,1,2,1\nt0,1,3,%s\n"
+                     % ("7" * (csv.field_size_limit() + 1)))
+    for argv, where in [(["core", str(game)], f"{game}: JSON nested too deeply"),
+                        (["solve", str(game)], f"{game}: JSON nested too deeply"),
+                        (["netshare", str(trace)], f"{trace}:3: field larger than field limit")]:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {where}")
 
 
 def test_unknown_subcommand_exits_via_argparse(capsys):

@@ -19,6 +19,7 @@ from lattice_games.lattice import Partition, lattice_for
 from lattice_games.transform import (
     LatticeGame,
     MobiusCoefficients,
+    format_fraction,
     mobius,
     zeta_expand,
     zeta_game,
@@ -862,3 +863,22 @@ def test_graph_restriction_rejects_bad_edges():
         with pytest.raises(ValueError, match="edge"):
             graph_restrict(g, bad)
 
+
+
+@pytest.mark.parametrize("tag,n", SMALL_LATTICES + [("2^N", 1), ("P^N", 1), ("E^N", 1)])
+def test_payload_equals_the_fraction_rendering(tag, n):
+    """Shares print off the integer view, keyed by the atom keys in atoms
+    order, as format_fraction prints each share and the total."""
+    lat = lattice_for(tag, n)
+    assert [key for key, _ in lat.atom_key_bits()] == [lat.key(a) for a in lat.atoms]
+    assert [1 << k for _, k in lat.atom_key_bits()] == [lat.masks[lat.index(a)]
+                                                        for a in lat.atoms]
+    rng = random.Random(13 * n + len(tag))
+    game = random_game(lat, rng)
+    for solver in (su, cu, egalitarian):
+        sol = solver(game)
+        payload = sol.payload()
+        assert payload["shares"] == {lat.key(a): format_fraction(q)
+                                     for a, q in zip(lat.atoms, sol.vector())}
+        assert list(payload["shares"]) == [lat.key(a) for a in lat.atoms]
+        assert payload["efficiencyCheck"] == format_fraction(sol.efficiency())

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -9,12 +10,17 @@ from math import gcd, lcm
 import pytest
 
 from lattice_games.games import clustering_restrict
-from lattice_games.lattice import lattice_for
+from lattice_games import transform
+from lattice_games.lattice import SizeLimitError, lattice_for
 from lattice_games.solutions import graph_restrict
 from lattice_games.transform import (
     LatticeGame,
     MobiusCoefficients,
     _canonical,
+    _format_ratio,
+    _over_lcm,
+    _plain_over_lcm,
+    _ratio,
     format_fraction,
     mobius,
     parse_fraction,
@@ -506,6 +512,15 @@ def test_from_payload_keeps_the_error_messages():
                   {**good, "values": {twin: "1", **values}},
                   {**good, "values": missing},
                   {**good, "values": {**missing, "nonsense": "1"}}]
+        # a bad value before, then after, a stray key and a second spelling
+        last = next(k for k in reversed(values) if k != twin_of)
+        for bad in ("0.5", True, "1/0", " 1/-2"):
+            spoilt = {**values, last: bad}
+            cases += [{**good, "values": {**spoilt, stray: "1"}},
+                      {**good, "values": {stray: "1", **spoilt}},
+                      {**good, "values": {**spoilt, twin: "1"}},
+                      {**good, "values": {twin: "1", **spoilt}},
+                      {**good, "values": {**missing, last: bad}}]
     for payload in cases:
         with pytest.raises(ValueError) as want:
             parsed_then_validated(payload)
@@ -574,3 +589,109 @@ def test_integer_ingest_equals_the_fraction_parse(tag, n):
     assert coeffs._ints == scaled_oracle([vector[i] if i in kept else Fraction(0)
                                           for i in range(len(lat))])
     assert read.vector() == tuple(vector)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass reader and the one renderer
+
+LIMIT = sys.get_int_max_str_digits()
+
+# values the one-pass reader must take: plain "p/q" and "p", and JSON ints
+PLAIN = ["0", "5", "-5", "+5", "+0/5", "-0/7", "007/010", "12/4", "-3/9", 0, 7, -12,
+         10 ** 30]
+
+# every other value: the reader leaves each to _ratio, which takes some
+# ("  5 ", "\xa01/2") and refuses the rest
+OTHER = ["", " ", "  5 ", " 1/2", "1/2 ", "\xa01/2", "1/2\x1c", "\t3", "1\x00/2", "1\x00",
+         "1_0", "1/1_0", "\u0661", "\u0661/\u0662", "\uff11", "1/\uff12", "1/0", "0/00",
+         "1/-2", "1/+2", "1 /2", "1/ 2", "1//2", "1/2/3", "/2", "1/", "/", "+", "-", "+-1",
+         "--1", "1-", "1+2", "1,2", ",", "1,", "1.5", "1e3", "0x10", "true", "null",
+         True, False, None, 1.5, Fraction(1, 2), [1], {"1": 1},
+         "1" + "0" * LIMIT, "1/1" + "0" * LIMIT, "-1" + "0" * LIMIT + "/3", 10 ** LIMIT]
+
+
+def ratio_or_error(value):
+    try:
+        return _ratio(value)
+    except ValueError as err:
+        return type(err)
+
+
+def test_plain_reader_takes_plain_values_and_leaves_the_rest():
+    """The one-pass reader gives _over_lcm of what _ratio reads, or None
+    and the loop reads the values one by one: never another (p, q), and
+    never a value _ratio refuses.  Plain values, alone or mixed, it takes."""
+    assert _plain_over_lcm(PLAIN) == _over_lcm([_ratio(v) for v in PLAIN])
+    for value in PLAIN:
+        assert _plain_over_lcm([value]) == _over_lcm([_ratio(value)])
+    for value in OTHER:
+        assert _plain_over_lcm([value]) is None, value
+    assert ratio_or_error("1/1" + "0" * LIMIT) is SizeLimitError
+    assert ratio_or_error(10 ** LIMIT) == (10 ** LIMIT, 1)
+    rng = random.Random(23)
+    pool = PLAIN + OTHER
+    for _ in range(2000):
+        picks = rng.sample(range(len(pool)), rng.randint(1, 5))
+        values = [pool[k] for k in picks]
+        got = _plain_over_lcm(values)
+        if got is None:
+            assert max(picks) >= len(PLAIN), values
+        else:
+            assert got == _over_lcm([_ratio(v) for v in values]), values
+
+
+def test_from_payload_reads_a_plain_payload_in_one_pass(monkeypatch):
+    """A payload with canonical keys and plain values, in any key order,
+    never reaches the per-item reader; one blank value or one other key
+    spelling sends it there, to the same game."""
+    rng = random.Random(31)
+    lat = lattice_for("P^N", 4)
+    game = random_game(lat, rng)
+    values = game.payload()["values"]
+    order = list(values)
+    rng.shuffle(order)
+    shuffled = {**game.payload(), "values": {k: values[k] for k in order}}
+    blank = {**shuffled, "values": {**shuffled["values"], order[0]: f" {values[order[0]]} "}}
+    respelt = {**game.payload(), "values": {"0123": values["1|2|3|4"],
+                                            **{k: values[k] for k in order if k != "1|2|3|4"}}}
+    for payload in (blank, respelt):
+        assert LatticeGame.from_payload(payload) == game
+
+    ints = {**game.payload(), "values": {k: int(Fraction(values[k]) * 2520) for k in order}}
+    scaled = 2520 * game
+
+    def no_item_reads(value):
+        raise AssertionError(f"read {value!r} one by one")
+
+    monkeypatch.setattr(transform, "_ratio", no_item_reads)
+    assert LatticeGame.from_payload(game.payload()) == game
+    assert LatticeGame.from_payload(shuffled) == game
+    assert LatticeGame.from_payload(ints) == scaled
+
+
+def test_format_ratio_equals_format_fraction():
+    """The renderer prints (p, d) as str(Fraction(p, d)) does: signed,
+    zero, unit and huge, and refuses a reduced p or q past the limit."""
+    rng = random.Random(41)
+    half = 10 ** (LIMIT // 2)
+    cases = [(0, 1), (0, 7), (1, 1), (-1, 1), (1, 3), (-1, 3), (6, 4), (-6, 4), (6, 3),
+             (-6, 3), (12, 12), (-12, 12), (half + 1, 3 * half), (-half, half // 5),
+             (2 * half - 1, half), (10 ** LIMIT, 10 ** LIMIT), (-(10 ** LIMIT), 10 ** (LIMIT - 1))]
+    cases += [(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** rng.randint(0, 30)))
+              for _ in range(500)]
+    for p, d in cases:
+        assert _format_ratio(p, d) == format_fraction(Fraction(p, d)) == str(Fraction(p, d))
+    for p, d in [(10 ** LIMIT, 1), (1, 10 ** LIMIT + 1), (-(10 ** LIMIT) - 1, 3)]:
+        with pytest.raises(SizeLimitError, match=f"more than {LIMIT} digits"):
+            _format_ratio(p, d)
+        with pytest.raises(SizeLimitError, match=f"more than {LIMIT} digits"):
+            format_fraction(Fraction(p, d))
+
+
+@pytest.mark.parametrize("tag,n", SMALL_LATTICES)
+def test_game_payload_equals_the_fraction_rendering(tag, n):
+    lat = lattice_for(tag, n)
+    game = random_game(lat, random.Random(n + 7))
+    want = {lat.key(x): format_fraction(q) for x, q in zip(lat.elements, game.vector())}
+    assert game.payload()["values"] == want
+    assert list(game.payload()["values"]) == list(want)
