@@ -91,17 +91,39 @@ def _print_csv(header, rows):
     sys.stdout.write(out.getvalue())
 
 
-def _approx(text):
-    """Decimal rendering of a "p/q" string, for the approximate column."""
+def _approx(p, d):
+    """Decimal rendering of p/d (d > 0) for the approximate column, as
+    repr(float(Fraction(p, d))): int true division rounds correctly, so
+    it reads the same off unreduced ints; empty past a float's range."""
     try:
-        return repr(float(Fraction(text)))
-    except (ValueError, ZeroDivisionError, OverflowError):
+        return repr(p / d)
+    except OverflowError:
         return ""
 
 
-def _rows(kind, values, *lead):
-    """One CSV row (*lead, kind, key, value, approx) per entry of values."""
-    return [(*lead, kind, key, text, _approx(text)) for key, text in values.items()]
+def _rows(kind, texts, ratios, *lead):
+    """One CSV row (*lead, kind, key, value, approx) per entry of texts;
+    ratios holds the (p, d) each value was printed from, in that order."""
+    return [(*lead, kind, key, text, _approx(p, d))
+            for (key, text), (p, d) in zip(texts.items(), ratios)]
+
+
+def _view_ratios(view):
+    """The (p, d) of every entry of an integer view (ints, d)."""
+    ints, d = view
+    return [(p, d) for p in ints]
+
+
+def _share_ratios(sol):
+    """The (p, d) of a solution's shares, in its payload's order."""
+    ints, d = sol._ints
+    return [(ints[k], d) for _, k in sol.lattice.atom_key_bits()]
+
+
+def _total_ratio(view):
+    """[(p, d)] of the sum of an integer view, its efficiency check."""
+    ints, d = view
+    return [(sum(ints), d)]
 
 
 def _parse_edge(key, n):
@@ -191,10 +213,10 @@ def cmd_solve(args):
                 ("meta", "n", str(report["n"]), ""),
                 ("meta", "solver", args.solver, ""),
                 ("meta", "bottomShift", report["bottomShift"], "")]
-        rows += _rows("share", report["shares"])
-        rows += _rows("efficiency", {"": report["efficiencyCheck"]})
+        rows += _rows("share", report["shares"], _share_ratios(sol))
+        rows += _rows("efficiency", {"": report["efficiencyCheck"]}, _total_ratio(sol._ints))
         if nodes is not None:
-            rows += _rows("node", report["nodeShares"])
+            rows += _rows("node", report["nodeShares"], _view_ratios(nodes._ints))
         _print_csv(("kind", "key", "value", "approx"), rows)
     else:
         _print_json(report)
@@ -240,11 +262,14 @@ def cmd_core(args):
                 ("status", "", report["status"], ""),
                 ("supermodular", "", str(report["supermodular"]).lower(), ""),
                 ("totallyPositive", "", str(report["totallyPositive"]).lower(), "")]
-        rows += _rows("witness", report.get("witness", {}))
-        cert = report.get("certificate")
-        if cert:
-            rows += _rows("certificateLowerBound", cert["lowerBounds"])
-            rows += _rows("certificateEfficiency", {"": cert["efficiency"]})
+        if result.witness is not None:
+            rows += _rows("witness", report["witness"], _share_ratios(result.witness))
+        if result.certificate is not None:
+            cert, (multipliers, lam) = report["certificate"], result.certificate
+            rows += _rows("certificateLowerBound", cert["lowerBounds"],
+                          map(Fraction.as_integer_ratio, multipliers.values()))
+            rows += _rows("certificateEfficiency", {"": cert["efficiency"]},
+                          [lam.as_integer_ratio()])
         _print_csv(("kind", "key", "value", "approx"), rows)
     else:
         _print_json(report)
@@ -366,6 +391,7 @@ def cmd_netshare(args):
         weights = _parse_weights(args.split, n)
     edge_keys = [f"{i},{j}" for i, j in combinations(range(1, n + 1), 2)]  # P^N atom order
     out_periods = []
+    views = []  # per period, the (ints, d) its edge and node shares were printed from
     for entry in periods:
         # a file entry wins, even a null one, which _parse_cluster refuses
         key = str(entry["period"])
@@ -375,6 +401,7 @@ def cmd_netshare(args):
         mu = _period_dividends(lat, entry["volumes"], cluster)
         sol = solver(mu.zeta_expand())
         nodes = split_to_nodes(sol, weights)
+        views.append((sol._ints, nodes._ints))
         ints, d = sol._ints
         out_periods.append({
             "period": entry["period"],
@@ -389,12 +416,13 @@ def cmd_netshare(args):
               "periods": out_periods}
     if args.format == "csv":
         rows = []
-        for entry in out_periods:
+        for entry, (edge_view, node_view) in zip(out_periods, views):
             label = entry["period"]
             rows.append((label, "clustering", "", entry["clustering"] or "", ""))
-            rows += _rows("edgeShare", entry["edgeShares"], label)
-            rows += _rows("nodeShare", entry["nodeShares"], label)
-            rows += _rows("efficiency", {"": entry["efficiencyCheck"]}, label)
+            rows += _rows("edgeShare", entry["edgeShares"], _view_ratios(edge_view), label)
+            rows += _rows("nodeShare", entry["nodeShares"], _view_ratios(node_view), label)
+            rows += _rows("efficiency", {"": entry["efficiencyCheck"]},
+                          _total_ratio(edge_view), label)
             rows.append((label, "fixedPoint", "", str(entry["fixedPoint"]).lower(), ""))
         _print_csv(("period", "kind", "key", "value", "approx"), rows)
     else:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from .lattice import EmbeddedSubset, Partition, VerificationError, lattice_for
 from .transform import LatticeGame, format_fraction, parse_fraction
 from .games import PredicateReport, _lift
-from .solutions import Solution, _credit
+from .solutions import Solution, _owner, _su_table
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +230,13 @@ def _check_certificate(system, multipliers, lam):
     """Farkas check: the combination cancels every variable yet demands a
     positive total, so no shares can satisfy the system.  The multipliers
     and lam are ints over one positive denominator, which keeps every
-    sign.  Each multiplier is credited to its element's bits, lam to every
-    bit; the total is read at the bounds' scale d > 0."""
+    sign.  Bit k is credited lam plus the multipliers of the elements
+    holding it (su's holder tuples); the total is read at the bounds'
+    scale d > 0."""
     if any(q < 0 for q in multipliers):
         raise VerificationError("negative inequality multiplier")
-    credit = [lam] * len(system.cols)
-    for m, q in zip(system.lattice.masks, multipliers):
-        _credit(credit, m, q)
-    if any(credit):
+    holders = _su_table(_owner(system.lattice))[1]
+    if any(lam + sum(map(multipliers.__getitem__, held)) for held in holders):
         raise VerificationError("certificate does not cancel the shares")
     ints = system.ints
     if lam * ints[-1] + sum(q * b for q, b in zip(multipliers, ints)) <= 0:

@@ -6,9 +6,16 @@ dividend over the atoms below its element, the chain-uniform solution
 averages per-size marginal contributions over uniformly random maximal
 chains (each cover edge weighed by the chains through it), and the
 egalitarian solution ignores structure entirely.  On the subset lattice
-the first two collapse to the Shapley value.  Both are one crediting
-step: su hands it each dividend with the atoms below its element, cu
-each group of atoms with the marginals of the cover edges that add it.
+the first two collapse to the Shapley value.
+
+su and cu are fixed linear maps from a game's ints to its atoms' shares,
+and the lattice alone fixes them, so each runs off a credit table built
+on its first call and kept per Hasse-table owner (E^N reads P^(n+1)'s):
+su's holds, per mask bit, the elements whose masks hold it and, per
+element, C over its atom count (C = lcm(1..#atoms)); cu's holds the
+cover edges grouped by the atoms they add, each with the maximal chains
+through it, and per mask bit the groups that hold it.  A call is then a
+few map/sum passes over ints, checked to sum to f(top) - f(bottom).
 
 A solution stores its shares as one canonical integer view, like a
 table in ``transform``; Fractions are built only when asked for
@@ -20,13 +27,14 @@ no Fraction built per share.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations, compress
 from math import factorial, lcm
+from operator import mul, sub
 
 from .lattice import VerificationError, lattice_for
 from .transform import (LatticeGame, _canonical, _format_ratio, _fractions, _over_lcm,
-                        _ratio, format_fraction, mobius, parse_fraction)
+                        _ratio, mobius, parse_fraction)
 from .games import SymmetricGame, is_symmetric
 
 
@@ -156,7 +164,10 @@ def su(game):
     below its element.  Works on any of the three lattices.  The dividends
     are ints over the game's denominator, which mobius keeps; the bottom's
     mask is empty, so its dividend reaches no atom."""
-    return _shares(game, zip(game.lattice.masks[1:], mobius(game)._ints[0][1:]), 1, "su")
+    total, holders, scales = _su_table(_owner(game.lattice))
+    weighed = list(map(mul, scales, mobius(game)._ints[0]))
+    return _checked(game, [sum(map(weighed.__getitem__, held)) for held in holders],
+                    total, "su")
 
 
 def cu(game):
@@ -166,43 +177,79 @@ def cu(game):
     it first appears under a uniformly random maximal chain.  Cover edge
     i -> j lies on below[i] * above[j] of the above[0] maximal chains,
     and adds that many integer marginals to every atom it adds.  The
-    edges that add the same atoms are summed into one gain first.
+    edges that add the same atoms, a group, lie next to each other in the
+    table, so a group's gain is the difference of two running sums.
     """
-    ints, masks = game._ints[0], game.lattice.masks
-    covers, below, above = game.lattice._hasse()
-    gains = {}  # per group of atoms a cover edge adds
-    for i, row in enumerate(covers):
-        low, chains, start = masks[i], below[i], ints[i]
-        for j in row:
-            group = masks[j] ^ low
-            gains[group] = gains.get(group, 0) + chains * above[j] * (ints[j] - start)
-    return _shares(game, gains.items(), above[0], "cu")
+    total, src, dst, chains, starts, ends, scales, groups = _cu_table(_owner(game.lattice))
+    at = game._ints[0].__getitem__
+    sums = list(accumulate(map(mul, chains, map(sub, map(at, dst), map(at, src))), initial=0))
+    upto = sums.__getitem__
+    gains = list(map(mul, map(sub, map(upto, ends), map(upto, starts)), scales))
+    return _checked(game, [sum(map(gains.__getitem__, held)) for held in groups], total, "cu")
 
 
-def _shares(game, gains, weight, name):
-    """Spread each int gain evenly over the atoms of its mask group, as
-    ints over C * weight * d (C = lcm(1..#atoms), d the game's), checked
-    on the game's ints to sum to f(top) - f(bottom)."""
+def _checked(game, credit, total, name):
+    """The solution of the credit per mask bit, ints over total * d (d the
+    game's), checked on the game's ints to sum to f(top) - f(bottom)."""
     lat = game.lattice
     ints, d = game._ints
-    common = lcm(*range(1, len(lat.atoms) + 1))
-    credit = [0] * len(lat.atoms)  # per mask bit
-    for group, gain in gains:
-        if gain:
-            _credit(credit, group, gain * (common // group.bit_count()))
-    total = common * weight
     if sum(credit) != total * (ints[-1] - ints[0]):
         raise VerificationError(
             f"{name} shares on {lat.describe()} do not sum to f(top) - f(bottom)")
     return Solution._from_ints(lat, credit, total * d)
 
 
-def _credit(credit, group, gain):
-    """Add gain to the credit of every mask bit set in group."""
-    while group:
-        low = group & -group
-        credit[low.bit_length() - 1] += gain
-        group ^= low
+def _owner(lat):
+    """The lattice whose masks and Hasse table lat reads: P^(n+1) for E^N."""
+    return getattr(lat, "inner", lat)
+
+
+def _common(lat):
+    """C = lcm(1..#atoms): every group's even split is an int over it."""
+    return lcm(*range(1, lat.masks[-1].bit_length() + 1))
+
+
+@lru_cache(maxsize=None)
+def _su_table(lat):
+    """(C, holders, scales) of su on lat, built on the first call: the
+    element indices whose masks hold bit k, for every mask bit k, and
+    C // (the atoms below element i) per element, 0 on the bottom."""
+    masks = lat.masks
+    common = _common(lat)
+    idx = tuple(range(len(masks)))  # one int object per index, shared by the tuples
+    holders = tuple(tuple(compress(idx, [m >> k & 1 for m in masks]))
+                    for k in range(masks[-1].bit_length()))
+    return common, holders, tuple(common // m.bit_count() if m else 0 for m in masks)
+
+
+@lru_cache(maxsize=None)
+def _cu_table(lat):
+    """(C * above[0], src, dst, chains, starts, ends, scales, groups) of cu
+    on lat, built on the first call from its Hasse table.  Cover edge e
+    runs from src[e] to dst[e] on chains[e] = below[src] * above[dst]
+    maximal chains; the edges are ordered by the group of atoms they add,
+    group g spanning starts[g]:ends[g] with scale C // |g|, and groups[k]
+    lists the groups holding mask bit k."""
+    masks = lat.masks
+    covers, below, above = lat._hasse()
+    edges = {}  # group mask -> its cover edges, flat: i, j, i, j, ...
+    for i, row in enumerate(covers):
+        for j in row:
+            edges.setdefault(masks[j] ^ masks[i], []).extend((i, j))
+    src, dst, ends = [], [], []
+    for flat in edges.values():
+        src += flat[0::2]
+        dst += flat[1::2]
+        ends.append(len(src))
+    counts = {}  # a few distinct chain counts, one int object each
+    chains = tuple(counts.setdefault(c, c) for c in
+                   map(mul, map(below.__getitem__, src), map(above.__getitem__, dst)))
+    common = _common(lat)
+    ids = tuple(range(len(edges)))
+    groups = tuple(tuple(compress(ids, [g >> k & 1 for g in edges]))
+                   for k in range(masks[-1].bit_length()))
+    return (common * above[0], tuple(src), tuple(dst), chains, (0, *ends)[:-1],
+            tuple(ends), tuple(common // g.bit_count() for g in edges), groups)
 
 
 def cu_chain_oracle(game):
@@ -292,45 +339,65 @@ def transport_solution(sol):
 
 
 class NodeShares:
-    """Per-node totals after splitting edge shares between endpoints."""
+    """Per-node totals after splitting edge shares between endpoints.
+
+    Like a Solution, the totals are one canonical integer view ``_ints``
+    in node order; ``shares`` is a {node: Fraction} view built on each
+    access, and ``payload()`` prints the ints.
+    """
 
     def __init__(self, n, shares):
         for k in shares:
             if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n:
                 raise ValueError(f"node {k!r} is outside 1..{n}")
         self.n = n
-        self.shares = {i: parse_fraction(shares.get(i, 0)) for i in range(1, n + 1)}
+        self._ints = _canonical(*_over_lcm([_ratio(shares.get(i, 0)) for i in range(1, n + 1)]))
+
+    @classmethod
+    def _from_ints(cls, n, ints, d):
+        """The totals ints / d (d > 0) of nodes 1..n, reduced to canonical form."""
+        nodes = cls.__new__(cls)
+        nodes.n = n
+        nodes._ints = _canonical(ints, d)
+        return nodes
+
+    @property
+    def shares(self):
+        """{node: share}"""
+        return dict(enumerate(self.vector(), 1))
 
     def vector(self):
-        return tuple(self.shares[i] for i in range(1, self.n + 1))
+        return _fractions(self._ints)
 
     def total(self):
-        return sum(self.shares.values(), Fraction(0))
+        ints, d = self._ints
+        return Fraction(sum(ints), d)
 
     def __eq__(self, other):
         return (isinstance(other, NodeShares)
-                and other.n == self.n and other.shares == self.shares)
+                and other.n == self.n and other._ints == self._ints)
 
     def __repr__(self):
         return f"NodeShares({self.vector()!r})"
 
     def payload(self):
+        ints, d = self._ints
         return {"n": self.n,
-                "shares": {str(i): format_fraction(self.shares[i])
-                           for i in range(1, self.n + 1)}}
+                "shares": {str(i): _format_ratio(p, d) for i, p in enumerate(ints, 1)}}
 
 
 def split_to_nodes(sol, weights=None):
     """Split each edge share between its endpoints.
 
     weights maps (i, j) with i < j to the pair of endpoint weights, which
-    must sum to one; edges without an entry split evenly.
+    must sum to one; edges without an entry split evenly.  The edge ints
+    are summed over one denominator: 2d for an even split, the lcm of 2
+    and the weights' denominators times d for a weighted one.
     """
     lat = sol.lattice
     if lat.tag != "P^N":
         raise ValueError("node splitting applies to edge shares on P^N")
     n = lat.n
-    half = Fraction(1, 2)
     table = {}
     if weights:
         for key, pair in weights.items():
@@ -341,12 +408,17 @@ def split_to_nodes(sol, weights=None):
             if wi + wj != 1:
                 raise ValueError(f"weights for edge {i},{j} sum to {wi + wj}, not 1")
             table[(i, j)] = (wi, wj)
-    totals = {i: Fraction(0) for i in range(1, n + 1)}
-    for (i, j), q in zip(combinations(range(1, n + 1), 2), sol._vector):  # bit k: pair k
-        wi, wj = table.get((i, j), (half, half))
-        totals[i] += wi * q
-        totals[j] += wj * q
-    return NodeShares(n, totals)
+    scale = lcm(2, *(w.denominator for pair in table.values() for w in pair))
+    for edge, pair in table.items():
+        table[edge] = tuple(w.numerator * (scale // w.denominator) for w in pair)
+    even = (scale // 2,) * 2
+    ints, d = sol._ints
+    totals = [0] * (n + 1)
+    for (i, j), p in zip(combinations(range(1, n + 1), 2), ints):  # bit k: pair k
+        wi, wj = table.get((i, j), even)
+        totals[i] += wi * p
+        totals[j] += wj * p
+    return NodeShares._from_ints(n, totals[1:], scale * d)
 
 
 def _edge(i, j, n):

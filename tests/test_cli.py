@@ -16,6 +16,7 @@ import shutil
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,8 @@ import pytest
 import lattice_games
 from lattice_games import cli
 from lattice_games.lattice import Lattice, lattice_for
-from lattice_games.transform import LatticeGame, MobiusCoefficients, _TableOnLattice
+from lattice_games.transform import (LatticeGame, MobiusCoefficients, _format_ratio,
+                                     _TableOnLattice)
 
 
 def run_cli(argv, capsys):
@@ -115,6 +117,29 @@ def test_csv_leaves_the_approximation_empty_beyond_float_range(tmp_path, capsys)
     assert code == 0
     assert f't0,edgeShare,"1,2",{huge},' in out.splitlines()
     assert f"t0,nodeShare,1,{10 ** 400 // 2}," in out.splitlines()
+
+
+def test_csv_approximation_is_the_float_of_the_printed_value():
+    """_approx reads (p, d) as repr(float(Fraction(text))) reads the text
+    printed from it: signed, unreduced, integer, huge and tiny values, and
+    an empty cell for a value past a float's range."""
+    rng = random.Random(17)
+    big = 10 ** 400
+    cases = [(0, 1), (0, 7), (5, 1), (-5, 1), (6, 4), (-6, 4), (1, 3), (-2, 3),
+             (big, 3 * big), (-(big + 1), big), (1, big), (-1, big), (3, 7 * big),
+             (big, 1), (-big, 7), (2 ** 1024, 1), (2 ** 1024 - 2 ** 970, 1),
+             (2 ** 1024 - 2 ** 971, 1), (-(2 ** 1100), 2 ** 77), (2 ** 53 + 1, 1),
+             (1, 2 ** 1074), (1, 2 ** 1075), (3, 2 ** 1076)]
+    cases += [(rng.randint(-10 ** 60, 10 ** 60), rng.randint(1, 10 ** rng.randint(0, 60)))
+              for _ in range(300)]
+    for p, d in cases:
+        text = _format_ratio(p, d)
+        try:
+            want = repr(float(Fraction(text)))
+        except OverflowError:
+            want = ""
+        assert cli._approx(p, d) == want, (p, d)
+    assert cli._approx(big, 1) == cli._approx(-big, 7) == ""
 
 
 def test_egalitarian_on_a_lattice_without_atoms(tmp_path, capsys):

@@ -7,13 +7,20 @@ linearity, efficiency, and the indicator-game formulas that
 characterize them.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
+import lattice_games
+from lattice_games import solutions
 from lattice_games.cli import _period_dividends
 from lattice_games.lattice import Partition, lattice_for
 from lattice_games.transform import (
@@ -595,6 +602,110 @@ def test_cu_equals_the_per_edge_credit_up_to_the_cap(tag, n):
         assert cu(g)._ints == cu_edge_oracle(g)._ints
 
 
+# ---------------------------------------------------------------------------
+# the credit tables against the crediting loops they replaced
+
+
+def credit_groups(game, gains, weight):
+    """Each int gain spread evenly over the mask bits of its group, one
+    bit at a time, as ints over C * weight * d (C = lcm(1..#atoms), d the
+    game's): the crediting step su and cu shared before their tables."""
+    lat = game.lattice
+    common = lcm(*range(1, len(lat.atoms) + 1))
+    credit = [0] * len(lat.atoms)  # per mask bit
+    for group, gain in gains:
+        if gain:
+            share = gain * (common // group.bit_count())
+            while group:
+                low = group & -group
+                credit[low.bit_length() - 1] += share
+                group ^= low
+    return Solution._from_ints(lat, credit, common * weight * game._ints[1])
+
+
+def su_group_oracle(game):
+    """su with each dividend credited to its element's mask, bit by bit."""
+    return credit_groups(game, zip(game.lattice.masks[1:], mobius(game)._ints[0][1:]), 1)
+
+
+def cu_gains_oracle(game):
+    """cu with the cover-edge marginals summed per group in a dict first."""
+    ints, masks = game._ints[0], game.lattice.masks
+    covers, below, above = game.lattice._hasse()
+    gains = {}  # per group of atoms a cover edge adds
+    for i, row in enumerate(covers):
+        for j in row:
+            group = masks[j] ^ masks[i]
+            gains[group] = gains.get(group, 0) + below[i] * above[j] * (ints[j] - ints[i])
+    return credit_groups(game, gains.items(), above[0])
+
+
+@pytest.mark.parametrize("tag,n", [("2^N", n) for n in range(1, 9)]
+                         + [("P^N", n) for n in range(1, 9)]
+                         + [("E^N", n) for n in range(1, 8)])
+def test_su_and_cu_equal_the_crediting_loops_up_to_the_cap(tag, n):
+    """The table-driven su and cu give the ints of the loops they replaced
+    on random, bottom-shifted, clustered and zero-gain games."""
+    rng = random.Random(200 + 10 * n + len(tag))
+    lat = lattice_for(tag, n)
+    dense = random_game(lat, rng)
+    games = [dense, dense.normalize_bottom()[0],
+             dense + Fraction(5, 7) * zeta_game(lat, lat.bottom),
+             clustering_restrict(dense, rng.choice(lat.elements)),
+             clustering_restrict(dense, lat.bottom),  # every gain is zero
+             zeta_game(lat, lat.top), 3 * zeta_game(lat, lat.bottom)]
+    for g in games:
+        assert su(g)._ints == su_group_oracle(g)._ints
+        assert cu(g)._ints == cu_gains_oracle(g)._ints
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_embedded_lattices_share_the_partition_tables(n):
+    """E^n reads P^(n+1)'s masks and Hasse table, so su, cu and the core
+    certificate check read P^(n+1)'s credit tables: one object each."""
+    emb, part = lattice_for("E^N", n), lattice_for("P^N", n + 1)
+    assert solutions._owner(emb) is part and solutions._owner(part) is part
+    assert solutions._su_table(solutions._owner(emb)) is solutions._su_table(part)
+    assert solutions._cu_table(solutions._owner(emb)) is solutions._cu_table(part)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_corrupted_credit_tables_fail_the_efficiency_check(flags):
+    """A credit table with its scales doubled makes su and cu raise, also
+    under python -O: the efficiency check is an explicit raise."""
+    script = textwrap.dedent("""
+        import sys
+        from lattice_games import solutions
+        from lattice_games.lattice import lattice_for
+        from lattice_games.transform import LatticeGame
+
+        print("optimize", sys.flags.optimize)
+        lat = lattice_for("E^N", 3)
+        game = LatticeGame(lat, {x: lat.size(x) ** 2 for x in lat.elements})
+        owner = solutions._owner(lat)
+        total, holders, scales = solutions._su_table(owner)
+        solutions._su_table = lambda lat: (total, holders, tuple(2 * q for q in scales))
+        *head, scales, groups = solutions._cu_table(owner)
+        solutions._cu_table = lambda lat: (*head, tuple(2 * q for q in scales), groups)
+        for solver in (solutions.su, solutions.cu):
+            try:
+                solver(game)
+                print(solver.__name__, "returned")
+            except Exception as err:
+                print(solver.__name__, type(err).__name__, err)
+    """)
+    package_root = Path(lattice_games.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"optimize {len(flags)}",
+        "su VerificationError su shares on E^N with n=3 do not sum to f(top) - f(bottom)",
+        "cu VerificationError cu shares on E^N with n=3 do not sum to f(top) - f(bottom)",
+    ]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_solvers_commute_with_transport(n):
     rng = random.Random(90 + n)
@@ -699,8 +810,11 @@ def test_split_to_nodes_weighted():
                 if rng.random() < 0.5:
                     wi = Fraction(rng.randint(0, 6), 6)
                     weights[edge] = (wi, 1 - wi)
-            assert split_to_nodes(sol, weights) == split_oracle(sol, weights)
-            assert split_to_nodes(sol) == split_oracle(sol, {})
+            for table in (weights, {}):
+                got, want = split_to_nodes(sol, table), split_oracle(sol, table)
+                assert got == want and got.vector() == want.vector()
+                assert got.payload()["shares"] == {str(i): format_fraction(q)
+                                                   for i, q in want.shares.items()}
 
 
 def test_split_to_nodes_validation():
@@ -722,6 +836,10 @@ def test_node_shares_payload():
     nodes = NodeShares(3, {1: Fraction(5, 2), 2: 2, 3: Fraction(1, 2)})
     assert nodes.payload() == {"n": 3, "shares": {"1": "5/2", "2": "2", "3": "1/2"}}
     assert NodeShares(2, {}).vector() == (0, 0)
+    assert NodeShares(2, {1: "2/4", 2: 3}) == NodeShares(2, {1: Fraction(1, 2), 2: "6/2"})
+    assert NodeShares(2, {1: "2/4"}) != NodeShares(2, {1: "1/4"})
+    assert NodeShares(2, {1: "2/4", 2: -1}).shares == {1: Fraction(1, 2), 2: -1}
+    assert NodeShares(2, {1: "2/4", 2: -1}).total() == Fraction(-1, 2)
     for stray in (4, 0, "1", True, None):
         with pytest.raises(ValueError, match=f"node {stray!r} is outside 1..3"):
             NodeShares(3, {stray: 5, 1: 1})

@@ -407,6 +407,25 @@ def test_mobius_equals_the_fraction_recursion(tag, n):
             assert all(type(q) is Fraction for q in mu.vector())
 
 
+@pytest.mark.parametrize("tag,n", [("2^N", 4), ("P^N", 5), ("E^N", 4)])
+def test_mobius_and_zeta_read_the_down_set_table_once(monkeypatch, tag, n):
+    """Each of mobius and zeta_expand reads the whole down-set table in one
+    call, never a down-set per element, and gives the same table."""
+    lat = lattice_for(tag, n)
+    game = random_game(lat, random.Random(n))
+    mu = mobius(game)
+    tables = lat._order_tables
+    reads = []
+
+    def per_element(i):
+        raise AssertionError("a down-set was read on its own")
+
+    monkeypatch.setattr(lat, "downset_indices", per_element)
+    monkeypatch.setattr(lat, "_order_tables", lambda: reads.append(1) or tables())
+    assert mobius(game) == mu and len(reads) == 1
+    assert zeta_expand(mu) == game and len(reads) == 2
+
+
 def dict_zeta_expand(coeffs):
     """Zeta expansion read through the element-keyed dict, one element at
     a time: the oracle for the index-vector zeta_expand."""
