@@ -32,7 +32,6 @@ from .lattice import (
 from .transform import (
     LatticeGame,
     MobiusCoefficients,
-    _format_ratio,
     _known_keys,
     _over_lcm,
     _parse_int,
@@ -60,8 +59,9 @@ from .coresep import core_contains, core_feasible, separability_test
 
 
 def _load_json(path):
-    """The JSON document in path; a key named twice in one object, or
-    nesting deeper than the parser's recursion limit, is refused."""
+    """The JSON document in path, read as UTF-8 (RFC 8259) whatever the
+    locale; bytes that are not UTF-8, a key named twice in one object, or
+    nesting deeper than the parser's recursion limit, are refused."""
     def unique(pairs):
         obj = dict(pairs)
         if len(obj) < len(pairs):
@@ -71,9 +71,9 @@ def _load_json(path):
         return obj
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_int=_parse_int, object_pairs_hook=unique)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ValueError(f"{path}: {err}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
@@ -106,24 +106,6 @@ def _rows(kind, texts, ratios, *lead):
     ratios holds the (p, d) each value was printed from, in that order."""
     return [(*lead, kind, key, text, _approx(p, d))
             for (key, text), (p, d) in zip(texts.items(), ratios)]
-
-
-def _view_ratios(view):
-    """The (p, d) of every entry of an integer view (ints, d)."""
-    ints, d = view
-    return [(p, d) for p in ints]
-
-
-def _share_ratios(sol):
-    """The (p, d) of a solution's shares, in its payload's order."""
-    ints, d = sol._ints
-    return [(ints[k], d) for _, k in sol.lattice.atom_key_bits()]
-
-
-def _total_ratio(view):
-    """[(p, d)] of the sum of an integer view, its efficiency check."""
-    ints, d = view
-    return [(sum(ints), d)]
 
 
 def _parse_edge(key, n):
@@ -195,28 +177,33 @@ def cmd_solve(args):
         sol = myerson(game, _load_edges(args.graph_file))
     else:
         sol = SOLVERS[args.solver](game)
-    report = {"command": "solve", "solver": args.solver}
-    report.update(sol.payload())
-    report["normalized"] = not args.no_bottom_normalize
-    report["bottomShift"] = format_fraction(shift)
-    if cluster_label is not None:
-        report["clustering"] = cluster_label
-    nodes = None
+    as_csv = args.format == "csv"
+    if as_csv:
+        lat = sol.lattice
+        shares, total = sol._rendered()
+        rows = [("meta", "lattice", lat.tag, ""),
+                ("meta", "n", str(lat.n), ""),
+                ("meta", "solver", args.solver, ""),
+                ("meta", "bottomShift", format_fraction(shift), "")]
+        rows += _rows("share", *shares)
+        rows += _rows("efficiency", *total)
+    else:
+        report = {"command": "solve", "solver": args.solver}
+        report.update(sol.payload())
+        report["normalized"] = not args.no_bottom_normalize
+        report["bottomShift"] = format_fraction(shift)
+        if cluster_label is not None:
+            report["clustering"] = cluster_label
     if args.split is not None:
         weights = None
         if args.split != "equal":
             weights = _parse_weights(args.split, game.lattice.n)
         nodes = split_to_nodes(sol, weights)
-        report["nodeShares"] = nodes.payload()["shares"]
-    if args.format == "csv":
-        rows = [("meta", "lattice", report["lattice"], ""),
-                ("meta", "n", str(report["n"]), ""),
-                ("meta", "solver", args.solver, ""),
-                ("meta", "bottomShift", report["bottomShift"], "")]
-        rows += _rows("share", report["shares"], _share_ratios(sol))
-        rows += _rows("efficiency", {"": report["efficiencyCheck"]}, _total_ratio(sol._ints))
-        if nodes is not None:
-            rows += _rows("node", report["nodeShares"], _view_ratios(nodes._ints))
+        if as_csv:
+            rows += _rows("node", *nodes._rendered())
+        else:
+            report["nodeShares"] = nodes.payload()["shares"]
+    if as_csv:
         _print_csv(("kind", "key", "value", "approx"), rows)
     else:
         _print_json(report)
@@ -237,14 +224,22 @@ def _load_edges(path):
 # core
 
 
+# P^7's 877 elements: the largest lattice whose core LP finishes in minutes
+# rather than hours (README "Scale")
+CORE_MAX_ELEMENTS = bell(7)
+
+
 def cmd_core(args):
     game, shift, _ = _load_game(args)
+    lat = game.lattice
+    if len(lat) > CORE_MAX_ELEMENTS:
+        raise SizeLimitError(f"core decides lattices of at most {CORE_MAX_ELEMENTS} elements "
+                             f"(P^7); {lat.describe()} has {len(lat)}")
     result = core_feasible(game)
     # f(x v y) + f(x ^ y) - f(x) - f(y) is the Mobius mass on the z below
     # x v y and below neither x nor y, so nonnegative mass settles it.
     positive = is_totally_positive(game)
     supermod = positive or is_supermodular(game)
-    lat = game.lattice
     report = {"command": "core"}
     report.update(result.payload())
     report["violated"] = []
@@ -263,7 +258,7 @@ def cmd_core(args):
                 ("supermodular", "", str(report["supermodular"]).lower(), ""),
                 ("totallyPositive", "", str(report["totallyPositive"]).lower(), "")]
         if result.witness is not None:
-            rows += _rows("witness", report["witness"], _share_ratios(result.witness))
+            rows += _rows("witness", *result.witness._rendered()[0])
         if result.certificate is not None:
             cert, (multipliers, lam) = report["certificate"], result.certificate
             rows += _rows("certificateLowerBound", cert["lowerBounds"],
@@ -323,7 +318,7 @@ def _trace_csv(path):
     """Rows grouped by period label; n is the largest node id named."""
     periods = {}
     n = 0
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = _csv_rows(fh, path)
         header = next(rows, None)
         if header is None or [h.strip() for h in header] != ["period", "i", "j", "volume"]:
@@ -346,12 +341,15 @@ def _trace_csv(path):
 
 def _csv_rows(fh, path):
     """The CSV rows of fh; a row the csv module cannot read, such as one
-    with a field over csv.field_size_limit(), is refused as path:line."""
+    with a field over csv.field_size_limit(), is refused as path:line,
+    and bytes that are not UTF-8 as path (fh decodes ahead of the rows)."""
     reader = csv.reader(fh)
     try:
         yield from reader
     except csv.Error as err:
         raise ValueError(f"{path}:{reader.line_num}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _cluster_map(path, periods):
@@ -389,9 +387,9 @@ def cmd_netshare(args):
     weights = None
     if args.split and args.split != "equal":
         weights = _parse_weights(args.split, n)
-    edge_keys = [f"{i},{j}" for i, j in combinations(range(1, n + 1), 2)]  # P^N atom order
+    edge_keys = [f"{i},{j}" for i, j in combinations(range(1, n + 1), 2)]  # mask-bit order
     out_periods = []
-    views = []  # per period, the (ints, d) its edge and node shares were printed from
+    rendered = []  # per period, its rendered edge shares, node shares and total
     for entry in periods:
         # a file entry wins, even a null one, which _parse_cluster refuses
         key = str(entry["period"])
@@ -400,15 +398,15 @@ def cmd_netshare(args):
             _parse_cluster(lat, label, f"period {entry['period']}: clustering")
         mu = _period_dividends(lat, entry["volumes"], cluster)
         sol = solver(mu.zeta_expand())
-        nodes = split_to_nodes(sol, weights)
-        views.append((sol._ints, nodes._ints))
-        ints, d = sol._ints
+        edges, total = sol._rendered(edge_keys)
+        nodes = split_to_nodes(sol, weights)._rendered()
+        rendered.append((edges, nodes, total))
         out_periods.append({
             "period": entry["period"],
             "clustering": None if cluster is None else lat.key(cluster),
-            "edgeShares": {key: _format_ratio(q, d) for key, q in zip(edge_keys, ints)},
-            "nodeShares": nodes.payload()["shares"],
-            "efficiencyCheck": _format_ratio(sum(ints), d),
+            "edgeShares": edges[0],
+            "nodeShares": nodes[0],
+            "efficiencyCheck": total[0][""],
             "fixedPoint": sol.matches(mu),
         })
     report = {"command": "netshare", "n": n, "solver": args.solver,
@@ -416,13 +414,12 @@ def cmd_netshare(args):
               "periods": out_periods}
     if args.format == "csv":
         rows = []
-        for entry, (edge_view, node_view) in zip(out_periods, views):
+        for entry, (edges, nodes, total) in zip(out_periods, rendered):
             label = entry["period"]
             rows.append((label, "clustering", "", entry["clustering"] or "", ""))
-            rows += _rows("edgeShare", entry["edgeShares"], _view_ratios(edge_view), label)
-            rows += _rows("nodeShare", entry["nodeShares"], _view_ratios(node_view), label)
-            rows += _rows("efficiency", {"": entry["efficiencyCheck"]},
-                          _total_ratio(edge_view), label)
+            rows += _rows("edgeShare", *edges, label)
+            rows += _rows("nodeShare", *nodes, label)
+            rows += _rows("efficiency", *total, label)
             rows.append((label, "fixedPoint", "", str(entry["fixedPoint"]).lower(), ""))
         _print_csv(("period", "kind", "key", "value", "approx"), rows)
     else:

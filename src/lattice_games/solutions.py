@@ -17,28 +17,30 @@ cover edges grouped by the atoms they add, each with the maximal chains
 through it, and per mask bit the groups that hold it.  A call is then a
 few map/sum passes over ints, checked to sum to f(top) - f(bottom).
 
-A solution stores its shares as one canonical integer view, like a
-table in ``transform``; Fractions are built only when asked for
-(``shares``, ``vector()``, ``value``/``[]``, ``efficiency()``).
-``payload()`` prints the ints through ``transform``'s one renderer, with
-no Fraction built per share.
+A solution, and the node shares split from it, are ``transform``'s one
+integer view class: a solution's shares are ints over one denominator
+in mask-bit order on its lattice, node shares in node order on n.  The
+view owns construction from ints, ``==``, the Fraction cache (``shares``,
+``vector()``, ``value``/``[]``), the total (``efficiency()``,
+``total()``) and the renderer that payloads and CSV rows print through,
+with no Fraction built per share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, combinations, compress
 from math import factorial, lcm
-from operator import mul, sub
+from operator import attrgetter, mul, sub
 
 from .lattice import VerificationError, lattice_for
-from .transform import (LatticeGame, _canonical, _format_ratio, _fractions, _over_lcm,
-                        _ratio, mobius, parse_fraction)
+from .transform import (LatticeGame, _IntView, _canonical, _over_lcm, _ratio, mobius,
+                        parse_fraction)
 from .games import SymmetricGame, is_symmetric
 
 
-class Solution:
+class Solution(_IntView):
     """Shares per atom; an exact allocation of f(top) - f(bottom).
 
     The shares are one canonical integer view ``_ints`` in mask-bit
@@ -57,34 +59,19 @@ class Solution:
         if len(shares) != len(pairs):
             stray = next(k for k in shares if k not in lattice.atoms)
             raise ValueError(f"{stray!r} is not an atom of {lattice.describe()}")
-        self.lattice = lattice
-        self._ints = _canonical(*_over_lcm(pairs))
-
-    @classmethod
-    def _from_ints(cls, lattice, ints, d):
-        """A solution of the shares ints / d (d > 0) that this package
-        computed, in mask-bit order, reduced to canonical form."""
-        sol = cls.__new__(cls)
-        sol.lattice = lattice
-        sol._ints = _canonical(ints, d)
-        return sol
-
-    @cached_property
-    def _vector(self):
-        """The shares in mask-bit order, as Fractions."""
-        return _fractions(self._ints)
+        self._set(lattice, _canonical(*_over_lcm(pairs)))
 
     @property
     def shares(self):
         """{atom: share}"""
         lat = self.lattice
-        return dict(zip(lat.atoms_below(lat.top), self._vector))
+        return dict(zip(lat.atoms_below(lat.top), self._fractions()))
 
     def value(self, a):
         lat = self.lattice
         if a not in lat.atoms:
             raise ValueError(f"{a!r} is not an atom of {lat.describe()}")
-        return self._vector[lat.masks[lat.index(a)].bit_length() - 1]
+        return self._fractions()[lat.masks[lat.index(a)].bit_length() - 1]
 
     __getitem__ = value
 
@@ -92,13 +79,7 @@ class Solution:
         view = self.shares
         return tuple(view[a] for a in self.lattice.atoms)
 
-    def efficiency(self):
-        ints, d = self._ints
-        return Fraction(sum(ints), d)
-
-    def __eq__(self, other):
-        return (isinstance(other, Solution)
-                and other.lattice is self.lattice and other._ints == self._ints)
+    efficiency = _IntView._total
 
     def __repr__(self):
         return f"Solution({self.lattice.describe()}, {self.vector()!r})"
@@ -121,12 +102,20 @@ class Solution:
             want[lat.mask_index(1 << k)] = q * e
         return all(p == q * d for p, q in zip(want[1:], mass[1:]))  # bottom first
 
+    def _rendered(self, keys=None):
+        """The rendered shares (``_render``), keyed by atom key in atoms
+        order or by keys in mask-bit order, and their rendered total,
+        keyed ""."""
+        ints = self._ints[0]
+        if keys is None:
+            keyed = self.lattice.atom_key_bits()
+            keys, ints = [key for key, _ in keyed], [ints[k] for _, k in keyed]
+        return self._render(keys, ints), self._render([""], [sum(ints)])
+
     def payload(self):
         lat = self.lattice
-        ints, d = self._ints
-        return {"lattice": lat.tag, "n": lat.n,
-                "shares": {key: _format_ratio(ints[k], d) for key, k in lat.atom_key_bits()},
-                "efficiencyCheck": _format_ratio(sum(ints), d)}
+        (shares, _), (total, _) = self._rendered()
+        return {"lattice": lat.tag, "n": lat.n, "shares": shares, "efficiencyCheck": total[""]}
 
 
 def _subset_only(game, who):
@@ -338,52 +327,39 @@ def transport_solution(sol):
     return Solution._from_ints(target, *sol._ints)
 
 
-class NodeShares:
+class NodeShares(_IntView):
     """Per-node totals after splitting edge shares between endpoints.
 
     Like a Solution, the totals are one canonical integer view ``_ints``
-    in node order; ``shares`` is a {node: Fraction} view built on each
-    access, and ``payload()`` prints the ints.
+    in node order, owned by n; ``shares`` is a {node: Fraction} view
+    built on each access, and ``payload()`` prints the ints.
     """
+
+    lattice = None  # owned by n, not by a lattice
+    n = property(attrgetter("_owner"), doc="the number of nodes")
 
     def __init__(self, n, shares):
         for k in shares:
             if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n:
                 raise ValueError(f"node {k!r} is outside 1..{n}")
-        self.n = n
-        self._ints = _canonical(*_over_lcm([_ratio(shares.get(i, 0)) for i in range(1, n + 1)]))
-
-    @classmethod
-    def _from_ints(cls, n, ints, d):
-        """The totals ints / d (d > 0) of nodes 1..n, reduced to canonical form."""
-        nodes = cls.__new__(cls)
-        nodes.n = n
-        nodes._ints = _canonical(ints, d)
-        return nodes
+        self._set(n, _canonical(*_over_lcm([_ratio(shares.get(i, 0)) for i in range(1, n + 1)])))
 
     @property
     def shares(self):
         """{node: share}"""
         return dict(enumerate(self.vector(), 1))
 
-    def vector(self):
-        return _fractions(self._ints)
-
-    def total(self):
-        ints, d = self._ints
-        return Fraction(sum(ints), d)
-
-    def __eq__(self, other):
-        return (isinstance(other, NodeShares)
-                and other.n == self.n and other._ints == self._ints)
+    total = _IntView._total
 
     def __repr__(self):
         return f"NodeShares({self.vector()!r})"
 
+    def _rendered(self):
+        """The rendered totals (``_render``), keyed by node "1".."n"."""
+        return self._render(map(str, range(1, self.n + 1)), self._ints[0])
+
     def payload(self):
-        ints, d = self._ints
-        return {"n": self.n,
-                "shares": {str(i): _format_ratio(p, d) for i, p in enumerate(ints, 1)}}
+        return {"n": self.n, "shares": self._rendered()[0]}
 
 
 def split_to_nodes(sol, weights=None):

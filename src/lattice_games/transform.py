@@ -5,10 +5,12 @@ coefficients are the unique weights with f(y) = sum of mu(x) over x <= y;
 they are recovered by the usual top-down recursion and inverted back by
 zeta expansion.
 
-A table stores one form of its rationals, in element-index order: the
-integer view (ints, d), the values as ints over one common denominator,
-canonical (d > 0 and gcd(d, *ints) == 1), so two tables hold the same
-rationals exactly when their views are equal.
+Games, Mobius tables, solutions and node shares are one class,
+``_IntView``, each storing one form of its rationals: the integer view
+(ints, d), the values as ints over one common denominator, canonical
+(d > 0 and gcd(d, *ints) == 1), in a storage order over an owner (a
+lattice, or the node count n).  Two views of one class and owner hold
+the same rationals exactly when their ints are equal.
 
 Every value that enters the package is read once into a numerator and
 a denominator, by the grammar ``parse_fraction`` also uses, and a table
@@ -22,12 +24,13 @@ that loop is the only one that words a refusal.
 
 Mobius inversion, zeta expansion, game arithmetic, the derived games,
 the solvers, the predicates and the core LP hand each other views.
-Fractions exist only as a cache, built on the first call of
-``vector()``, ``value``/``[]`` or the ``values``/``coefficients``
-dicts; ``top_value`` and ``bottom_value`` read the view.  Every value a
-table hands out is an exact Fraction.  One renderer, ``_format_ratio``,
-prints a rational (p, d) of a view as ``str(Fraction(p, d))`` would,
-after one gcd; ``format_fraction`` and every payload print through it.
+Fractions exist only as the view's cache, built on the first call of
+``vector()``, ``value``/``[]`` or a dict view; ``top_value`` and
+``bottom_value`` read the ints.  Every value a view hands out is an
+exact Fraction.  ``_format_ratio`` prints a rational (p, d) as
+``str(Fraction(p, d))`` would, after one gcd; ``format_fraction`` and
+the view's one renderer, ``_render``, print through it, and every
+payload and CSV row prints through ``_render``.
 
 Zeta expansion still sums Fractions, read off its Mobius table's
 ``vector()``, before it takes the view of the sums.  Integer sums run
@@ -43,7 +46,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from .lattice import INTEGER, LATTICE_TAGS, SizeLimitError, lattice_for
 
@@ -138,14 +141,16 @@ def _too_many_digits():
                           f"Python's limit for converting an int to or from a string")
 
 
-class _TableOnLattice:
-    """Shared plumbing for anything that maps every element to a rational.
-
-    A table stores only its canonical integer view ``_ints``; the
-    Fraction tuple and the dict keyed by element (``values`` of a game,
-    ``coefficients`` of a Mobius table) are caches built on first use.
-    The constructor reads the values straight into the view.
+class _IntView:
+    """The canonical integer view ``_ints`` of games, Mobius tables,
+    solutions and node shares, over an owner: a lattice, or the node
+    count n.  The ints are in storage order (element index, mask bit or
+    node); the Fraction tuple in that order and a table's element-keyed
+    dict (``values``, ``coefficients``) are caches built on first use.
+    This constructor reads a table's values straight into the view.
     """
+
+    lattice = property(attrgetter("_owner"), doc="the lattice the view lives on")
 
     def __init__(self, lattice, values, fill=None):
         for k in values:
@@ -166,15 +171,15 @@ class _TableOnLattice:
         self._set(lattice, _canonical(*_over_lcm(pairs)))
 
     @classmethod
-    def _from_ints(cls, lattice, ints, d):
-        """A table of the rationals ints / d (d > 0) that this package
-        computed, in element-index order, reduced to canonical form."""
-        table = cls.__new__(cls)
-        table._set(lattice, _canonical(ints, d))
-        return table
+    def _from_ints(cls, owner, ints, d):
+        """A view of the rationals ints / d (d > 0) that this package
+        computed, in storage order, reduced to canonical form."""
+        view = cls.__new__(cls)
+        view._set(owner, _canonical(ints, d))
+        return view
 
-    def _set(self, lattice, ints):
-        self.lattice = lattice
+    def _set(self, owner, ints):
+        self._owner = owner
         self._ints = ints
         self._vector = None
         self._view = None
@@ -184,36 +189,54 @@ class _TableOnLattice:
         ints, d = self._ints
         return Fraction(ints[i], d)
 
+    def _fractions(self):
+        """The rationals in storage order, as Fractions.  A zero int gets
+        one shared Fraction(0): a Mobius mass is mostly zeros."""
+        if self._vector is None:
+            ints, d = self._ints
+            zero = Fraction(0)
+            self._vector = tuple(Fraction(q, d) if q else zero for q in ints)
+        return self._vector
+
+    vector = _fractions
+
+    def _total(self):
+        """The sum of the rationals, as a Fraction."""
+        ints, d = self._ints
+        return Fraction(sum(ints), d)
+
+    def _render(self, keys, ints):
+        """({key: "p/q"}, [(p, d)]) for ints of this view over its d,
+        paired in order with keys: the texts a payload prints, and the
+        ratios the CSV approx column reads off the same ints."""
+        d = self._ints[1]
+        ratios = [(p, d) for p in ints]
+        return {key: _format_ratio(p, d) for key, (p, d) in zip(keys, ratios)}, ratios
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and other._owner == self._owner
+                and other._ints == self._ints)
+
     def _table(self):
         if self._view is None:
             self._view = dict(zip(self.lattice.elements, self.vector()))
         return self._view
-
-    def vector(self):
-        """The rationals in element-index order, as Fractions."""
-        if self._vector is None:
-            self._vector = _fractions(self._ints)
-        return self._vector
 
     def value(self, x):
         return self.vector()[self.lattice.index(x)]
 
     __getitem__ = value
 
-    def __eq__(self, other):
-        return (type(other) is type(self)
-                and other.lattice is self.lattice
-                and other._ints == self._ints)
-
     def __repr__(self):
         lat = self.lattice
         return f"{type(self).__name__}({lat.describe()}, {len(lat)} entries)"
 
 
-class LatticeGame(_TableOnLattice):
+class LatticeGame(_IntView):
     """A rational-valued function on every element of one lattice."""
 
-    values = property(_TableOnLattice._table, doc="{element: value}")
+    values = property(_IntView._table, doc="{element: value}")
 
     @property
     def bottom_value(self):
@@ -259,9 +282,8 @@ class LatticeGame(_TableOnLattice):
 
     def payload(self):
         lat = self.lattice
-        ints, d = self._ints
         return {"lattice": lat.tag, "n": lat.n,
-                "values": {key: _format_ratio(q, d) for key, q in zip(lat.key_indices(), ints)}}
+                "values": self._render(lat.key_indices(), self._ints[0])[0]}
 
     @classmethod
     def from_payload(cls, payload, max_n=None):
@@ -311,10 +333,10 @@ class LatticeGame(_TableOnLattice):
         return cls._from_ints(lat, *_over_lcm(pairs))
 
 
-class MobiusCoefficients(_TableOnLattice):
+class MobiusCoefficients(_IntView):
     """Mobius coefficients on a lattice; missing entries count as zero."""
 
-    coefficients = property(_TableOnLattice._table, doc="{element: coefficient}")
+    coefficients = property(_IntView._table, doc="{element: coefficient}")
 
     def __init__(self, lattice, coefficients):
         super().__init__(lattice, coefficients, fill=(0, 1))
@@ -339,14 +361,6 @@ def _canonical(ints, d):
     if g == 1:
         return ints, d
     return [q // g for q in ints], d // g
-
-
-def _fractions(view):
-    """The rationals of a view (ints, d) as a tuple of Fractions.  A zero
-    int gets one shared Fraction(0): a Mobius mass is mostly zeros."""
-    ints, d = view
-    zero = Fraction(0)
-    return tuple(Fraction(q, d) if q else zero for q in ints)
 
 
 def mobius(game):

@@ -320,7 +320,7 @@ def test_acceptance_10_netshare_fixed_point(tmp_path, capsys):
                 {"period": "t0", "volumes": {"1,2": "4", "1,3": "1", "2,3": "0"}},
                 {"period": "t1", "volumes": {"1,2": "4", "1,3": "1"},
                  "clustering": "1,2|3"},
-            ]}))
+            ]}), encoding="utf-8")
         assert cli.main(["netshare", str(trace), "--solver", "su"]) == 0
         report = json.loads(capsys.readouterr().out)
         t0, t1 = report["periods"]

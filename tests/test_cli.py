@@ -22,10 +22,10 @@ from pathlib import Path
 import pytest
 
 import lattice_games
-from lattice_games import cli
-from lattice_games.lattice import Lattice, lattice_for
+from lattice_games import cli, coresep
+from lattice_games.lattice import Lattice, bell, lattice_for
 from lattice_games.transform import (LatticeGame, MobiusCoefficients, _format_ratio,
-                                     _TableOnLattice)
+                                     _IntView)
 
 
 def run_cli(argv, capsys):
@@ -35,7 +35,7 @@ def run_cli(argv, capsys):
 
 
 def write_json(path, payload):
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
 
 
@@ -368,7 +368,7 @@ def test_netshare_reads_csv_traces(tmp_path, capsys):
     trace.write_text("period,i,j,volume\n"
                      "t0,1,2,4\n"
                      "t0,3,1,1\n"
-                     "t0,2,3,0\n")
+                     "t0,2,3,0\n", encoding="utf-8")
     _, out, _ = run_cli(["netshare", str(trace)], capsys)
     t0 = json.loads(out)["periods"][0]
     assert t0["edgeShares"] == {"1,2": "4", "1,3": "1", "2,3": "0"}
@@ -416,7 +416,7 @@ def test_netshare_csv_and_json_traces_give_the_same_report(tmp_path, capsys):
     csv_trace = tmp_path / "trace.csv"
     csv_trace.write_text("period,i,j,volume\n" + "".join(
         f"{label},{key},{text}\n"
-        for label, vols in volumes.items() for key, text in vols.items()))
+        for label, vols in volumes.items() for key, text in vols.items()), encoding="utf-8")
     clusters = write_json(tmp_path / "clusters.json", {"t1": "1,2,4|3"})
     for extra in ([], ["--cluster-file", clusters], ["--solver", "cu"]):
         code, from_json, _ = run_cli(["netshare", json_trace, *extra], capsys)
@@ -430,7 +430,7 @@ def test_netshare_rejects_an_edge_named_twice_in_either_form(tmp_path, capsys):
     json_trace = write_json(tmp_path / "dup.json", {
         "n": 3, "periods": [{"period": "t0", "volumes": {"1,2": "1", "2,1": "2"}}]})
     csv_trace = tmp_path / "dup.csv"
-    csv_trace.write_text("period,i,j,volume\nt0,1,2,1\nt0,2,1,2\n")
+    csv_trace.write_text("period,i,j,volume\nt0,1,2,1\nt0,2,1,2\n", encoding="utf-8")
     for trace in (json_trace, str(csv_trace)):
         code, out, err = run_cli(["netshare", trace], capsys)
         assert code == 2
@@ -575,7 +575,7 @@ TWICE = {
 def test_a_json_key_named_twice_in_one_object_exits_2(tmp_path, capsys, case):
     argv, text, key = TWICE[case]
     twice = tmp_path / "twice.json"
-    twice.write_text(text)
+    twice.write_text(text, encoding="utf-8")
     paths = {"twice": twice, "pair": pair_game_file(tmp_path)}
     code, out, err = run_cli([arg.format(**paths) for arg in argv], capsys)
     assert (code, out) == (2, "")
@@ -691,7 +691,7 @@ def test_commands_read_tables_by_index_only(tmp_path, capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("element-keyed table or order call on a command path")
 
-    monkeypatch.setattr(_TableOnLattice, "_table", forbidden)
+    monkeypatch.setattr(_IntView, "_table", forbidden)
     monkeypatch.setattr(LatticeGame, "values", property(forbidden))
     monkeypatch.setattr(MobiusCoefficients, "coefficients", property(forbidden))
     for name in ("leq", "meet", "join"):
@@ -714,7 +714,7 @@ def test_missing_file_is_an_input_error(capsys):
 
 def test_malformed_json_is_an_input_error(tmp_path, capsys):
     broken = tmp_path / "broken.json"
-    broken.write_text('{"lattice": "P^N"')
+    broken.write_text('{"lattice": "P^N"', encoding="utf-8")
     code, _, err = run_cli(["solve", str(broken)], capsys)
     assert code == 2
     assert "broken.json" in err
@@ -728,6 +728,34 @@ def test_size_cap_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LATTICE_GAMES_MAX_N", "2")
     code, _, _ = run_cli(["solve", game], capsys)
     assert code == 3
+
+
+def test_core_refuses_lattices_past_p7_before_the_simplex(tmp_path, capsys, monkeypatch):
+    """core decides lattices of up to P^7's 877 elements.  P^8 and E^7,
+    under the default cap, would pivot for hours, so they are refused as
+    over a size cap, with nothing on stdout, before the phase-1 simplex
+    starts; E^6's 877 elements still reach it."""
+    def game_file(tag, n):
+        lat = lattice_for(tag, n)
+        values = {lat.key(x): str(lat.rank(x)) for x in lat.elements}
+        return write_json(tmp_path / f"{tag[0]}{n}.json", {"lattice": tag, "n": n, "values": values})
+
+    code, out, _ = run_cli(["core", game_file("P^N", 5)], capsys)
+    assert code == 0 and json.loads(out)["status"] == "empty"
+
+    class Reached(Exception):
+        pass
+
+    def phase1(*args):
+        raise Reached
+
+    monkeypatch.setattr(coresep, "_phase1", phase1)
+    for tag, n in [("P^N", 8), ("E^N", 7)]:
+        code, out, err = run_cli(["core", game_file(tag, n)], capsys)
+        assert code == 3 and out == ""
+        assert f"at most {bell(7)} elements" in err and "has 4140" in err
+    with pytest.raises(Reached):
+        cli.main(["core", game_file("E^N", 6)])
 
 
 LIMIT = sys.get_int_max_str_digits()
@@ -749,7 +777,7 @@ def test_a_number_past_the_int_string_limit_exits_3(tmp_path, capsys, argv, valu
     as a string or as a JSON number, is refused as over a size cap, with
     nothing on stdout."""
     game = tmp_path / "long.json"
-    game.write_text('{"lattice": "2^N", "n": 1, "values": %s}' % values)
+    game.write_text('{"lattice": "2^N", "n": 1, "values": %s}' % values, encoding="utf-8")
     code, out, err = run_cli([argv[0], str(game), *argv[1:]], capsys)
     assert code == 3
     assert out == ""
@@ -769,17 +797,45 @@ def test_a_netshare_total_past_the_int_string_limit_exits_3(tmp_path, capsys):
 
 def test_deep_json_and_long_csv_fields_are_refused_with_the_file_named(tmp_path, capsys):
     game = tmp_path / "deep.json"
-    game.write_text("[" * 100_000 + "]" * 100_000)
+    game.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     trace = tmp_path / "long.csv"
     trace.write_text("period,i,j,volume\nt0,1,2,1\nt0,1,3,%s\n"
-                     % ("7" * (csv.field_size_limit() + 1)))
+                     % ("7" * (csv.field_size_limit() + 1)), encoding="utf-8")
+    latin_json, latin_csv = tmp_path / "latin.json", tmp_path / "latin.csv"
+    latin_json.write_bytes('{"n": 3, "periods": [{"period": "p\u00e9riode"}]}'.encode("latin-1"))
+    latin_csv.write_bytes("period,i,j,volume\np\u00e9riode,1,2,3\n".encode("latin-1"))
+    not_utf8 = "'utf-8' codec can't decode byte 0xe9"
     for argv, where in [(["core", str(game)], f"{game}: JSON nested too deeply"),
                         (["solve", str(game)], f"{game}: JSON nested too deeply"),
-                        (["netshare", str(trace)], f"{trace}:3: field larger than field limit")]:
+                        (["netshare", str(trace)], f"{trace}:3: field larger than field limit"),
+                        (["netshare", str(latin_json)], f"{latin_json}: {not_utf8}"),
+                        (["netshare", str(latin_csv)], f"{latin_csv}: {not_utf8}")]:
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {where}")
+
+
+def test_inputs_are_read_as_utf8_whatever_the_locale(tmp_path):
+    """JSON is UTF-8 (RFC 8259).  Under the C locale, with its coercion and
+    UTF-8 mode off, a text file opened by default decodes as ASCII; the
+    trace is read as UTF-8 all the same, so netshare on a trace with a
+    non-ASCII period label prints what it prints under a UTF-8 locale."""
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"n": 3, "periods": [
+        {"period": "p\u00e9riode", "volumes": {"1,2": "3", "2,3": "1/2"}}]}, ensure_ascii=False),
+        encoding="utf-8")
+    package_root = Path(lattice_games.__file__).resolve().parents[1]
+    runs = {}
+    for locale in ("C", "C.UTF-8"):
+        env = dict(os.environ, PYTHONPATH=str(package_root), PYTHONDONTWRITEBYTECODE="1",
+                   LC_ALL=locale, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        proc = subprocess.run([sys.executable, "-m", "lattice_games.cli", "netshare", str(trace)],
+                              capture_output=True, env=env)
+        runs[locale] = proc.returncode, proc.stdout, proc.stderr
+    assert runs["C"] == runs["C.UTF-8"]
+    assert runs["C"][0] == 0
+    assert json.loads(runs["C"][1])["periods"][0]["period"] == "p\u00e9riode"
 
 
 def test_unknown_subcommand_exits_via_argparse(capsys):
@@ -874,7 +930,7 @@ def test_selfcheck_names_the_failing_case(capsys, monkeypatch):
 def test_console_script_is_installed(tmp_path):
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    scripts = tomllib.loads(pyproject.read_text())["project"].get("scripts", {})
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"].get("scripts", {})
     assert "lattice-games" in scripts, "no lattice-games in [project.scripts]"
     entry = EntryPoint(name="lattice-games", value=scripts["lattice-games"],
                        group="console_scripts")
@@ -888,7 +944,7 @@ def test_console_script_is_installed(tmp_path):
         f"#!{sys.executable}\n"
         "import sys\n"
         f"from {entry.module} import {entry.attr}\n"
-        f"sys.exit({entry.attr}())\n")
+        f"sys.exit({entry.attr}())\n", encoding="utf-8")
     launcher.chmod(0o755)
     exe = shutil.which("lattice-games", path=str(bin_dir))
     assert exe == str(launcher)
@@ -897,12 +953,12 @@ def test_console_script_is_installed(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(package_root),
                PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([exe, "selfcheck", "--max-n", "3"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, encoding="utf-8", env=env)
     assert proc.returncode == 0, proc.stderr
     assert "skipped" in proc.stdout
     # A main that drops its return value would still exit 0 above.
     proc = subprocess.run([exe, "solve", str(tmp_path / "missing.json")],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, encoding="utf-8", env=env)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
 
@@ -928,7 +984,7 @@ def test_cold_solve_at_the_cap_matches_the_in_process_report(tmp_path, capsys, c
     package_root = Path(lattice_games.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(package_root), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-O", "-m", "lattice_games.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, encoding="utf-8", env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == want
 
@@ -936,7 +992,7 @@ def test_cold_solve_at_the_cap_matches_the_in_process_report(tmp_path, capsys, c
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "lattice_games.cli",
                            "selfcheck", "--max-n", "3"],
-                          capture_output=True, text=True)
+                          capture_output=True, encoding="utf-8")
     assert proc.returncode == 0
     assert "skipped" in proc.stdout
 
@@ -973,6 +1029,8 @@ REMOVED = [
     ("transform.MobiusCoefficients", ["below"]),
     ("games", ["symmetric_expand"]),
     ("coresep", ["separating_variant"]),
+    ("transform", ["_TableOnLattice", "_fractions"]),
+    ("cli", ["_view_ratios", "_share_ratios", "_total_ratio"]),
     ("", ["separating_variant", "symmetric_expand"]),
 ]
 

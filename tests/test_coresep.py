@@ -534,7 +534,7 @@ def test_no_assert_statement_in_the_package():
     root = Path(lattice_games.__file__).resolve().parent
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(root.rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
 
@@ -640,7 +640,7 @@ def test_proof_checks_run_under_python_O():
     package_root = Path(lattice_games.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(package_root), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "optimize 1",

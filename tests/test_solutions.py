@@ -21,7 +21,7 @@ import pytest
 
 import lattice_games
 from lattice_games import solutions
-from lattice_games.cli import _period_dividends
+from lattice_games.cli import _approx, _period_dividends
 from lattice_games.lattice import Partition, lattice_for
 from lattice_games.transform import (
     LatticeGame,
@@ -135,7 +135,9 @@ def test_solver_shares_read_back_through_the_atom_view():
 def test_solutions_equal_across_denominators():
     """A solution made from ints over an unreduced denominator reduces to
     the view the constructor reads, so == holds whatever the denominator
-    it was handed; shares that differ are unequal even with equal ints."""
+    it was handed; shares that differ are unequal even with equal ints,
+    and so are equal ints on another owner (an E^N solution and its
+    transport onto P^(n+1)) or of another type (node shares)."""
     rng = random.Random(23)
     for tag, n in SMALL_LATTICES:
         lat = lattice_for(tag, n)
@@ -153,6 +155,11 @@ def test_solutions_equal_across_denominators():
             assert made.efficiency() == sum(shares)
             if any(ints):
                 assert made != Solution._from_ints(lat, ints, 2 * e)
+            if tag == "E^N":
+                moved = transport_solution(made)
+                assert moved._ints == made._ints and moved != made and made != moved
+            nodes = NodeShares._from_ints(len(ints), ints, e)
+            assert nodes._ints == made._ints and nodes != made and made != nodes
 
 
 def test_matches_cross_multiplies_unlike_denominators():
@@ -697,7 +704,7 @@ def test_corrupted_credit_tables_fail_the_efficiency_check(flags):
     package_root = Path(lattice_games.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(package_root), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         f"optimize {len(flags)}",
@@ -838,6 +845,7 @@ def test_node_shares_payload():
     assert NodeShares(2, {}).vector() == (0, 0)
     assert NodeShares(2, {1: "2/4", 2: 3}) == NodeShares(2, {1: Fraction(1, 2), 2: "6/2"})
     assert NodeShares(2, {1: "2/4"}) != NodeShares(2, {1: "1/4"})
+    assert NodeShares(2, {1: "2/4"}) != NodeShares(3, {1: "2/4"})
     assert NodeShares(2, {1: "2/4", 2: -1}).shares == {1: Fraction(1, 2), 2: -1}
     assert NodeShares(2, {1: "2/4", 2: -1}).total() == Fraction(-1, 2)
     for stray in (4, 0, "1", True, None):
@@ -986,7 +994,9 @@ def test_graph_restriction_rejects_bad_edges():
 @pytest.mark.parametrize("tag,n", SMALL_LATTICES + [("2^N", 1), ("P^N", 1), ("E^N", 1)])
 def test_payload_equals_the_fraction_rendering(tag, n):
     """Shares print off the integer view, keyed by the atom keys in atoms
-    order, as format_fraction prints each share and the total."""
+    order, as format_fraction prints each share and the total; the CSV
+    ratios of the shares, the total and the node shares are the rationals
+    printed, and their approx cells read as the floats of those texts."""
     lat = lattice_for(tag, n)
     assert [key for key, _ in lat.atom_key_bits()] == [lat.key(a) for a in lat.atoms]
     assert [1 << k for _, k in lat.atom_key_bits()] == [lat.masks[lat.index(a)]
@@ -1000,3 +1010,11 @@ def test_payload_equals_the_fraction_rendering(tag, n):
                                      for a, q in zip(lat.atoms, sol.vector())}
         assert list(payload["shares"]) == [lat.key(a) for a in lat.atoms]
         assert payload["efficiencyCheck"] == format_fraction(sol.efficiency())
+        views = [(sol._rendered()[0], sol.vector()), (sol._rendered()[1], (sol.efficiency(),))]
+        if tag == "P^N":
+            nodes = split_to_nodes(sol)
+            views.append((nodes._rendered(), nodes.vector()))
+        for (texts, ratios), want in views:
+            assert list(texts.values()) == list(map(str, want))
+            assert [Fraction(p, d) for p, d in ratios] == list(want)
+            assert [_approx(p, d) for p, d in ratios] == [repr(float(q)) for q in want]

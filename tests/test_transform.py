@@ -9,6 +9,7 @@ from math import gcd, lcm
 
 import pytest
 
+from lattice_games.cli import _approx
 from lattice_games.games import clustering_restrict
 from lattice_games import transform
 from lattice_games.lattice import SizeLimitError, lattice_for
@@ -279,7 +280,8 @@ def test_canonical_view_equals_the_scaled_fractions(tag, n):
 
 def test_derived_tables_build_fractions_on_demand():
     """A derived table holds only ints until a Fraction is asked for;
-    its ends read the ints, and equality compares canonical views."""
+    its ends read the ints, and equality compares canonical views of one
+    type: a Mobius table with a game's ints is not that game."""
     lat = lattice_for("P^N", 3)
     game = LatticeGame(lat, {x: f"{4 * lat.rank(x) + 6}/4" for x in lat.elements})
     shifted, shift = game.normalize_bottom()
@@ -295,6 +297,8 @@ def test_derived_tables_build_fractions_on_demand():
     assert shifted == rank and shifted._vector is None
     assert shifted[lat.top] == 2 and shifted.vector() == rank.vector()
     assert mobius(rank).coefficients == coeffs.coefficients
+    same = MobiusCoefficients._from_ints(lat, *rank._ints)
+    assert same._ints == rank._ints and same != rank and rank != same
 
 
 def test_mobius_table_rejects_strays():
@@ -714,3 +718,8 @@ def test_game_payload_equals_the_fraction_rendering(tag, n):
     want = {lat.key(x): format_fraction(q) for x, q in zip(lat.elements, game.vector())}
     assert game.payload()["values"] == want
     assert list(game.payload()["values"]) == list(want)
+    for table in (game, mobius(game)):
+        texts, ratios = table._render(lat.key_indices(), table._ints[0])
+        assert texts == {lat.key(x): str(q) for x, q in zip(lat.elements, table.vector())}
+        assert [Fraction(p, d) for p, d in ratios] == list(table.vector())
+        assert [_approx(p, d) for p, d in ratios] == [repr(float(q)) for q in table.vector()]
