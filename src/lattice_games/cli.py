@@ -84,11 +84,18 @@ def _print_json(report):
 
 
 def _print_csv(header, rows):
+    """Write the rows as CSV in UTF-8 whatever the locale, as the inputs
+    are read; a stdout with no byte layer (a StringIO) takes the text."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(out.getvalue())
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(out.getvalue())
+    else:
+        sys.stdout.flush()
+        buffer.write(out.getvalue().encode("utf-8"))
 
 
 def _approx(p, d):

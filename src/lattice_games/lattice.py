@@ -41,6 +41,7 @@ import re
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
+from operator import itemgetter
 
 DEFAULT_MAX_N = 8
 CHAIN_CAP = 5
@@ -561,15 +562,18 @@ class Lattice:
     # -- order tables ---------------------------------------------------
 
     def _order_tables(self):
-        # (downs, holders): x <= y exactly when x's atoms are among y's, and
-        # only earlier elements lie below a later one.  holders[k] is the
+        # (downs, holders, gets): x <= y exactly when x's atoms are among y's,
+        # and only earlier elements lie below a later one.  holders[k] is the
         # bitset of the indices holding atom k; downs hold the ints of idx.
+        # gets[j] reads the entries of down-set j off an index vector as one
+        # sequence; it holds the down-set tuple itself, and the bottom's
+        # one-element down-set is a slice.
         if self._tables is None:
             masks = self._mask
             idx = tuple(range(len(masks)))
             holders = tuple(sum(1 << i for i, m in enumerate(masks) if m >> k & 1)
                             for k in range(masks[-1].bit_length()))
-            downs = []
+            downs, gets = [], []
             for j, m in zip(idx, masks):
                 outside = 0
                 for k, held in enumerate(holders):
@@ -581,8 +585,10 @@ class Lattice:
                 while i >= 0:
                     down.append(idx[i])
                     i = bits.find("1", i + 1)
-                downs.append(tuple(down))
-            self._tables = (tuple(downs), holders)
+                down = tuple(down)
+                downs.append(down)
+                gets.append(itemgetter(*down) if len(down) > 1 else itemgetter(slice(j, j + 1)))
+            self._tables = (tuple(downs), holders, tuple(gets))
         return self._tables
 
     def downset_indices(self, i):
@@ -610,7 +616,7 @@ class Lattice:
         of x adds."""
         if self._hasse_table is None:
             masks = self._mask
-            downs, holders = self._order_tables()
+            downs, holders = self._order_tables()[:2]
             ranks = [self.rank(x) for x in self.elements]
             where = self.describe()
             covers = []

@@ -16,11 +16,21 @@ Every value that enters the package is read once into a numerator and
 a denominator, by the grammar ``parse_fraction`` also uses, and a table
 takes its view over the lcm of the denominators with no Fraction built.
 A game payload whose keys are all canonical and whose values are all
-plain ("p/q" or "p" with nothing around them, or JSON ints) is read in
-one pass: one lookup of the keys, one check of the values, ``int`` over
-the numerators and the distinct denominators, one lcm, and the ints
-placed in index order.  Any other payload is read item by item, and
-that loop is the only one that words a refusal.
+plain ("p/q" or "p" in JSON's number grammar with nothing around them,
+or JSON ints) is read in one pass: one lookup of the keys; the values
+joined into one text, a whole number p as "p/1", and checked by one
+``translate`` and one search; one ``json.loads`` of that text, each "/"
+read as ",", for every p and q in one flat list, the numerators at the
+even places and the denominators at the odd; one lcm over the distinct
+denominators; and the ints placed in index order.  Any other payload is
+read item by item, and that loop is the only one that words a refusal,
+of a number past Python's int-string limit too.
+
+Mobius inversion and zeta expansion read each down-set through one
+``operator.itemgetter`` per element, built with the lattice's order
+tables (E^N reads P^(n+1)'s): ``mobius`` takes a value less the sum of
+its down-set's coefficients found so far, ``zeta_expand`` sums its
+down-set's coefficients, one getter call each.
 
 Mobius inversion, zeta expansion, game arithmetic, the derived games,
 the solvers, the predicates and the core LP hand each other views.
@@ -33,27 +43,31 @@ the view's one renderer, ``_render``, print through it, and every
 payload and CSV row prints through ``_render``.
 
 Zeta expansion still sums Fractions, read off its Mobius table's
-``vector()``, before it takes the view of the sums.  Integer sums run
-the netshare benchmark about 4.4 times as fast, and so read 58-75% more
-peak memory there, over that metric's 10% bound, until the benchmark's
-peak-memory reading stops growing with the number of requests completed
-(ROADMAP item 1).
+``vector()`` by the getters, before it takes the view of the sums.
+Integer sums run the netshare benchmark about 4.4 times as fast, and so
+read 58-75% more peak memory there, over that metric's 10% bound, until
+the benchmark's peak-memory reading stops growing with the number of
+requests completed (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import add, attrgetter, contains, mul
 
 from .lattice import INTEGER, LATTICE_TAGS, SizeLimitError, lattice_for
 
 _RATIONAL = re.compile(rf"({INTEGER.pattern})(?:/([0-9]+))?")
-# A character outside the plain values, "p/q" or "p" with nothing around
-# them (a subset of _RATIONAL's language), and the "," that joins them
-_NOT_PLAIN = re.compile(r"[^-+0-9/,]")
+# Deletes the characters of the plain values, "p/q" or "p" in JSON's
+# number grammar with nothing around them, and of the "," that joins them
+_DROP_PLAIN = str.maketrans("", "", "-0123456789/,")
+# Two "/" in one value
+_TWO_SLASHES = re.compile(r"/[^,]*/")
 
 
 def parse_fraction(value):
@@ -86,30 +100,41 @@ def _ratio(value):
 
 def _plain_over_lcm(values):
     """_over_lcm of the values' (p, q) in one pass, when every value is a
-    JSON int or a plain "p/q" or "p" string; else None, and _ratio, the
-    only reader that words a refusal, reads them one by one.  Numbers past
-    Python's int-string limit are left to _ratio too."""
+    JSON int or a plain "p/q" or "p" string whose numbers JSON reads; else
+    None, and _ratio, the only reader that words a refusal, reads them one
+    by one.  A whole number p is read as "p/1", and one json.loads reads
+    every p and q.  Numbers past Python's int-string limit are left to
+    _ratio too."""
     kinds = set(map(type, values))
     if not kinds <= {str, int}:  # a bool, a Fraction, a str or int subclass
         return None
     try:
-        text = ",".join(map(str, values) if int in kinds else values)
-        if _NOT_PLAIN.search(text):  # a blank, a "_", a digit of another script
-            return None
-        nums, slashes, dens = zip(*[t.partition("/") for t in text.split(",")])
-        if len(nums) != len(values) or slashes.count("") != dens.count(""):
-            return None  # a "," inside a value, or a "p/" with no q
-        # on what is left, int() takes exactly a signed run of digits
-        nums = list(map(int, nums))
-        scale = {t: int(t) if t.isdigit() else None for t in set(dens) if t}
-        scale[""] = 1  # the q of a "p" value
-    except ValueError:  # a bad p, or a number past the int-string limit
+        texts = list(map(str, values)) if int in kinds else values
+        text = ",".join(texts)
+        slashes = text.count("/")
+        if slashes != len(values):  # "p/1" for every value with no "/"
+            if slashes:
+                ones = map(("/1", "").__getitem__, map(contains, texts, repeat("/")))
+                text = ",".join(map(add, texts, ones))
+            else:
+                text = "/1,".join(texts) + "/1"
+        if text.translate(_DROP_PLAIN) or _TWO_SLASHES.search(text):
+            return None  # a blank, a "+", a digit of another script, or "p/q/r"
+        flat = json.loads(f"[{text.replace('/', ',')}]")
+    except ValueError:  # not JSON's grammar, or a number past the int-string limit
         return None
-    if None in scale.values() or 0 in scale.values():  # a signed or bad q, or q = 0
+    # text holds len(values) or more "/", so 2 * len(values) numbers mean
+    # exactly len(values) "/" and no "," inside a value; with no value
+    # holding two, each holds one, and the numbers pair up as p, q
+    if len(flat) != 2 * len(values):
         return None
-    d = lcm(*scale.values())
-    for t, q in scale.items():
-        scale[t] = d // q
+    nums, dens = flat[0::2], flat[1::2]
+    scale = dict.fromkeys(dens)
+    if min(scale, default=1) <= 0:  # a signed q, or q = 0
+        return None
+    d = lcm(*scale)
+    for q in scale:
+        scale[q] = d // q
     return list(map(mul, nums, map(scale.__getitem__, dens))), d
 
 
@@ -372,19 +397,20 @@ def mobius(game):
     lat = game.lattice
     ints, d = game._ints
     mu = [0] * len(ints)
-    entry = mu.__getitem__
-    for i, (v, down) in enumerate(zip(ints, lat._order_tables()[0])):
+    for i, v, get in zip(range(len(ints)), ints, lat._order_tables()[2]):
         # the down-set of i ends with i itself, whose entry is still 0
-        mu[i] = v - sum(map(entry, down))
+        mu[i] = v - sum(get(mu))
     return MobiusCoefficients._from_ints(lat, mu, d)
 
 
 def zeta_expand(coeffs):
     """The game with value sum of coefficients over the down-set of each element."""
     lat = coeffs.lattice
-    # Fraction sums: int sums run 4.4x as fast but wait on ROADMAP item 1
-    entry = coeffs.vector().__getitem__
-    sums = [sum(map(entry, down), Fraction(0)) for down in lat._order_tables()[0]]
+    # each down-set's getter reads its coefficients off the vector in one
+    # call; the sums stay Fractions: int sums run 4.4x as fast but wait on
+    # ROADMAP item 1
+    vec = coeffs.vector()
+    sums = [sum(get(vec), Fraction(0)) for get in lat._order_tables()[2]]
     return LatticeGame._from_ints(lat, *_over_lcm(list(map(Fraction.as_integer_ratio, sums))))
 
 

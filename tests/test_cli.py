@@ -9,6 +9,7 @@ cli.main and pass its exit code through without installing the package.
 """
 
 import csv
+import io
 import json
 import os
 import random
@@ -836,6 +837,29 @@ def test_inputs_are_read_as_utf8_whatever_the_locale(tmp_path):
     assert runs["C"] == runs["C.UTF-8"]
     assert runs["C"][0] == 0
     assert json.loads(runs["C"][1])["periods"][0]["period"] == "p\u00e9riode"
+
+
+def test_csv_reports_are_written_as_utf8_whatever_the_locale(tmp_path):
+    """A CSV report is UTF-8 whatever the locale: under the C locale, with
+    its coercion and UTF-8 mode off, netshare --format csv on a trace with
+    a non-ASCII period label prints the bytes it prints under a UTF-8
+    locale."""
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"n": 3, "periods": [
+        {"period": "p\u00e9riode", "volumes": {"1,2": "3", "2,3": "1/2"}}]}, ensure_ascii=False),
+        encoding="utf-8")
+    package_root = Path(lattice_games.__file__).resolve().parents[1]
+    runs = {}
+    for locale in ("C", "C.UTF-8"):
+        env = dict(os.environ, PYTHONPATH=str(package_root), PYTHONDONTWRITEBYTECODE="1",
+                   LC_ALL=locale, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        proc = subprocess.run([sys.executable, "-m", "lattice_games.cli", "netshare", str(trace),
+                               "--format", "csv"], capture_output=True, env=env)
+        runs[locale] = proc.returncode, proc.stdout, proc.stderr
+    assert runs["C"] == runs["C.UTF-8"]
+    assert runs["C"][0] == 0 and runs["C"][2] == b""
+    rows = list(csv.reader(io.StringIO(runs["C"][1].decode("utf-8"))))
+    assert rows[1][0] == "p\u00e9riode"
 
 
 def test_unknown_subcommand_exits_via_argparse(capsys):

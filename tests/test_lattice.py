@@ -438,12 +438,15 @@ def test_join_index_matches_the_upset_scan(tag, n):
 
 def test_order_tables_share_their_index_objects():
     lat = lattice_for("P^N", 7)
-    downs, _ = lat._order_tables()
+    downs, _, gets = lat._order_tables()
     shared = {id(i) for row in downs for i in row}
     assert len(shared) == len(lat)
     # every element but the bottom covers another; the bottom is down-set 0
     covers = lat._hasse()[0]
     assert {id(j) for row in covers for j in row} | {id(downs[0][0])} == shared
+    # each getter reads its down-set off an index vector, the bottom's too
+    index = list(range(len(lat)))
+    assert tuple(tuple(get(index)) for get in gets) == downs
 
 
 @pytest.mark.parametrize("tag,n,strangers", [

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd, lcm
 from pathlib import Path
 
@@ -22,7 +22,7 @@ import pytest
 import lattice_games
 from lattice_games import solutions
 from lattice_games.cli import _approx, _period_dividends
-from lattice_games.lattice import Partition, lattice_for
+from lattice_games.lattice import EmbeddedSubset, Partition, lattice_for
 from lattice_games.transform import (
     LatticeGame,
     MobiusCoefficients,
@@ -722,6 +722,31 @@ def test_solvers_commute_with_transport(n):
         image = transported_game(g)
         for solver in (su, cu, egalitarian):
             assert transport_solution(solver(g)) == solver(image)
+
+
+def relabelled(x, perm):
+    """The partition or embedded subset x with every node i renamed perm[i]."""
+    if isinstance(x, EmbeddedSubset):
+        return EmbeddedSubset([perm[i] for i in x.subset], relabelled(x.partition, perm))
+    return Partition(x.n, [[perm[i] for i in block] for block in x.blocks])
+
+
+@pytest.mark.parametrize("tag,n", [("P^N", n) for n in range(1, 7)]
+                         + [("E^N", n) for n in range(1, 6)])
+def test_su_and_cu_commute_with_every_node_permutation(tag, n):
+    """Renaming the nodes by any permutation renames su's and cu's shares
+    the same way: the game moved to the renamed elements pays each renamed
+    atom what the seeded game pays the atom."""
+    lat = lattice_for(tag, n)
+    game = random_game(lat, random.Random(f"{tag}{n}"))
+    values = game.vector()
+    want = {solver: solver(game).shares for solver in (su, cu)}
+    for order in permutations(range(1, n + 1)):
+        perm = dict(zip(range(1, n + 1), order))
+        image = LatticeGame(lat, {relabelled(x, perm): q for x, q in zip(lat.elements, values)})
+        for solver, shares in want.items():
+            got = solver(image)
+            assert all(got[relabelled(a, perm)] == q for a, q in shares.items()), (solver, order)
 
 
 def test_transport_solution_round_trip_and_errors():

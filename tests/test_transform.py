@@ -413,21 +413,45 @@ def test_mobius_equals_the_fraction_recursion(tag, n):
 
 @pytest.mark.parametrize("tag,n", [("2^N", 4), ("P^N", 5), ("E^N", 4)])
 def test_mobius_and_zeta_read_the_down_set_table_once(monkeypatch, tag, n):
-    """Each of mobius and zeta_expand reads the whole down-set table in one
-    call, never a down-set per element, and gives the same table."""
+    """Each of mobius and zeta_expand reads the down-set getters in one
+    call of the order tables, never a down-set per element nor the tuple
+    table, and gives the same table."""
     lat = lattice_for(tag, n)
     game = random_game(lat, random.Random(n))
     mu = mobius(game)
-    tables = lat._order_tables
+    gets = lat._order_tables()[2]
     reads = []
 
     def per_element(i):
         raise AssertionError("a down-set was read on its own")
 
     monkeypatch.setattr(lat, "downset_indices", per_element)
-    monkeypatch.setattr(lat, "_order_tables", lambda: reads.append(1) or tables())
+    monkeypatch.setattr(lat, "_order_tables", lambda: reads.append(1) or (None, None, gets))
     assert mobius(game) == mu and len(reads) == 1
     assert zeta_expand(mu) == game and len(reads) == 2
+
+
+@pytest.mark.parametrize("tag,n", [("2^N", n) for n in range(1, 9)]
+                         + [("P^N", n) for n in range(1, 9)]
+                         + [("E^N", n) for n in range(1, 8)])
+def test_getter_kernel_equals_the_downset_oracle_up_to_the_cap(tag, n):
+    """mobius and zeta_expand, read through the down-set getters, equal the
+    per-element downset_indices recursion and sums in Fractions on every
+    lattice up to the default cap, the one-element P^1 included."""
+    lat = lattice_for(tag, n)
+    rng = random.Random(53 * n + ord(tag[0]))
+    game = random_game(lat, rng)
+    values, mu = game.vector(), []
+    for i, v in enumerate(values):
+        mu.append(v - sum((mu[j] for j in lat.downset_indices(i) if j != i), Fraction(0)))
+    assert mobius(game).vector() == tuple(mu)
+    sparse = MobiusCoefficients(lat, {x: rng.randint(-5, 5) for x in (lat.bottom, lat.top)})
+    for coeffs in (mobius(game), sparse):
+        entry = coeffs.vector()
+        sums = [sum((entry[j] for j in lat.downset_indices(i)), Fraction(0))
+                for i in range(len(lat))]
+        assert zeta_expand(coeffs).vector() == tuple(sums)
+    assert zeta_expand(mobius(game)) == game
 
 
 def dict_zeta_expand(coeffs):
@@ -619,9 +643,13 @@ def test_integer_ingest_equals_the_fraction_parse(tag, n):
 
 LIMIT = sys.get_int_max_str_digits()
 
-# values the one-pass reader must take: plain "p/q" and "p", and JSON ints
-PLAIN = ["0", "5", "-5", "+5", "+0/5", "-0/7", "007/010", "12/4", "-3/9", 0, 7, -12,
-         10 ** 30]
+# values the one-pass reader must take: "p/q" and "p" in JSON's number
+# grammar, and JSON ints
+PLAIN = ["0", "5", "-5", "-0", "-0/7", "12/4", "-3/9", "0/1", 0, 7, -12, 10 ** 30]
+
+# spellings _ratio takes and JSON's grammar does not: the reader leaves them
+# to _ratio, which reads the same rationals
+LOOSE = ["+5", "+0/5", "007/010", "5/007", "-007", "00"]
 
 # every other value: the reader leaves each to _ratio, which takes some
 # ("  5 ", "\xa01/2") and refuses the rest
@@ -647,12 +675,14 @@ def test_plain_reader_takes_plain_values_and_leaves_the_rest():
     assert _plain_over_lcm(PLAIN) == _over_lcm([_ratio(v) for v in PLAIN])
     for value in PLAIN:
         assert _plain_over_lcm([value]) == _over_lcm([_ratio(value)])
-    for value in OTHER:
+    for value in LOOSE + OTHER:
         assert _plain_over_lcm([value]) is None, value
+    for value in LOOSE:  # _ratio takes each, as Fraction reads it
+        assert Fraction(*_ratio(value)) == Fraction(value), value
     assert ratio_or_error("1/1" + "0" * LIMIT) is SizeLimitError
     assert ratio_or_error(10 ** LIMIT) == (10 ** LIMIT, 1)
     rng = random.Random(23)
-    pool = PLAIN + OTHER
+    pool = PLAIN + LOOSE + OTHER
     for _ in range(2000):
         picks = rng.sample(range(len(pool)), rng.randint(1, 5))
         values = [pool[k] for k in picks]
@@ -661,6 +691,64 @@ def test_plain_reader_takes_plain_values_and_leaves_the_rest():
             assert max(picks) >= len(PLAIN), values
         else:
             assert got == _over_lcm([_ratio(v) for v in values]), values
+
+
+def fuzz_value(rng):
+    """A random value for the reader, whether it is plain ("p/q" or "p" in
+    JSON's number grammar, or a JSON int, within the int-string limit)
+    and whether _ratio reads a number in it past that limit.  Its
+    numbers run from zero and "-0" to the limit's length and one digit
+    past it, with the odd leading zero or "+"."""
+    def number():  # (text, plain, past the limit)
+        kind = rng.randrange(6)
+        if kind == 0:
+            return "0", True, False
+        if kind == 1:
+            digits = rng.choices("0123456789", k=LIMIT - 1)
+            return str(rng.randint(1, 9)) + "".join(digits), True, False
+        if kind == 2:
+            return "1" + "0" * LIMIT, False, True
+        if kind == 3:
+            return rng.choice(["0", "+"]) + str(rng.randint(0, 99)), False, False
+        return str(rng.randint(1, 10 ** rng.randint(1, 12))), True, False
+
+    p, plain, past = number()
+    if p[0] != "+" and rng.random() < 0.4:
+        p = "-" + p
+    shape = rng.randrange(3)
+    if shape == 1 and plain:  # a JSON int
+        return int(p), True, False
+    if shape == 2:
+        q, q_plain, q_past = number()
+        # _ratio refuses a signed q or q = 0 before it reads p
+        readable = q[0] != "+" and q.strip("0") != ""
+        return f"{p}/{q}", plain and q_plain and q != "0", (past or q_past) and readable
+    return p, plain, past
+
+
+def test_plain_reader_fuzz_equals_ratio():
+    """Seeded mixes of "p" and "p/q" strings and JSON ints, with "-0",
+    leading zeros and numbers at and past the int-string limit: the
+    reader gives _over_lcm of what _ratio reads whenever every value is
+    plain, and leaves the values to _ratio otherwise, never with another
+    (p, q).  A number past the limit always reaches _ratio, which raises
+    SizeLimitError (the CLI's exit 3)."""
+    rng = random.Random(26)
+    taken = left = 0
+    for _ in range(400):
+        picks = [fuzz_value(rng) for _ in range(rng.randint(1, 6))]
+        values = [v for v, _, _ in picks]
+        want = [ratio_or_error(v) for v in values]
+        got = _plain_over_lcm(values)
+        if all(plain for _, plain, _ in picks):
+            assert got == _over_lcm(want), values
+            taken += 1
+        else:
+            assert got is None or got == _over_lcm(want), values
+            left += got is None
+        if any(past for _, _, past in picks):
+            assert got is None and SizeLimitError in want, values
+    assert taken > 40 and left > 40
 
 
 def test_from_payload_reads_a_plain_payload_in_one_pass(monkeypatch):
