@@ -448,6 +448,7 @@ class Lattice:
     def __init__(self, n):
         self.n = n
         self._tables = None
+        self._gets = None
         self._keys = None
         self._atom_keys = None
         self._hasse_table = None
@@ -562,18 +563,15 @@ class Lattice:
     # -- order tables ---------------------------------------------------
 
     def _order_tables(self):
-        # (downs, holders, gets): x <= y exactly when x's atoms are among y's,
-        # and only earlier elements lie below a later one.  holders[k] is the
+        # (downs, holders): x <= y exactly when x's atoms are among y's, and
+        # only earlier elements lie below a later one.  holders[k] is the
         # bitset of the indices holding atom k; downs hold the ints of idx.
-        # gets[j] reads the entries of down-set j off an index vector as one
-        # sequence; it holds the down-set tuple itself, and the bottom's
-        # one-element down-set is a slice.
         if self._tables is None:
             masks = self._mask
             idx = tuple(range(len(masks)))
             holders = tuple(sum(1 << i for i, m in enumerate(masks) if m >> k & 1)
                             for k in range(masks[-1].bit_length()))
-            downs, gets = [], []
+            downs = []
             for j, m in zip(idx, masks):
                 outside = 0
                 for k, held in enumerate(holders):
@@ -585,11 +583,20 @@ class Lattice:
                 while i >= 0:
                     down.append(idx[i])
                     i = bits.find("1", i + 1)
-                down = tuple(down)
-                downs.append(down)
-                gets.append(itemgetter(*down) if len(down) > 1 else itemgetter(slice(j, j + 1)))
-            self._tables = (tuple(downs), holders, tuple(gets))
+                downs.append(tuple(down))
+            self._tables = (tuple(downs), holders)
         return self._tables
+
+    def _getters(self):
+        # gets[j] reads the entries of down-set j off an index vector as one
+        # sequence.  Built on the first Mobius or zeta call, apart from the
+        # order tables, which a lattice's set-up builds; each getter holds
+        # its down-set tuple itself, the bottom's one-element down-set as a
+        # slice.
+        if self._gets is None:
+            self._gets = tuple(itemgetter(*down) if len(down) > 1 else itemgetter(slice(j, j + 1))
+                               for j, down in enumerate(self._order_tables()[0]))
+        return self._gets
 
     def downset_indices(self, i):
         return self._order_tables()[0][i]
@@ -616,7 +623,7 @@ class Lattice:
         of x adds."""
         if self._hasse_table is None:
             masks = self._mask
-            downs, holders = self._order_tables()[:2]
+            downs, holders = self._order_tables()
             ranks = [self.rank(x) for x in self.elements]
             where = self.describe()
             covers = []
@@ -780,6 +787,9 @@ class EmbeddedLattice(Lattice):
     def _order_tables(self):
         # identical element order, so the inner tables apply verbatim
         return self.inner._order_tables()
+
+    def _getters(self):
+        return self.inner._getters()
 
     def _chain_ground(self):
         return self.n + 1

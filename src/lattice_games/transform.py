@@ -27,10 +27,11 @@ read item by item, and that loop is the only one that words a refusal,
 of a number past Python's int-string limit too.
 
 Mobius inversion and zeta expansion read each down-set through one
-``operator.itemgetter`` per element, built with the lattice's order
-tables (E^N reads P^(n+1)'s): ``mobius`` takes a value less the sum of
-its down-set's coefficients found so far, ``zeta_expand`` sums its
-down-set's coefficients, one getter call each.
+``operator.itemgetter`` per element, built from the down-sets on the
+first such call on a lattice, apart from its order tables (E^N reads
+P^(n+1)'s): ``mobius`` takes a value less the sum of its down-set's
+coefficients found so far, ``zeta_expand`` sums its down-set's
+coefficients, one getter call each.
 
 Mobius inversion, zeta expansion, game arithmetic, the derived games,
 the solvers, the predicates and the core LP hand each other views.
@@ -111,13 +112,9 @@ def _plain_over_lcm(values):
     try:
         texts = list(map(str, values)) if int in kinds else values
         text = ",".join(texts)
-        slashes = text.count("/")
-        if slashes != len(values):  # "p/1" for every value with no "/"
-            if slashes:
-                ones = map(("/1", "").__getitem__, map(contains, texts, repeat("/")))
-                text = ",".join(map(add, texts, ones))
-            else:
-                text = "/1,".join(texts) + "/1"
+        if text.count("/") != len(values):  # "p/1" for every value with no "/"
+            ones = map(("/1", "").__getitem__, map(contains, texts, repeat("/")))
+            text = ",".join(map(add, texts, ones))
         if text.translate(_DROP_PLAIN) or _TWO_SLASHES.search(text):
             return None  # a blank, a "+", a digit of another script, or "p/q/r"
         flat = json.loads(f"[{text.replace('/', ',')}]")
@@ -397,7 +394,7 @@ def mobius(game):
     lat = game.lattice
     ints, d = game._ints
     mu = [0] * len(ints)
-    for i, v, get in zip(range(len(ints)), ints, lat._order_tables()[2]):
+    for i, v, get in zip(range(len(ints)), ints, lat._getters()):
         # the down-set of i ends with i itself, whose entry is still 0
         mu[i] = v - sum(get(mu))
     return MobiusCoefficients._from_ints(lat, mu, d)
@@ -410,7 +407,7 @@ def zeta_expand(coeffs):
     # call; the sums stay Fractions: int sums run 4.4x as fast but wait on
     # ROADMAP item 1
     vec = coeffs.vector()
-    sums = [sum(get(vec), Fraction(0)) for get in lat._order_tables()[2]]
+    sums = [sum(get(vec), Fraction(0)) for get in lat._getters()]
     return LatticeGame._from_ints(lat, *_over_lcm(list(map(Fraction.as_integer_ratio, sums))))
 
 

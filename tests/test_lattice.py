@@ -27,6 +27,7 @@ from math import factorial
 
 import pytest
 
+from lattice_games import lattice
 from lattice_games.lattice import (
     CHAIN_CAP,
     DEFAULT_MAX_N,
@@ -438,15 +439,32 @@ def test_join_index_matches_the_upset_scan(tag, n):
 
 def test_order_tables_share_their_index_objects():
     lat = lattice_for("P^N", 7)
-    downs, _, gets = lat._order_tables()
+    downs, _ = lat._order_tables()
     shared = {id(i) for row in downs for i in row}
     assert len(shared) == len(lat)
     # every element but the bottom covers another; the bottom is down-set 0
     covers = lat._hasse()[0]
     assert {id(j) for row in covers for j in row} | {id(downs[0][0])} == shared
-    # each getter reads its down-set off an index vector, the bottom's too
+    # each getter reads its down-set off an index vector, the bottom's too,
+    # and holds the down-set tuple itself (a getter of many items reduces
+    # to the tuple it holds)
+    gets = lat._getters()
     index = list(range(len(lat)))
     assert tuple(tuple(get(index)) for get in gets) == downs
+    assert all(get.__reduce__()[1] is down for get, down in zip(gets, downs) if len(down) > 1)
+
+
+@pytest.mark.parametrize("tag,n", [("2^N", 4), ("P^N", 5), ("E^N", 4)])
+def test_getters_are_built_apart_from_the_order_tables(monkeypatch, tag, n):
+    """Building the order tables, as a lattice's set-up does, builds no
+    getters; the first call builds them once, and E^N reads P^(n+1)'s."""
+    kinds = {t: type(lattice_for(t, 1)) for t in ("2^N", "P^N", "E^N")}
+    monkeypatch.setattr(lattice, "_build", lambda t, m: kinds[t](m))  # an uncached inner P^(n+1)
+    lat = kinds[tag](n)
+    lat.downset_indices(0)
+    owner = getattr(lat, "inner", lat)
+    assert owner._gets is None
+    assert lat._getters() is lat._getters() is owner._gets
 
 
 @pytest.mark.parametrize("tag,n,strangers", [

@@ -414,19 +414,20 @@ def test_mobius_equals_the_fraction_recursion(tag, n):
 @pytest.mark.parametrize("tag,n", [("2^N", 4), ("P^N", 5), ("E^N", 4)])
 def test_mobius_and_zeta_read_the_down_set_table_once(monkeypatch, tag, n):
     """Each of mobius and zeta_expand reads the down-set getters in one
-    call of the order tables, never a down-set per element nor the tuple
-    table, and gives the same table."""
+    call, never a down-set per element nor the order tables, and gives the
+    same table."""
     lat = lattice_for(tag, n)
     game = random_game(lat, random.Random(n))
     mu = mobius(game)
-    gets = lat._order_tables()[2]
+    gets = lat._getters()
     reads = []
 
-    def per_element(i):
-        raise AssertionError("a down-set was read on its own")
+    def forbidden(*args):
+        raise AssertionError("a down-set or the order tables were read")
 
-    monkeypatch.setattr(lat, "downset_indices", per_element)
-    monkeypatch.setattr(lat, "_order_tables", lambda: reads.append(1) or (None, None, gets))
+    monkeypatch.setattr(lat, "downset_indices", forbidden)
+    monkeypatch.setattr(lat, "_order_tables", forbidden)
+    monkeypatch.setattr(lat, "_getters", lambda: reads.append(1) or gets)
     assert mobius(game) == mu and len(reads) == 1
     assert zeta_expand(mu) == game and len(reads) == 2
 
