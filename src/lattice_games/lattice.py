@@ -623,31 +623,47 @@ class Lattice:
         of x adds."""
         if self._hasse_table is None:
             masks = self._mask
+            size = len(masks)
             downs, holders = self._order_tables()
+            index = downs[-1]  # every index, the objects the down-sets hold
+            # the atom bitsets read backwards, bit size - 1 - i for index i, so
+            # the least index in a hit is read off its bit length
+            flipped = [int(bin(held)[:1:-1].ljust(size, "0"), 2) for held in holders]
             ranks = [self.rank(x) for x in self.elements]
             where = self.describe()
             covers = []
-            below = [1] + [0] * (len(masks) - 1)
+            below = [1] + [0] * (size - 1)
+            # ups[j]: the elements whose masks hold all of j's, set when j is
+            # first found as a cover, dropped once j's covers are found
+            ups = [(1 << size) - 1] + [None] * (size - 1)
             for i, m in enumerate(masks):
-                above = self._above(m)
+                above, ups[i] = ups[i], None
+                next_rank, chains = ranks[i] + 1, below[i]
                 rem = masks[-1] & ~m  # atoms not yet placed in a cover
                 row = []
                 while rem:
-                    hit = above & holders[(rem & -rem).bit_length() - 1]
-                    j = (hit & -hit).bit_length() - 1
+                    hit = above & flipped[(rem & -rem).bit_length() - 1]
+                    j = size - hit.bit_length()
                     group = masks[j] & ~m
                     if group & ~rem:
                         raise VerificationError(f"covers of element {i} on {where} overlap")
-                    if ranks[j] != ranks[i] + 1:
+                    if ranks[j] != next_rank:
                         raise VerificationError(f"element {j} of rank {ranks[j]} is no cover "
                                                 f"of element {i} of rank {ranks[i]} on {where}")
-                    row.append(downs[j][-1])  # index j, the object the down-sets hold
-                    below[j] += below[i]  # final: i covers only earlier elements
+                    if ups[j] is None:  # hit holds the lowest atom of the group
+                        rest = group & (group - 1)
+                        while rest:
+                            hit &= flipped[(rest & -rest).bit_length() - 1]
+                            rest &= rest - 1
+                        ups[j] = hit
+                    row.append(index[j])
+                    below[j] += chains  # final: i covers only earlier elements
                     rem &= ~group
-                covers.append(tuple(sorted(row)))
-            above = [0] * (len(covers) - 1) + [1]
-            for i in range(len(covers) - 2, -1, -1):
-                above[i] = sum(above[j] for j in covers[i])
+                row.sort()
+                covers.append(tuple(row))
+            above = [0] * (size - 1) + [1]
+            for i in range(size - 2, -1, -1):
+                above[i] = sum(map(above.__getitem__, covers[i]))
             self._hasse_table = (tuple(covers), tuple(below), tuple(above))
         return self._hasse_table
 

@@ -9,13 +9,16 @@ egalitarian solution ignores structure entirely.  On the subset lattice
 the first two collapse to the Shapley value.
 
 su and cu are fixed linear maps from a game's ints to its atoms' shares,
-and the lattice alone fixes them, so each runs off a credit table built
-on its first call and kept per Hasse-table owner (E^N reads P^(n+1)'s):
-su's holds, per mask bit, the elements whose masks hold it and, per
-element, C over its atom count (C = lcm(1..#atoms)); cu's holds the
-cover edges grouped by the atoms they add, each with the maximal chains
-through it, and per mask bit the groups that hold it.  A call is then a
-few map/sum passes over ints, checked to sum to f(top) - f(bottom).
+and the lattice alone fixes them, so each runs off a table built on its
+first call and kept per Hasse-table owner (E^N reads P^(n+1)'s).  su's
+credit table holds, per mask bit, the elements whose masks hold it and,
+per element, C over its atom count (C = lcm(1..#atoms)); an su call is a
+few map/sum passes over the Mobius ints.  cu's word table holds one int
+per element: column y of cu's matrix, one signed field per mask bit.  A
+cu call is one multiply-add pass of the game's ints over the words and
+one unpack of the fields; ints wider than LIMB bits are read a LIMB-bit
+limb at a time, one pass each.  Both check that the shares sum to
+f(top) - f(bottom).
 
 A solution, and the node shares split from it, are ``transform``'s one
 integer view class: a solution's shares are ints over one denominator
@@ -30,14 +33,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, compress
+from itertools import chain, combinations, compress, islice, repeat
 from math import factorial, lcm
-from operator import attrgetter, mul, sub
+from operator import add, and_, attrgetter, mul, rshift, xor
 
 from .lattice import VerificationError, lattice_for
 from .transform import (LatticeGame, _IntView, _canonical, _over_lcm, _ratio, mobius,
                         parse_fraction)
 from .games import SymmetricGame, is_symmetric
+
+LIMB = 32  # bits of a game int that one packed cu pass reads
+_TOP = 1 << LIMB
 
 
 class Solution(_IntView):
@@ -160,21 +166,28 @@ def su(game):
 
 
 def cu(game):
-    """Chain-uniform sharing, one pass over the cover edges.
+    """Chain-uniform sharing, one packed multiply-add pass.
 
     An atom is credited the per-size marginal of the covering step where
-    it first appears under a uniformly random maximal chain.  Cover edge
-    i -> j lies on below[i] * above[j] of the above[0] maximal chains,
-    and adds that many integer marginals to every atom it adds.  The
-    edges that add the same atoms, a group, lie next to each other in the
-    table, so a group's gain is the difference of two running sums.
+    it first appears under a uniformly random maximal chain, so the credit
+    is a fixed linear map of the game's ints.  Word y of the table holds
+    column y of that map, one signed field per mask bit, so the sum of
+    int times word over the elements holds every atom's credit; one unpack
+    reads the fields off.  A field has room for LIMB-bit ints; wider ints
+    are read a LIMB-bit limb at a time, low limb first, and the limbs'
+    credits are shifted into place.
     """
-    total, src, dst, chains, starts, ends, scales, groups = _cu_table(_owner(game.lattice))
-    at = game._ints[0].__getitem__
-    sums = list(accumulate(map(mul, chains, map(sub, map(at, dst), map(at, src))), initial=0))
-    upto = sums.__getitem__
-    gains = list(map(mul, map(sub, map(upto, ends), map(upto, starts)), scales))
-    return _checked(game, [sum(map(gains.__getitem__, held)) for held in groups], total, "cu")
+    total, bias, fields, words = _cu_words(_owner(game.lattice))
+    mask, half = (1 << fields.step) - 1, 1 << fields.step - 1
+    ints, credit, shift = game._ints[0], [0] * len(fields), 0
+    while ints is not None:  # one pass per limb, low limb first
+        low, ints = ints, None
+        if max(low) >= _TOP or min(low) <= -_TOP:
+            low, ints = list(map(and_, low, repeat(_TOP - 1))), list(map(rshift, low, repeat(LIMB)))
+        packed = sum(map(mul, low, words), bias)
+        credit = [c + ((packed >> k & mask) - half << shift) for c, k in zip(credit, fields)]
+        shift += LIMB
+    return _checked(game, credit, total, "cu")
 
 
 def _checked(game, credit, total, name):
@@ -212,33 +225,57 @@ def _su_table(lat):
 
 
 @lru_cache(maxsize=None)
-def _cu_table(lat):
-    """(C * above[0], src, dst, chains, starts, ends, scales, groups) of cu
-    on lat, built on the first call from its Hasse table.  Cover edge e
-    runs from src[e] to dst[e] on chains[e] = below[src] * above[dst]
-    maximal chains; the edges are ordered by the group of atoms they add,
-    group g spanning starts[g]:ends[g] with scale C // |g|, and groups[k]
-    lists the groups holding mask bit k."""
+def _cu_words(lat):
+    """(C * above[0], bias, fields, words) of cu on lat, built on the first
+    call from its Hasse table.  Cover edge i -> j adds the atoms of its
+    group g and lies on below[i] * above[j] maximal chains; times C // |g|
+    it credits each field of g with the marginal f(j) - f(i).  So word y
+    holds, in field k at bit k * width, that weight summed over the edges
+    into y whose group holds bit k, minus the same sum over the edges out
+    of y.  Each maximal chain adds every atom once, so a field's absolute
+    values sum to at most 2 * C * above[0]; the width holds that times a
+    LIMB-bit int, with a sign bit to spare.  fields is the range of field
+    offsets, and bias puts half the field range in every field, so a sum
+    of ints times words plus bias holds each field's credit plus that half.
+    """
     masks = lat.masks
     covers, below, above = lat._hasse()
-    edges = {}  # group mask -> its cover edges, flat: i, j, i, j, ...
-    for i, row in enumerate(covers):
-        for j in row:
-            edges.setdefault(masks[j] ^ masks[i], []).extend((i, j))
-    src, dst, ends = [], [], []
-    for flat in edges.values():
-        src += flat[0::2]
-        dst += flat[1::2]
-        ends.append(len(src))
-    counts = {}  # a few distinct chain counts, one int object each
-    chains = tuple(counts.setdefault(c, c) for c in
-                   map(mul, map(below.__getitem__, src), map(above.__getitem__, dst)))
     common = _common(lat)
-    ids = tuple(range(len(edges)))
-    groups = tuple(tuple(compress(ids, [g >> k & 1 for g in edges]))
-                   for k in range(masks[-1].bit_length()))
-    return (common * above[0], tuple(src), tuple(dst), chains, (0, *ends)[:-1],
-            tuple(ends), tuple(common // g.bit_count() for g in edges), groups)
+    width = LIMB + (2 * common * above[0]).bit_length() + 2
+    fields = range(0, masks[-1].bit_length() * width, width)
+    rows = list(map(len, covers))
+    dst = list(chain.from_iterable(covers))
+    splits = _packed_splits(map(xor, map(masks.__getitem__, dst),
+                                chain.from_iterable(map(repeat, masks, rows))), fields, common)
+    counts = {}  # a few distinct chain counts, one int object each
+    chains = list(map(mul, chain.from_iterable(map(repeat, below, rows)), map(above.__getitem__, dst)))
+    chains = list(map(counts.setdefault, chains, chains))
+    weighed = map(mul, chains, splits)  # by source, row by row
+    out = [sum(islice(weighed, k)) for k in rows]
+    into = [[] for _ in covers]  # the edges into each element
+    for _ in map(list.append, map(into.__getitem__, dst), range(len(dst))):
+        pass
+    order = list(chain.from_iterable(into))
+    weighed = map(mul, map(chains.__getitem__, order), map(splits.__getitem__, order))  # by target
+    half = 1 << width - 1
+    return (common * above[0], sum(half << k for k in fields), fields,
+            tuple([sum(islice(weighed, len(edges)), -o) for edges, o in zip(into, out)]))
+
+
+def _packed_splits(groups, fields, common):
+    """C // |g| in each field of g, for each group g in turn: one shared int
+    per distinct group, its fields summed from tables of 7 mask bits."""
+    groups = list(groups)
+    distinct, spreads = list(set(groups)), repeat(0)
+    for c in range(0, len(fields), 7):
+        table = [0]
+        for k in fields[c:c + 7]:
+            table += [t + (1 << k) for t in table]
+        spreads = list(map(add, spreads, map(table.__getitem__, map(
+            and_, map(rshift, distinct, repeat(c)), repeat(127)))))
+    packed = dict(zip(distinct, map(mul, map(common.__floordiv__, map(int.bit_count, distinct)),
+                                    spreads)))
+    return list(map(packed.__getitem__, groups))
 
 
 def cu_chain_oracle(game):

@@ -103,16 +103,20 @@ def _plain_over_lcm(values):
     """_over_lcm of the values' (p, q) in one pass, when every value is a
     JSON int or a plain "p/q" or "p" string whose numbers JSON reads; else
     None, and _ratio, the only reader that words a refusal, reads them one
-    by one.  A whole number p is read as "p/1", and one json.loads reads
-    every p and q.  Numbers past Python's int-string limit are left to
-    _ratio too."""
+    by one.  JSON ints alone are their own ints over 1, whatever their
+    length.  Otherwise one json.loads reads every number: whole numbers
+    alone as they are, and with any "p/q" each whole number p as "p/1";
+    numbers past Python's int-string limit are left to _ratio too."""
     kinds = set(map(type, values))
     if not kinds <= {str, int}:  # a bool, a Fraction, a str or int subclass
         return None
+    if str not in kinds:
+        return list(values), 1
     try:
         texts = list(map(str, values)) if int in kinds else values
         text = ",".join(texts)
-        if text.count("/") != len(values):  # "p/1" for every value with no "/"
+        whole = "/" not in text
+        if not whole and text.count("/") != len(values):  # "p/1" for each value with no "/"
             ones = map(("/1", "").__getitem__, map(contains, texts, repeat("/")))
             text = ",".join(map(add, texts, ones))
         if text.translate(_DROP_PLAIN) or _TWO_SLASHES.search(text):
@@ -120,6 +124,8 @@ def _plain_over_lcm(values):
         flat = json.loads(f"[{text.replace('/', ',')}]")
     except ValueError:  # not JSON's grammar, or a number past the int-string limit
         return None
+    if whole:  # one number per value: no "," inside a value
+        return (flat, 1) if len(flat) == len(values) else None
     # text holds len(values) or more "/", so 2 * len(values) numbers mean
     # exactly len(values) "/" and no "," inside a value; with no value
     # holding two, each holds one, and the numbers pair up as p, q

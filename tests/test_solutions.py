@@ -656,11 +656,20 @@ def test_su_and_cu_equal_the_crediting_loops_up_to_the_cap(tag, n):
     rng = random.Random(200 + 10 * n + len(tag))
     lat = lattice_for(tag, n)
     dense = random_game(lat, rng)
+    wide = [rng.randrange(2 ** 39, 2 ** 40) for _ in range(10)]
     games = [dense, dense.normalize_bottom()[0],
              dense + Fraction(5, 7) * zeta_game(lat, lat.bottom),
              clustering_restrict(dense, rng.choice(lat.elements)),
              clustering_restrict(dense, lat.bottom),  # every gain is zero
-             zeta_game(lat, lat.top), 3 * zeta_game(lat, lat.bottom)]
+             zeta_game(lat, lat.top), 3 * zeta_game(lat, lat.bottom),
+             # ints of several LIMB-bit limbs, entries one past a limb, and
+             # denominators whose lcm runs to hundreds of bits
+             2 ** (3 * solutions.LIMB) * dense + zeta_game(lat, lat.bottom),
+             LatticeGame(lat, {x: rng.choice((-1, 1)) * 2 ** solutions.LIMB
+                               for x in lat.elements}),
+             LatticeGame(lat, {x: Fraction(rng.randint(-30, 30), rng.choice(wide))
+                               for x in lat.elements})]
+    assert len(lat) < 50 or games[-1]._ints[1].bit_length() > 200
     for g in games:
         assert su(g)._ints == su_group_oracle(g)._ints
         assert cu(g)._ints == cu_gains_oracle(g)._ints
@@ -673,13 +682,14 @@ def test_embedded_lattices_share_the_partition_tables(n):
     emb, part = lattice_for("E^N", n), lattice_for("P^N", n + 1)
     assert solutions._owner(emb) is part and solutions._owner(part) is part
     assert solutions._su_table(solutions._owner(emb)) is solutions._su_table(part)
-    assert solutions._cu_table(solutions._owner(emb)) is solutions._cu_table(part)
+    assert solutions._cu_words(solutions._owner(emb)) is solutions._cu_words(part)
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_corrupted_credit_tables_fail_the_efficiency_check(flags):
-    """A credit table with its scales doubled makes su and cu raise, also
-    under python -O: the efficiency check is an explicit raise."""
+    """A credit table with its scales doubled, or cu's word table with its
+    words doubled, makes su and cu raise, also under python -O: the
+    efficiency check is an explicit raise."""
     script = textwrap.dedent("""
         import sys
         from lattice_games import solutions
@@ -692,8 +702,8 @@ def test_corrupted_credit_tables_fail_the_efficiency_check(flags):
         owner = solutions._owner(lat)
         total, holders, scales = solutions._su_table(owner)
         solutions._su_table = lambda lat: (total, holders, tuple(2 * q for q in scales))
-        *head, scales, groups = solutions._cu_table(owner)
-        solutions._cu_table = lambda lat: (*head, tuple(2 * q for q in scales), groups)
+        *head, words = solutions._cu_words(owner)
+        solutions._cu_words = lambda lat: (*head, tuple(2 * w for w in words))
         for solver in (solutions.su, solutions.cu):
             try:
                 solver(game)
@@ -747,6 +757,25 @@ def test_su_and_cu_commute_with_every_node_permutation(tag, n):
         for solver, shares in want.items():
             got = solver(image)
             assert all(got[relabelled(a, perm)] == q for a, q in shares.items()), (solver, order)
+
+
+@pytest.mark.parametrize("n,alpha,beta,gamma", [
+    (5, Fraction(2, 5), Fraction(29, 360), Fraction(7, 180)),
+    (6, Fraction(1, 3), Fraction(37, 600), Fraction(13, 450)),
+    (7, Fraction(2, 7), Fraction(103, 2100), Fraction(47, 2100)),
+    (8, Fraction(1, 4), Fraction(59, 1470), Fraction(263, 14700)),
+])
+def test_cu_of_a_pair_game_pays_the_pair_its_neighbours_and_the_rest(n, alpha, beta, gamma):
+    """cu of the unit game of pair (1,2) on P^n: alpha to the atom (1,2),
+    beta to each atom that shares a node with it and gamma to each atom
+    disjoint from it.  cu is linear and commutes with node renaming, so
+    these three rationals per n give cu of any game whose Mobius mass
+    sits on the pair atoms."""
+    lat = lattice_for("P^N", n)
+    sol = cu(zeta_game(lat, Partition.pair(n, 1, 2)))
+    for i, j in combinations(range(1, n + 1), 2):
+        shared = len({i, j} & {1, 2})
+        assert sol[Partition.pair(n, i, j)] == (gamma, beta, alpha)[shared], (i, j)
 
 
 def test_transport_solution_round_trip_and_errors():

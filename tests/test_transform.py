@@ -659,7 +659,11 @@ OTHER = ["", " ", "  5 ", " 1/2", "1/2 ", "\xa01/2", "1/2\x1c", "\t3", "1\x00/2"
          "1/-2", "1/+2", "1 /2", "1/ 2", "1//2", "1/2/3", "/2", "1/", "/", "+", "-", "+-1",
          "--1", "1-", "1+2", "1,2", ",", "1,", "1.5", "1e3", "0x10", "true", "null",
          True, False, None, 1.5, Fraction(1, 2), [1], {"1": 1},
-         "1" + "0" * LIMIT, "1/1" + "0" * LIMIT, "-1" + "0" * LIMIT + "/3", 10 ** LIMIT]
+         "1" + "0" * LIMIT, "1/1" + "0" * LIMIT, "-1" + "0" * LIMIT + "/3"]
+
+# a JSON int past the int-string limit: with ints alone the reader takes it
+# as it is, and beside a string it leaves it to _ratio
+WIDE = 10 ** LIMIT
 
 
 def ratio_or_error(value):
@@ -681,9 +685,19 @@ def test_plain_reader_takes_plain_values_and_leaves_the_rest():
     for value in LOOSE:  # _ratio takes each, as Fraction reads it
         assert Fraction(*_ratio(value)) == Fraction(value), value
     assert ratio_or_error("1/1" + "0" * LIMIT) is SizeLimitError
-    assert ratio_or_error(10 ** LIMIT) == (10 ** LIMIT, 1)
+    assert ratio_or_error(WIDE) == (WIDE, 1)
+    assert _plain_over_lcm([WIDE, -1]) == ([WIDE, -1], 1)
+    assert _plain_over_lcm(["5", WIDE]) is None
+    # whole numbers: strings, JSON ints, both, and each mixed with "p/q"
+    strings, ints = ["0", "5", "-5", "-0", "120", str(10 ** 30)], [0, 7, -12, 10 ** 30]
+    for values in (strings, ints, strings + ints, strings + ["12/4", "-3/9"],
+                   ints + ["-0/7", "12/4"], ["12/4"] + ints + strings):
+        assert _plain_over_lcm(values) == _over_lcm([_ratio(v) for v in values]), values
+    for value in LOOSE + OTHER:  # beside whole numbers the rest is still left to _ratio
+        for whole in (["5", "-7"], [5, -7], ["5", 7]):
+            assert _plain_over_lcm(whole + [value]) is None, value
     rng = random.Random(23)
-    pool = PLAIN + LOOSE + OTHER
+    pool = PLAIN + LOOSE + OTHER + [WIDE]
     for _ in range(2000):
         picks = rng.sample(range(len(pool)), rng.randint(1, 5))
         values = [pool[k] for k in picks]
