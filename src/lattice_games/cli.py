@@ -670,12 +670,15 @@ def cmd_selfcheck(args):
 
 
 def _max_n(text):
-    """The --max-n value; argparse prints a refusal's message as it stands."""
+    """The --max-n value, 1 or more; argparse prints a refusal's message as it stands."""
     try:
-        return parse_int(text)
+        cap = parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"takes an integer in ASCII digits, got {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"takes a size cap of at least 1, got {text!r}")
+    return cap
 
 
 def build_parser():

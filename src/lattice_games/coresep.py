@@ -16,8 +16,9 @@ artificial ones; every pivot is one exact linear map on the columns, so
 those copies stay exact and are read through a column map, and their
 reduced costs through a cost map.  An empty core comes with a Farkas
 certificate, a nonempty one with a witness point, both ints over the
-final determinant, re-verified on those ints before they are returned;
-a failed check raises VerificationError.
+final determinant, re-verified on those ints before they are returned,
+the certificate through the lattice's atom incidence; a failed check
+raises VerificationError.
 
 Separability asks the converse of building a partition game from a set
 function on the affected groups: which games arise that way?  The test
@@ -33,7 +34,7 @@ from fractions import Fraction
 from .lattice import EmbeddedSubset, Partition, VerificationError, lattice_for
 from .transform import LatticeGame, format_fraction, parse_fraction
 from .games import PredicateReport, _lift
-from .solutions import Solution, _owner, _su_table
+from .solutions import Solution
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +232,11 @@ def _check_certificate(system, multipliers, lam):
     positive total, so no shares can satisfy the system.  The multipliers
     and lam are ints over one positive denominator, which keeps every
     sign.  Bit k is credited lam plus the multipliers of the elements
-    holding it (su's holder tuples); the total is read at the bounds'
-    scale d > 0."""
+    holding it, the lattice's holder tuples read off its atom incidence;
+    the total is read at the bounds' scale d > 0."""
     if any(q < 0 for q in multipliers):
         raise VerificationError("negative inequality multiplier")
-    holders = _su_table(_owner(system.lattice))[1]
+    holders = system.lattice._holders()
     if any(lam + sum(map(multipliers.__getitem__, held)) for held in holders):
         raise VerificationError("certificate does not cancel the shares")
     ints = system.ints

@@ -10,8 +10,8 @@ The ground set is {1, ..., n}.  Three graded lattices are supported:
 
 E^N is P^(n+1) relabelled: the order isomorphism that inserts the extra
 element n+1 into the distinguished block (a fresh singleton when A is
-empty) gives both the same element order, so E^N shares the atom masks
-and order tables of P^(n+1).
+empty) gives both the same element order, so E^N reads the atom masks of
+P^(n+1), which owns them.
 
 All three lattices are atomistic: an element is fixed by the atoms below
 it.  Each element carries them as an integer bitmask; the order, meet,
@@ -22,14 +22,15 @@ a linear extension of the order, bottom first.
 
 P^N is enumerated once, by a descending restricted-growth recursion
 that adds each pair to the mask as it places an element; the count and
-the distinctness of the masks are checked after.  The order tables are
-one bitset per atom over element indices (the elements holding it) and
-the down-sets: that of element j is every index up to j outside the
-bitsets of the atoms j lacks.  The AND of the bitsets of j's atoms holds
-the elements above j; a join is the lowest index above both atom sets.
+the distinctness of the masks are checked after.  Every table read off
+the masks is built by ``owned`` and kept by the masks' owner (P^(n+1)
+for E^N); the first, the atom incidence, is one pass over the masks.
+The down-set of element j is every index up to j outside the bitsets of
+the atoms j lacks; the AND of the bitsets of j's atoms holds the
+elements above j, and a join is the lowest index above both atom sets.
 
 ``rank`` counts covering steps from the bottom, ``size`` counts atoms
-below an element.  One Hasse table, built once per lattice, holds the
+below an element.  One Hasse table, read off the incidence, holds the
 covers of every element i and the maximal chains of [bottom, i] and of
 [i, top] counted over them in exact integers: the chain-uniform weights.
 """
@@ -38,8 +39,8 @@ from __future__ import annotations
 
 import os
 import re
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, wraps
+from itertools import combinations, repeat
 from math import comb, factorial
 from operator import itemgetter
 
@@ -85,16 +86,22 @@ def ground_cap(override=None):
 
     An explicit override wins, then the LATTICE_GAMES_MAX_N environment
     variable, then the default of 8 (Bell(8) = 4140 lattice elements).
+    A cap below 1, which no lattice fits under, is malformed input.
     """
     if override is not None:
-        return int(override)
-    raw = os.environ.get(ENV_MAX_N)
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        return parse_int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
+        cap = int(override)
+    else:
+        raw = os.environ.get(ENV_MAX_N)
+        if raw is None:
+            return DEFAULT_MAX_N
+        try:
+            cap = parse_int(raw)
+        except ValueError:
+            raise ValueError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"{ENV_MAX_N if override is None else 'max_n'} must be at least 1, "
+                         f"got {cap}")
+    return cap
 
 
 @lru_cache(maxsize=None)
@@ -397,6 +404,28 @@ class EmbeddedSubset:
         return x
 
 
+def owned(build):
+    """A table of a lattice's masks: build(owner) on the first call from any
+    lattice reading them, then the same object, kept in the owner's store."""
+    @wraps(build)
+    def table(lat):
+        store = lat.owner._store
+        if build.__name__ not in store:
+            store[build.__name__] = build(lat.owner)
+        return store[build.__name__]
+    return table
+
+
+def _ones(bits, index):
+    """The index objects at the places of the "1"s of a text of bits."""
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(index[i])
+        i = bits.find("1", i + 1)
+    return tuple(out)
+
+
 def _partitions(n):
     """The set partitions of {1..n} in descending restricted-growth order,
     with their atom masks (bit k for the k-th pair (i, j) in lexicographic
@@ -439,27 +468,27 @@ class Lattice:
     element (handed to ``_finish``), ``class_of`` and ``parse_element``;
     ``rank`` and ``key`` default to the element's own.  The lattices are
     atomistic, so an element's atoms fix it: ``leq``, ``meet``, ``join``,
-    ``size``, ``atoms_below``, the atom bitsets, the down-sets and one Hasse
-    table (covers and maximal-chain counts) are derived here from the masks.
+    ``size``, ``atoms_below`` and the tables of ``owner``, the lattice
+    that owns the masks (incidence, down-sets, Hasse table), read them.
     """
 
     tag = "?"
 
-    def __init__(self, n):
+    def __init__(self, n, owner=None):
         self.n = n
-        self._tables = None
-        self._gets = None
+        self.owner = self if owner is None else owner
+        self._store = {}  # the tables of owned, on an owner
         self._keys = None
         self._atom_keys = None
-        self._hasse_table = None
 
-    def _finish(self, masks, bit_atoms=None, by_mask=None):
+    def _finish(self, masks, bit_atoms=None):
         """Index the elements; bit k of masks[i] is set when bit_atoms[k]
         (default: the atoms in order) lies below element i."""
         self._pos = {e: i for i, e in enumerate(self.elements)}
         self._mask = masks
         self._bit_atoms = bit_atoms or self.atoms
-        self._by_mask = by_mask or {m: i for i, m in enumerate(masks)}
+        owner = self.owner
+        self._by_mask = {m: i for i, m in enumerate(masks)} if owner is self else owner._by_mask
 
     def describe(self):
         return f"{self.tag} with n={self.n}"
@@ -562,110 +591,109 @@ class Lattice:
 
     # -- order tables ---------------------------------------------------
 
-    def _order_tables(self):
-        # (downs, holders): x <= y exactly when x's atoms are among y's, and
-        # only earlier elements lie below a later one.  holders[k] is the
-        # bitset of the indices holding atom k; downs hold the ints of idx.
-        if self._tables is None:
-            masks = self._mask
-            idx = tuple(range(len(masks)))
-            holders = tuple(sum(1 << i for i, m in enumerate(masks) if m >> k & 1)
-                            for k in range(masks[-1].bit_length()))
-            downs = []
-            for j, m in zip(idx, masks):
-                outside = 0
-                for k, held in enumerate(holders):
-                    if not m >> k & 1:
-                        outside |= held
-                bits = bin(((2 << j) - 1) & ~outside)[:1:-1]  # bits[i] is index i
-                down = []
-                i = bits.find("1")
-                while i >= 0:
-                    down.append(idx[i])
-                    i = bits.find("1", i + 1)
-                downs.append(tuple(down))
-            self._tables = (tuple(downs), holders)
-        return self._tables
+    @owned
+    def _incidence(self):
+        """(index, bitsets, flipped): one int object per element index, which
+        every table of indices lists; per mask bit k, the indices holding k
+        as bits i and size - 1 - i for index i.  The masks are transposed:
+        one text of bits each, one slice per bit."""
+        masks = self._mask
+        width = masks[-1].bit_length()  # the top holds every atom
+        text = "".join(map(format, masks, repeat(f"0{width}b")))
+        cols = [text[width - 1 - k::width] for k in range(width)]  # place i: bit k of mask i
+        index = tuple(range(len(masks)))
+        return index, tuple(int(col[::-1], 2) for col in cols), tuple(int(col, 2) for col in cols)
 
+    @owned
+    def _holders(self):
+        """Per mask bit k, the indices holding k, ascending: the bitsets as tuples."""
+        index, bitsets, _ = self._incidence()
+        return tuple(_ones(bin(held)[:1:-1], index) for held in bitsets)
+
+    @owned
+    def _order_tables(self):
+        """The down-sets: x <= y exactly when x's atoms are among y's, and
+        only earlier elements lie below a later one, so the down-set of j
+        is every index up to j outside the bitsets of the atoms j lacks."""
+        index, bitsets, _ = self._incidence()
+        downs = []
+        for j, m in enumerate(self._mask):
+            outside = 0
+            for k, held in enumerate(bitsets):
+                if not m >> k & 1:
+                    outside |= held
+            downs.append(_ones(bin(((2 << j) - 1) & ~outside)[:1:-1], index))  # place i: index i
+        return tuple(downs)
+
+    @owned
     def _getters(self):
-        # gets[j] reads the entries of down-set j off an index vector as one
-        # sequence.  Built on the first Mobius or zeta call, apart from the
-        # order tables, which a lattice's set-up builds; each getter holds
-        # its down-set tuple itself, the bottom's one-element down-set as a
-        # slice.
-        if self._gets is None:
-            self._gets = tuple(itemgetter(*down) if len(down) > 1 else itemgetter(slice(j, j + 1))
-                               for j, down in enumerate(self._order_tables()[0]))
-        return self._gets
+        """gets[j] reads the entries of down-set j off an index vector as one
+        sequence; each holds its down-set tuple itself, the bottom's one-
+        element down-set as a slice.  Built on the first Mobius or zeta
+        call, apart from the down-sets, which a lattice's set-up builds."""
+        return tuple(itemgetter(*down) if len(down) > 1 else itemgetter(slice(j, j + 1))
+                     for j, down in enumerate(self._order_tables()))
 
     def downset_indices(self, i):
-        return self._order_tables()[0][i]
+        return self._order_tables()[i]
 
     def _above(self, mask):
         """Bitset of the element indices whose masks hold every bit of mask."""
-        holders = self._order_tables()[1]
+        bitsets = self._incidence()[1]
         above = (1 << len(self._mask)) - 1
         while mask:
-            above &= holders[(mask & -mask).bit_length() - 1]
+            above &= bitsets[(mask & -mask).bit_length() - 1]
             mask &= mask - 1
         return above
 
     # -- chains ---------------------------------------------------------
 
-    def _chain_ground(self):
-        return self.n
-
+    @owned
     def _hasse(self):
         """(covers, below, above): the covers of each element i, ascending,
         and the maximal chains of [bottom, i] and of [i, top].  A cover of x
         is x v a, a an atom not below x (the lattices are atomistic and upper-
         semimodular); each must go one rank up and add atoms no other cover
-        of x adds."""
-        if self._hasse_table is None:
-            masks = self._mask
-            size = len(masks)
-            downs, holders = self._order_tables()
-            index = downs[-1]  # every index, the objects the down-sets hold
-            # the atom bitsets read backwards, bit size - 1 - i for index i, so
-            # the least index in a hit is read off its bit length
-            flipped = [int(bin(held)[:1:-1].ljust(size, "0"), 2) for held in holders]
-            ranks = [self.rank(x) for x in self.elements]
-            where = self.describe()
-            covers = []
-            below = [1] + [0] * (size - 1)
-            # ups[j]: the elements whose masks hold all of j's, set when j is
-            # first found as a cover, dropped once j's covers are found
-            ups = [(1 << size) - 1] + [None] * (size - 1)
-            for i, m in enumerate(masks):
-                above, ups[i] = ups[i], None
-                next_rank, chains = ranks[i] + 1, below[i]
-                rem = masks[-1] & ~m  # atoms not yet placed in a cover
-                row = []
-                while rem:
-                    hit = above & flipped[(rem & -rem).bit_length() - 1]
-                    j = size - hit.bit_length()
-                    group = masks[j] & ~m
-                    if group & ~rem:
-                        raise VerificationError(f"covers of element {i} on {where} overlap")
-                    if ranks[j] != next_rank:
-                        raise VerificationError(f"element {j} of rank {ranks[j]} is no cover "
-                                                f"of element {i} of rank {ranks[i]} on {where}")
-                    if ups[j] is None:  # hit holds the lowest atom of the group
-                        rest = group & (group - 1)
-                        while rest:
-                            hit &= flipped[(rest & -rest).bit_length() - 1]
-                            rest &= rest - 1
-                        ups[j] = hit
-                    row.append(index[j])
-                    below[j] += chains  # final: i covers only earlier elements
-                    rem &= ~group
-                row.sort()
-                covers.append(tuple(row))
-            above = [0] * (size - 1) + [1]
-            for i in range(size - 2, -1, -1):
-                above[i] = sum(map(above.__getitem__, covers[i]))
-            self._hasse_table = (tuple(covers), tuple(below), tuple(above))
-        return self._hasse_table
+        of x adds.  A hit's least index is read off its bit length."""
+        masks = self._mask
+        size = len(masks)
+        index, _, flipped = self._incidence()  # bitsets read backwards
+        ranks = [self.rank(x) for x in self.elements]
+        where = self.describe()
+        covers = []
+        below = [1] + [0] * (size - 1)
+        # ups[j]: the elements whose masks hold all of j's, set when j is
+        # first found as a cover, dropped once j's covers are found
+        ups = [(1 << size) - 1] + [None] * (size - 1)
+        for i, m in enumerate(masks):
+            above, ups[i] = ups[i], None
+            next_rank, chains = ranks[i] + 1, below[i]
+            rem = masks[-1] & ~m  # atoms not yet placed in a cover
+            row = []
+            while rem:
+                hit = above & flipped[(rem & -rem).bit_length() - 1]
+                j = size - hit.bit_length()
+                group = masks[j] & ~m
+                if group & ~rem:
+                    raise VerificationError(f"covers of element {i} on {where} overlap")
+                if ranks[j] != next_rank:
+                    raise VerificationError(f"element {j} of rank {ranks[j]} is no cover "
+                                            f"of element {i} of rank {ranks[i]} on {where}")
+                if ups[j] is None:  # hit holds the lowest atom of the group
+                    rest = group & (group - 1)
+                    while rest:
+                        hit &= flipped[(rest & -rest).bit_length() - 1]
+                        rest &= rest - 1
+                    ups[j] = hit
+                row.append(index[j])
+                below[j] += chains  # final: i covers only earlier elements
+                rem &= ~group
+            row.sort()
+            covers.append(tuple(row))
+        above = [0] * (size - 1) + [1]
+        for i in range(size - 2, -1, -1):
+            above[i] = sum(map(above.__getitem__, covers[i]))
+        return tuple(covers), tuple(below), tuple(above)
 
     def chain_count_total(self):
         """The number of maximal chains, bottom to top."""
@@ -673,7 +701,7 @@ class Lattice:
 
     def maximal_chains(self):
         """All maximal chains bottom -> top, as tuples of elements."""
-        ground = self._chain_ground()
+        ground = self.owner.n  # n + 1 on E^N
         if ground > CHAIN_CAP:
             raise SizeLimitError(
                 f"maximal-chain listing on {self.describe()} needs ground size "
@@ -768,25 +796,23 @@ class PartitionLattice(Lattice):
 class EmbeddedLattice(Lattice):
     """Embedded subsets of {1..n}: P^(n+1) relabelled.
 
-    Element i is the preimage of the inner lattice's element i, so the
-    masks, the mask index, the order tables and the Hasse table are the
-    inner lattice's own; only the atom behind each mask bit is relabelled.
+    Element i is the preimage of element i of P^(n+1), its ``owner``, which
+    owns the masks, the mask index and every table read off them; only the
+    atom behind each mask bit is relabelled.
     """
 
     tag = "E^N"
 
     def __init__(self, n):
-        super().__init__(n)
-        self.inner = inner = _build("P^N", n + 1)
+        super().__init__(n, _build("P^N", n + 1))
+        inner = self.owner
         self.elements = tuple(EmbeddedSubset.from_partition(p) for p in inner.elements)
         bot = Partition.bottom(n)
         node_atoms = [EmbeddedSubset((i,), bot) for i in range(1, n + 1)]
         pair_atoms = [EmbeddedSubset((), Partition.pair(n, i, j))
                       for i, j in combinations(range(1, n + 1), 2)]
         self.atoms = tuple(node_atoms + pair_atoms)
-        self._finish(inner._mask,
-                     tuple(self.elements[inner.index(a)] for a in inner.atoms),
-                     inner._by_mask)
+        self._finish(inner._mask, tuple(self.elements[inner.index(a)] for a in inner.atoms))
 
     def class_of(self, x):
         """Class vector of the image partition in P^(n+1).
@@ -795,23 +821,10 @@ class EmbeddedLattice(Lattice):
         structure is carried over, and the solution theory for symmetric
         games holds at exactly this granularity.
         """
-        return self.inner.elements[self.index(x)].class_vector()
+        return self.owner.elements[self.index(x)].class_vector()
 
     def parse_element(self, text):
         return EmbeddedSubset.parse(text, self.n)
-
-    def _order_tables(self):
-        # identical element order, so the inner tables apply verbatim
-        return self.inner._order_tables()
-
-    def _getters(self):
-        return self.inner._getters()
-
-    def _chain_ground(self):
-        return self.n + 1
-
-    def _hasse(self):
-        return self.inner._hasse()
 
 
 @lru_cache(maxsize=None)

@@ -9,12 +9,12 @@ egalitarian solution ignores structure entirely.  On the subset lattice
 the first two collapse to the Shapley value.
 
 su and cu are fixed linear maps from a game's ints to its atoms' shares,
-and the lattice alone fixes them, so each runs off a table built on its
-first call and kept per Hasse-table owner (E^N reads P^(n+1)'s).  su's
-credit table holds, per mask bit, the elements whose masks hold it and,
-per element, C over its atom count (C = lcm(1..#atoms)); an su call is a
-few map/sum passes over the Mobius ints.  cu's word table holds one int
-per element: column y of cu's matrix, one signed field per mask bit.  A
+and the masks alone fix them, so each runs off a table ``lattice.owned``
+keeps for the masks' owner (P^(n+1) for E^N).  su's credit table holds
+the holder tuples read off the atom incidence and, per element, C over
+its atom count (C = lcm(1..#atoms)); an su call is a few map/sum passes
+over the Mobius ints.  cu's word table holds one int per element: column y of
+cu's matrix, one signed field per mask bit.  A
 cu call is one multiply-add pass of the game's ints over the words and
 one unpack of the fields; ints wider than LIMB bits are read a LIMB-bit
 limb at a time, one pass each.  Both check that the shares sum to
@@ -32,12 +32,11 @@ with no Fraction built per share.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from math import factorial, lcm
 from operator import add, and_, attrgetter, mul, rshift, xor
 
-from .lattice import VerificationError, lattice_for
+from .lattice import VerificationError, lattice_for, owned
 from .transform import (LatticeGame, _IntView, _canonical, _over_lcm, _ratio, mobius,
                         parse_fraction)
 from .games import SymmetricGame, is_symmetric
@@ -159,7 +158,7 @@ def su(game):
     below its element.  Works on any of the three lattices.  The dividends
     are ints over the game's denominator, which mobius keeps; the bottom's
     mask is empty, so its dividend reaches no atom."""
-    total, holders, scales = _su_table(_owner(game.lattice))
+    total, holders, scales = _su_table(game.lattice)
     weighed = list(map(mul, scales, mobius(game)._ints[0]))
     return _checked(game, [sum(map(weighed.__getitem__, held)) for held in holders],
                     total, "su")
@@ -177,7 +176,7 @@ def cu(game):
     are read a LIMB-bit limb at a time, low limb first, and the limbs'
     credits are shifted into place.
     """
-    total, bias, fields, words = _cu_words(_owner(game.lattice))
+    total, bias, fields, words = _cu_words(game.lattice)
     mask, half = (1 << fields.step) - 1, 1 << fields.step - 1
     ints, credit, shift = game._ints[0], [0] * len(fields), 0
     while ints is not None:  # one pass per limb, low limb first
@@ -201,33 +200,23 @@ def _checked(game, credit, total, name):
     return Solution._from_ints(lat, credit, total * d)
 
 
-def _owner(lat):
-    """The lattice whose masks and Hasse table lat reads: P^(n+1) for E^N."""
-    return getattr(lat, "inner", lat)
-
-
 def _common(lat):
     """C = lcm(1..#atoms): every group's even split is an int over it."""
     return lcm(*range(1, lat.masks[-1].bit_length() + 1))
 
 
-@lru_cache(maxsize=None)
+@owned
 def _su_table(lat):
-    """(C, holders, scales) of su on lat, built on the first call: the
-    element indices whose masks hold bit k, for every mask bit k, and
+    """(C, holders, scales) of su on lat: the lattice's holder tuples, and
     C // (the atoms below element i) per element, 0 on the bottom."""
-    masks = lat.masks
     common = _common(lat)
-    idx = tuple(range(len(masks)))  # one int object per index, shared by the tuples
-    holders = tuple(tuple(compress(idx, [m >> k & 1 for m in masks]))
-                    for k in range(masks[-1].bit_length()))
-    return common, holders, tuple(common // m.bit_count() if m else 0 for m in masks)
+    return common, lat._holders(), tuple(common // m.bit_count() if m else 0 for m in lat.masks)
 
 
-@lru_cache(maxsize=None)
+@owned
 def _cu_words(lat):
-    """(C * above[0], bias, fields, words) of cu on lat, built on the first
-    call from its Hasse table.  Cover edge i -> j adds the atoms of its
+    """(C * above[0], bias, fields, words) of cu on lat, from its Hasse
+    table.  Cover edge i -> j adds the atoms of its
     group g and lies on below[i] * above[j] maximal chains; times C // |g|
     it credits each field of g with the marginal f(j) - f(i).  So word y
     holds, in field k at bit k * width, that weight summed over the edges

@@ -61,7 +61,7 @@ def chains_through(lat, x):
     """The paper's closed form on P^N, read on the image in P^(n+1) for
     E^N: r! prod |b|! / 2^r maximal chains below a partition of rank r,
     times k!(k-1)!/2^(k-1) above it, k its number of blocks."""
-    p = x if lat.tag == "P^N" else lat.inner.elements[lat.index(x)]
+    p = x if lat.tag == "P^N" else lat.owner.elements[lat.index(x)]
     r, k = p.rank, len(p.blocks)
     below = factorial(r)
     for b in p.blocks:

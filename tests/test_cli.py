@@ -24,7 +24,7 @@ import pytest
 
 import lattice_games
 from lattice_games import cli, coresep
-from lattice_games.lattice import Lattice, bell, lattice_for
+from lattice_games.lattice import Lattice, SizeLimitError, bell, lattice_for
 from lattice_games.transform import (LatticeGame, MobiusCoefficients, _format_ratio,
                                      _IntView)
 
@@ -939,6 +939,28 @@ def test_selfcheck_flag_wins_over_the_environment_cap(capsys, monkeypatch):
     assert os.environ["LATTICE_GAMES_MAX_N"] == "2"
 
 
+@pytest.mark.parametrize("cap", ["0", "-4"])
+def test_a_size_cap_below_one_is_malformed(tmp_path, capsys, monkeypatch, cap):
+    """No lattice fits under a cap below 1, so the flag and the variable
+    are refused as malformed input (exit 2): selfcheck runs no check, and
+    no command reads its file."""
+    game, trace = rank_game_file(tmp_path), trace_file(tmp_path)
+    commands = [["selfcheck"], ["solve", game], ["core", game], ["netshare", trace]]
+    for argv in commands:
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + ["--max-n", cap])
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, ""), argv
+        assert f"error: argument --max-n: takes a size cap of at least 1, got {cap!r}" in err
+    monkeypatch.setenv("LATTICE_GAMES_MAX_N", cap)
+    for argv in commands:
+        assert run_cli(argv, capsys) == (
+            2, "", f"error: LATTICE_GAMES_MAX_N must be at least 1, got {cap}\n"), argv
+    with pytest.raises(ValueError, match="max_n must be at least 1") as info:
+        lattice_for("2^N", 1, int(cap))
+    assert not isinstance(info.value, SizeLimitError)
+
+
 def test_selfcheck_names_the_failing_case(capsys, monkeypatch):
     monkeypatch.setattr(cli, "CHECKS", list(cli.CHECKS) + [
         ("planted-failure", 1, lambda: "expected 1, got 2")])
@@ -1054,6 +1076,8 @@ REMOVED = [
     ("games", ["symmetric_expand"]),
     ("coresep", ["separating_variant"]),
     ("transform", ["_TableOnLattice", "_fractions"]),
+    ("solutions", ["_owner"]),
+    ("coresep", ["_owner", "_su_table"]),
     ("cli", ["_view_ratios", "_share_ratios", "_total_ratio"]),
     ("", ["separating_variant", "symmetric_expand"]),
 ]

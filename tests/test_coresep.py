@@ -593,15 +593,15 @@ def test_proof_checks_run_under_python_O():
             print("restrict returned")
         except Exception as err:
             print("restrict", type(err).__name__, err)
-        lat._hasse_table = (lat._hasse()[0], (1,) * 5, (7,) * 5)
+        lat._store["_hasse"] = (lat._hasse()[0], (1,) * 5, (7,) * 5)
         try:
             solutions.cu(game)
             print("cu returned")
         except Exception as err:
             print("cu", type(err).__name__, err)
-        cubes = lattice_for("2^N", 3)
-        downs, holders = cubes._order_tables()
-        cubes._order_tables = lambda: (downs, (holders[0] & ~0b10,) + holders[1:])
+        cubes = lattice_for("2^N", 3)  # atom 0 read as not held by element 1 of 8
+        index, bitsets, flipped = cubes._incidence()
+        cubes._store["_incidence"] = (index, bitsets, (flipped[0] & ~(1 << 6),) + flipped[1:])
         try:
             cubes.chain_count_total()
             print("counts returned")
@@ -613,9 +613,9 @@ def test_proof_checks_run_under_python_O():
             print("su returned")
         except Exception as err:
             print("su", type(err).__name__, err)
-        subsets = lattice_for("2^N", 2)
-        downs, holders = subsets._order_tables()
-        subsets._order_tables = lambda: (downs, (holders[0], holders[1] & ~0b100))
+        subsets = lattice_for("2^N", 2)  # atom 1 read as not held by element 2 of 4
+        index, bitsets, flipped = subsets._incidence()
+        subsets._store["_incidence"] = (index, bitsets, (flipped[0], flipped[1] & ~0b10))
         try:
             list(subsets.cover_indices(0))
             print("covers returned")

@@ -404,7 +404,7 @@ def lattice_oracle(tag, n):
                          + [("P^N", n) for n in range(1, 9)]
                          + [("E^N", n) for n in range(1, 8)])
 def test_lattice_build_matches_the_slow_construction(tag, n):
-    """Elements, atoms, masks, the down-sets, the atom bitsets, the cover
+    """Elements, atoms, masks, the down-sets, the atom incidence, the cover
     table and the key map equal the oracle's, entry by entry, up to the
     default cap; the covers are the ones the up-set walk finds."""
     lat = lattice_for(tag, n)
@@ -414,8 +414,12 @@ def test_lattice_build_matches_the_slow_construction(tag, n):
     assert list(map(repr, lat.atoms_below(lat.top))) == list(map(repr, bit_atoms))
     assert lat.masks == masks
     assert tuple(map(lat.downset_indices, range(len(lat)))) == downs
-    assert lat._order_tables()[1] == tuple(
-        sum(1 << i for i, m in enumerate(masks) if m >> k & 1) for k in range(len(bit_atoms)))
+    holders = tuple(tuple(i for i, m in enumerate(masks) if m >> k & 1)
+                    for k in range(len(bit_atoms)))
+    assert lat._holders() == holders
+    assert lat._incidence() == (
+        tuple(range(len(masks))), tuple(sum(1 << i for i in held) for held in holders),
+        tuple(sum(1 << len(masks) - 1 - i for i in held) for held in holders))
     assert lat._hasse()[0] == tuple(upset_covers(masks, ups, i) for i in range(len(masks)))
     assert lat.key_indices() == {lat.key(x): i for i, x in enumerate(elems)}
 
@@ -439,7 +443,7 @@ def test_join_index_matches_the_upset_scan(tag, n):
 
 def test_order_tables_share_their_index_objects():
     lat = lattice_for("P^N", 7)
-    downs, _ = lat._order_tables()
+    downs = lat._order_tables()
     shared = {id(i) for row in downs for i in row}
     assert len(shared) == len(lat)
     # every element but the bottom covers another; the bottom is down-set 0
@@ -456,15 +460,17 @@ def test_order_tables_share_their_index_objects():
 
 @pytest.mark.parametrize("tag,n", [("2^N", 4), ("P^N", 5), ("E^N", 4)])
 def test_getters_are_built_apart_from_the_order_tables(monkeypatch, tag, n):
-    """Building the order tables, as a lattice's set-up does, builds no
-    getters; the first call builds them once, and E^N reads P^(n+1)'s."""
+    """Building the down-sets, as a lattice's set-up does, builds no
+    getters; the first call builds them once, into the store of the
+    lattice owning the masks, which is P^(n+1) for E^N."""
     kinds = {t: type(lattice_for(t, 1)) for t in ("2^N", "P^N", "E^N")}
-    monkeypatch.setattr(lattice, "_build", lambda t, m: kinds[t](m))  # an uncached inner P^(n+1)
+    monkeypatch.setattr(lattice, "_build", lambda t, m: kinds[t](m))  # an uncached owner P^(n+1)
     lat = kinds[tag](n)
     lat.downset_indices(0)
-    owner = getattr(lat, "inner", lat)
-    assert owner._gets is None
-    assert lat._getters() is lat._getters() is owner._gets
+    owner = lat.owner
+    assert (owner is lat) == (tag != "E^N")
+    assert "_getters" not in owner._store
+    assert lat._getters() is lat._getters() is owner._store["_getters"]
 
 
 @pytest.mark.parametrize("tag,n,strangers", [
@@ -560,7 +566,7 @@ def test_rank_size_hand_values():
 
 def test_transport_roundtrip_and_images():
     lat = lattice_for("E^N", 3)
-    inner = lat.inner
+    inner = lat.owner
     for e, p in zip(lat.elements, inner.elements):
         assert to_partition(e) == p
         assert EmbeddedSubset.from_partition(p) == e

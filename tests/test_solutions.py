@@ -20,9 +20,10 @@ from pathlib import Path
 import pytest
 
 import lattice_games
-from lattice_games import solutions
+from lattice_games import lattice, solutions
 from lattice_games.cli import _approx, _period_dividends
-from lattice_games.lattice import EmbeddedSubset, Partition, lattice_for
+from lattice_games.coresep import core_feasible
+from lattice_games.lattice import EmbeddedSubset, Lattice, Partition, lattice_for
 from lattice_games.transform import (
     LatticeGame,
     MobiusCoefficients,
@@ -535,7 +536,7 @@ def test_cu_derives_the_covers_once(monkeypatch, tag, n):
     def gone():
         raise AssertionError("the order tables were read again")
 
-    for holder in {lat, getattr(lat, "inner", lat)}:
+    for holder in {lat, lat.owner}:
         monkeypatch.setattr(holder, "_order_tables", gone)
     assert cu(LatticeGame(lat, game.values)) == first
     with pytest.raises(AssertionError, match="read again"):
@@ -677,12 +678,34 @@ def test_su_and_cu_equal_the_crediting_loops_up_to_the_cap(tag, n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_embedded_lattices_share_the_partition_tables(n):
-    """E^n reads P^(n+1)'s masks and Hasse table, so su, cu and the core
-    certificate check read P^(n+1)'s credit tables: one object each."""
+    """E^n reads P^(n+1)'s masks, so its incidence, Hasse table and su's
+    and cu's credit tables are P^(n+1)'s: one object each, in P^(n+1)'s
+    store."""
     emb, part = lattice_for("E^N", n), lattice_for("P^N", n + 1)
-    assert solutions._owner(emb) is part and solutions._owner(part) is part
-    assert solutions._su_table(solutions._owner(emb)) is solutions._su_table(part)
-    assert solutions._cu_words(solutions._owner(emb)) is solutions._cu_words(part)
+    assert emb.owner is part and part.owner is part
+    for table in (Lattice._incidence, Lattice._hasse, solutions._su_table, solutions._cu_words):
+        assert table(emb) is table(part) is part._store[table.__name__]
+    assert not emb._store
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_tables_are_built_by_their_readers_alone(monkeypatch, n):
+    """On an uncached P^n, cu builds the incidence, the Hasse table and its
+    words, and no down-set.  su, cu, mobius and core_feasible on E^n fill
+    P^(n+1)'s store alone."""
+    kinds = {t: type(lattice_for(t, 1)) for t in ("P^N", "E^N")}
+    monkeypatch.setattr(lattice, "_build", lambda t, m: kinds[t](m))  # uncached lattices
+    rng = random.Random(n)
+    part = kinds["P^N"](n)
+    cu(random_game(part, rng))
+    assert set(part._store) == {"_incidence", "_hasse", "_cu_words"}
+    emb = kinds["E^N"](n)
+    game = random_game(emb, rng)
+    for step in (su, cu, mobius, core_feasible):
+        step(game)
+    assert not emb._store
+    assert set(emb.owner._store) == {"_incidence", "_order_tables", "_getters", "_hasse",
+                                     "_holders", "_su_table", "_cu_words"}
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
@@ -699,11 +722,11 @@ def test_corrupted_credit_tables_fail_the_efficiency_check(flags):
         print("optimize", sys.flags.optimize)
         lat = lattice_for("E^N", 3)
         game = LatticeGame(lat, {x: lat.size(x) ** 2 for x in lat.elements})
-        owner = solutions._owner(lat)
-        total, holders, scales = solutions._su_table(owner)
-        solutions._su_table = lambda lat: (total, holders, tuple(2 * q for q in scales))
-        *head, words = solutions._cu_words(owner)
-        solutions._cu_words = lambda lat: (*head, tuple(2 * w for w in words))
+        store = lat.owner._store
+        total, holders, scales = solutions._su_table(lat)
+        store["_su_table"] = (total, holders, tuple(2 * q for q in scales))
+        *head, words = solutions._cu_words(lat)
+        store["_cu_words"] = (*head, tuple(2 * w for w in words))
         for solver in (solutions.su, solutions.cu):
             try:
                 solver(game)

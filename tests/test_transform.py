@@ -661,8 +661,8 @@ OTHER = ["", " ", "  5 ", " 1/2", "1/2 ", "\xa01/2", "1/2\x1c", "\t3", "1\x00/2"
          True, False, None, 1.5, Fraction(1, 2), [1], {"1": 1},
          "1" + "0" * LIMIT, "1/1" + "0" * LIMIT, "-1" + "0" * LIMIT + "/3"]
 
-# a JSON int past the int-string limit: with ints alone the reader takes it
-# as it is, and beside a string it leaves it to _ratio
+# a JSON int past the int-string limit: the reader leaves it to _ratio,
+# which takes it as it is
 WIDE = 10 ** LIMIT
 
 
@@ -686,7 +686,7 @@ def test_plain_reader_takes_plain_values_and_leaves_the_rest():
         assert Fraction(*_ratio(value)) == Fraction(value), value
     assert ratio_or_error("1/1" + "0" * LIMIT) is SizeLimitError
     assert ratio_or_error(WIDE) == (WIDE, 1)
-    assert _plain_over_lcm([WIDE, -1]) == ([WIDE, -1], 1)
+    assert _plain_over_lcm([WIDE, -1]) is None
     assert _plain_over_lcm(["5", WIDE]) is None
     # whole numbers: strings, JSON ints, both, and each mixed with "p/q"
     strings, ints = ["0", "5", "-5", "-0", "120", str(10 ** 30)], [0, 7, -12, 10 ** 30]
