@@ -22,11 +22,14 @@ a linear extension of the order, bottom first.
 
 P^N is enumerated once, by a descending restricted-growth recursion
 that adds each pair to the mask as it places an element; the count and
-the distinctness of the masks are checked after.  Every table read off
-the masks is built by ``owned`` and kept by the masks' owner (P^(n+1)
-for E^N); the first, the atom incidence, is one pass over the masks.
-The down-set of element j is every index up to j outside the bitsets of
-the atoms j lacks; the AND of the bitsets of j's atoms holds the
+the distinctness of the masks are checked after.  That recursion places
+n+1 last, so E^N's elements are read off P^n's partitions in order, each
+sharing its partition object, and their count is checked against
+P^(n+1).  Every table read off the masks is built by ``owned`` and kept
+by the masks' owner (P^(n+1) for E^N); the first, the atom incidence, is
+one pass over the masks.  The down-set of element j is every index up
+to j outside the bitsets of the atoms j lacks, whose OR is looked up in
+one table per 7 mask bits; the AND of the bitsets of j's atoms holds the
 elements above j, and a join is the lowest index above both atom sets.
 
 ``rank`` counts covering steps from the bottom, ``size`` counts atoms
@@ -42,7 +45,7 @@ import re
 from functools import lru_cache, wraps
 from itertools import combinations, repeat
 from math import comb, factorial
-from operator import itemgetter
+from operator import and_, itemgetter, or_, rshift, xor
 
 DEFAULT_MAX_N = 8
 CHAIN_CAP = 5
@@ -86,10 +89,17 @@ def ground_cap(override=None):
 
     An explicit override wins, then the LATTICE_GAMES_MAX_N environment
     variable, then the default of 8 (Bell(8) = 4140 lattice elements).
-    A cap below 1, which no lattice fits under, is malformed input.
+    The override is an int (not a bool) or the text of one in ASCII
+    digits; a cap below 1, which no lattice fits under, is malformed input.
     """
     if override is not None:
-        cap = int(override)
+        if isinstance(override, int) and not isinstance(override, bool):
+            cap = override
+        else:
+            try:
+                cap = parse_int(override)
+            except ValueError:
+                raise ValueError(f"max_n must be an integer, got {override!r}") from None
     else:
         raw = os.environ.get(ENV_MAX_N)
         if raw is None:
@@ -99,8 +109,8 @@ def ground_cap(override=None):
         except ValueError:
             raise ValueError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
     if cap < 1:
-        raise ValueError(f"{ENV_MAX_N if override is None else 'max_n'} must be at least 1, "
-                         f"got {cap}")
+        raise ValueError(f"{ENV_MAX_N} must be at least 1, got {cap}" if override is None
+                         else f"max_n must be at least 1, got {override!r}")
     return cap
 
 
@@ -459,6 +469,22 @@ def _partitions(n):
     return parts, masks
 
 
+def _embedded(parts):
+    """The embedded subsets over the partitions of {1..n}, parts in P^n's
+    order, listed in P^(n+1)'s: _partitions places n+1 last, so each p gives
+    ((), p) first, n+1 a fresh singleton, then (B, p) for its blocks B from
+    the last opened to the first.  Each shares p and its block, unchecked."""
+    new = object.__new__
+    out = []
+    for p in parts:
+        for subset in ((),) + p.blocks[::-1]:
+            x = new(EmbeddedSubset)
+            x.subset = subset
+            x.partition = p
+            out.append(x)
+    return tuple(out)
+
+
 class Lattice:
     """Canonical element order, atom bitmasks, and the order questions
     answered from them.
@@ -614,16 +640,22 @@ class Lattice:
     def _order_tables(self):
         """The down-sets: x <= y exactly when x's atoms are among y's, and
         only earlier elements lie below a later one, so the down-set of j
-        is every index up to j outside the bitsets of the atoms j lacks."""
+        is every index up to j outside the bitsets of the atoms j lacks.
+        Their OR is read from one table per 7 mask bits, which holds the
+        OR of the bitsets of every subset of those bits: one lookup per
+        7 bits of the atoms an element lacks."""
         index, bitsets, _ = self._incidence()
-        downs = []
-        for j, m in enumerate(self._mask):
-            outside = 0
-            for k, held in enumerate(bitsets):
-                if not m >> k & 1:
-                    outside |= held
-            downs.append(_ones(bin(((2 << j) - 1) & ~outside)[:1:-1], index))  # place i: index i
-        return tuple(downs)
+        masks = self._mask
+        lacks = list(map(xor, masks, repeat(masks[-1])))  # the top holds every atom
+        outside = repeat(0, len(masks))
+        for c in range(0, len(bitsets), 7):
+            table = [0]
+            for held in bitsets[c:c + 7]:
+                table += [t | held for t in table]
+            outside = map(or_, outside, map(table.__getitem__, map(  # lazy: one OR held at a time
+                and_, map(rshift, lacks, repeat(c)), repeat(127))))
+        return tuple(_ones(bin(((2 << j) - 1) & ~out)[:1:-1], index)  # place i: index i
+                     for j, out in enumerate(outside))
 
     @owned
     def _getters(self):
@@ -798,7 +830,8 @@ class EmbeddedLattice(Lattice):
 
     Element i is the preimage of element i of P^(n+1), its ``owner``, which
     owns the masks, the mask index and every table read off them; only the
-    atom behind each mask bit is relabelled.
+    atom behind each mask bit is relabelled.  The elements are read off the
+    partitions of P^n, whose objects they share.
     """
 
     tag = "E^N"
@@ -806,7 +839,10 @@ class EmbeddedLattice(Lattice):
     def __init__(self, n):
         super().__init__(n, _build("P^N", n + 1))
         inner = self.owner
-        self.elements = tuple(EmbeddedSubset.from_partition(p) for p in inner.elements)
+        self.elements = _embedded(_build("P^N", n).elements)
+        if len(self.elements) != len(inner.elements):
+            raise VerificationError(f"{len(self.elements)} embedded subsets read off P^{n}, "
+                                    f"{len(inner.elements)} partitions in {inner.describe()}")
         bot = Partition.bottom(n)
         node_atoms = [EmbeddedSubset((i,), bot) for i in range(1, n + 1)]
         pair_atoms = [EmbeddedSubset((), Partition.pair(n, i, j))

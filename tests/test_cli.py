@@ -1035,6 +1035,37 @@ def test_cold_solve_at_the_cap_matches_the_in_process_report(tmp_path, capsys, c
     assert proc.stdout == want
 
 
+COLD_MAIN = """
+import sys
+from lattice_games import cli, lattice
+if lattice._build.cache_info().currsize:
+    sys.exit("a lattice was built before the request")
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_cold_embedded_solve_matches_the_in_process_report(tmp_path, capsys):
+    """A fresh interpreter whose first lattice is E^6 builds P^6 and P^7
+    from cold to read E^6 off them; its su and cu reports are byte for
+    byte the in-process ones, read with every lattice cached."""
+    lat = lattice_for("E^N", 6)
+    rng = random.Random(29)
+    game = write_json(tmp_path / "e6.json", {
+        "lattice": "E^N", "n": 6,
+        "values": {lat.key(x): f"{rng.randint(-9, 9)}/{rng.randint(1, 4)}"
+                   for x in lat.elements}})
+    package_root = Path(lattice_games.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root), PYTHONDONTWRITEBYTECODE="1")
+    for solver in ("su", "cu"):
+        argv = ["solve", game, "--solver", solver]
+        code, want, _ = run_cli(argv, capsys)
+        assert code == 0
+        proc = subprocess.run([sys.executable, "-c", COLD_MAIN, *argv],
+                              capture_output=True, encoding="utf-8", env=env, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, ""), solver
+        assert proc.stdout == want, solver
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "lattice_games.cli",
                            "selfcheck", "--max-n", "3"],

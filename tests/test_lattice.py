@@ -15,7 +15,9 @@ the default cap.  The elements, masks and order tables are checked
 against the constructions they replaced: a sort of all
 restricted-growth codes, the validating E^N preimage, and the |L|^2/2
 mask-inclusion scan; the cover table and the joins against the walk up
-the up-sets that scan yields.
+the up-sets that scan yields.  E^N's elements, read off P^n's
+partitions, are checked against ``EmbeddedSubset.from_partition`` over
+P^(n+1).
 """
 
 import random
@@ -35,6 +37,7 @@ from lattice_games.lattice import (
     EmbeddedSubset,
     Partition,
     SizeLimitError,
+    VerificationError,
     bell,
     class_count,
     class_key,
@@ -473,6 +476,46 @@ def test_getters_are_built_apart_from_the_order_tables(monkeypatch, tag, n):
     assert lat._getters() is lat._getters() is owner._store["_getters"]
 
 
+def _memo_build(monkeypatch, *first):
+    """Patch lattice._build with a fresh memo holding the lattices first
+    (tag, n) and whatever is built after; return the memo."""
+    kinds = {"2^N": lattice.SubsetLattice, "P^N": lattice.PartitionLattice,
+             "E^N": lattice.EmbeddedLattice}
+    built = {spec: kinds[spec[0]](spec[1]) for spec in first}
+
+    def build(tag, n):
+        if (tag, n) not in built:
+            built[tag, n] = kinds[tag](n)
+        return built[tag, n]
+
+    monkeypatch.setattr(lattice, "_build", build)
+    return built
+
+
+@pytest.mark.parametrize("pn_first", [True, False], ids=["P^n-first", "cold"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_embedded_elements_are_read_off_the_partitions_of_n(monkeypatch, n, pn_first):
+    """E^N lists from_partition over P^(n+1), one element each, and every
+    element's partition is the very element object of P^n: with P^n built
+    first, and with E^N the first lattice built (uncached)."""
+    built = _memo_build(monkeypatch, *([("P^N", n)] if pn_first else []))
+    lat = lattice.EmbeddedLattice(n)
+    parts, owner = built["P^N", n], built["P^N", n + 1]
+    assert lat.owner is owner
+    assert len(lat) == len(owner) == bell(n + 1)
+    assert lat.elements == tuple(map(EmbeddedSubset.from_partition, owner.elements))
+    assert all(x.partition is parts.elements[parts.index(x.partition)] for x in lat.elements)
+
+
+def test_embedded_read_off_checks_its_count(monkeypatch):
+    """A read-off that loses an element is a fault, raised under -O too."""
+    _memo_build(monkeypatch)
+    read_off = lattice._embedded
+    monkeypatch.setattr(lattice, "_embedded", lambda parts: read_off(parts)[:-1])
+    with pytest.raises(VerificationError, match="51 embedded subsets read off P\\^4, 52"):
+        lattice.EmbeddedLattice(4)
+
+
 @pytest.mark.parametrize("tag,n,strangers", [
     ("2^N", 3, [frozenset({4}), frozenset({0, 1}), "1,2", Partition.top(3)]),
     ("P^N", 3, [Partition.top(4), frozenset({1}), "1,2|3",
@@ -769,6 +812,26 @@ def test_cap_env_variable(monkeypatch):
     monkeypatch.delenv(ENV_MAX_N)
     assert ground_cap() == 8
     assert ground_cap(12) == 12
+    assert ground_cap(" 5 ") == 5  # text goes through parse_int
+
+
+@pytest.mark.parametrize("override,message", [
+    (2.9, "max_n must be an integer, got 2.9"),
+    (0.5, "max_n must be an integer, got 0.5"),
+    (True, "max_n must be an integer, got True"),
+    ("\u0663", "max_n must be an integer, got '\u0663'"),
+    ("1_0", "max_n must be an integer, got '1_0'"),
+    (Fraction(3), "max_n must be an integer, got Fraction(3, 1)"),
+    ("0", "max_n must be at least 1, got '0'"),
+    (-4, "max_n must be at least 1, got -4"),
+])
+def test_cap_override_takes_an_int_or_its_ascii_text(override, message):
+    """A library override is an int that is not a bool, or text read by
+    parse_int; anything else is refused with the value quoted as given."""
+    with pytest.raises(ValueError) as info:
+        ground_cap(override)
+    assert str(info.value) == message
+    assert not isinstance(info.value, SizeLimitError)
 
 
 def test_chain_enumeration_cap():
