@@ -9,15 +9,14 @@ egalitarian solution ignores structure entirely.  On the subset lattice
 the first two collapse to the Shapley value.
 
 su and cu are fixed linear maps from a game's ints to its atoms' shares,
-and the masks alone fix them, so each runs off a table ``lattice.owned``
-keeps for the masks' owner (P^(n+1) for E^N).  su's credit table holds
-the holder tuples read off the atom incidence and, per element, C over
-its atom count (C = lcm(1..#atoms)); an su call is a few map/sum passes
-over the Mobius ints.  cu's word table holds one int per element: column y of
-cu's matrix, one signed field per mask bit.  A
-cu call is one multiply-add pass of the game's ints over the words and
-one unpack of the fields; ints wider than LIMB bits are read a LIMB-bit
-limb at a time, one pass each.  Both check that the shares sum to
+and the masks alone fix them, so each runs off a word table
+``lattice.owned`` keeps for the masks' owner (P^(n+1) for E^N): one int
+per element y, column y of the solver's matrix, one signed field per
+mask bit.  su's words fold the Mobius inversion in and are built from
+the down-sets; cu's are built from the Hasse table.  A call of either is
+one multiply-add pass of the game's ints over the words and one unpack
+of the fields; ints wider than LIMB bits are read a LIMB-bit limb at a
+time, one pass each.  Both check that the shares sum to
 f(top) - f(bottom).
 
 A solution, and the node shares split from it, are ``transform``'s one
@@ -31,6 +30,7 @@ with no Fraction built per share.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, islice, repeat
 from math import factorial, lcm
@@ -41,7 +41,7 @@ from .transform import (LatticeGame, _IntView, _canonical, _over_lcm, _ratio, mo
                         parse_fraction)
 from .games import SymmetricGame, is_symmetric
 
-LIMB = 32  # bits of a game int that one packed cu pass reads
+LIMB = 32  # bits of a game int that one packed su or cu pass reads
 _TOP = 1 << LIMB
 
 
@@ -148,20 +148,24 @@ def shapley_chain(game):
 
 def shapley_dividends(game):
     """Each Mobius dividend splits evenly among the members of its coalition,
-    which on 2^N are exactly the atoms below it: su on a subset game."""
+    which on 2^N are exactly the atoms below it: su on a subset game, one
+    pass over su's words of 2^n, which hold the inversion."""
     _subset_only(game, "shapley_dividends")
     return su(game)
 
 
 def su(game):
-    """Size-uniform sharing: each dividend spreads evenly over the atoms
-    below its element.  Works on any of the three lattices.  The dividends
-    are ints over the game's denominator, which mobius keeps; the bottom's
-    mask is empty, so its dividend reaches no atom."""
-    total, holders, scales = _su_table(game.lattice)
-    weighed = list(map(mul, scales, mobius(game)._ints[0]))
-    return _checked(game, [sum(map(weighed.__getitem__, held)) for held in holders],
-                    total, "su")
+    """Size-uniform sharing, one packed multiply-add pass.
+
+    Each Mobius dividend spreads evenly over the atoms below its element;
+    works on any of the three lattices.  The dividends are a fixed linear
+    map of the game's ints, so the credit is one too: word y of the table
+    holds column y of that map, one signed field per mask bit, and the
+    credit is read off as cu's is (``_packed_credit``).  The bottom's mask
+    is empty, so its dividend reaches no atom.
+    """
+    total, bias, fields, words = _su_words(game.lattice)
+    return _checked(game, _packed_credit(game._ints[0], bias, fields, words), total, "su")
 
 
 def cu(game):
@@ -170,15 +174,21 @@ def cu(game):
     An atom is credited the per-size marginal of the covering step where
     it first appears under a uniformly random maximal chain, so the credit
     is a fixed linear map of the game's ints.  Word y of the table holds
-    column y of that map, one signed field per mask bit, so the sum of
-    int times word over the elements holds every atom's credit; one unpack
-    reads the fields off.  A field has room for LIMB-bit ints; wider ints
-    are read a LIMB-bit limb at a time, low limb first, and the limbs'
-    credits are shifted into place.
+    column y of that map, one signed field per mask bit, and the credit is
+    read off in one pass (``_packed_credit``).
     """
     total, bias, fields, words = _cu_words(game.lattice)
+    return _checked(game, _packed_credit(game._ints[0], bias, fields, words), total, "cu")
+
+
+def _packed_credit(ints, bias, fields, words):
+    """The credit per mask bit of ints times a word table.  The sum of int
+    times word over the elements, plus bias, holds every field's credit
+    plus half the field range; one unpack reads the fields off.  A field
+    has room for LIMB-bit ints; wider ints are read a LIMB-bit limb at a
+    time, low limb first, and the limbs' credits are shifted into place."""
     mask, half = (1 << fields.step) - 1, 1 << fields.step - 1
-    ints, credit, shift = game._ints[0], [0] * len(fields), 0
+    credit, shift = [0] * len(fields), 0
     while ints is not None:  # one pass per limb, low limb first
         low, ints = ints, None
         if max(low) >= _TOP or min(low) <= -_TOP:
@@ -186,7 +196,7 @@ def cu(game):
         packed = sum(map(mul, low, words), bias)
         credit = [c + ((packed >> k & mask) - half << shift) for c, k in zip(credit, fields)]
         shift += LIMB
-    return _checked(game, credit, total, "cu")
+    return credit
 
 
 def _checked(game, credit, total, name):
@@ -205,12 +215,55 @@ def _common(lat):
     return lcm(*range(1, lat.masks[-1].bit_length() + 1))
 
 
+def _layout(lat, bound):
+    """(bias, fields) of a word table on lat whose fields' absolute values
+    sum to at most bound over the words: a field holds bound times a
+    LIMB-bit int, with a sign bit to spare.  fields is the range of field
+    offsets, one per mask bit, and bias puts half the field range in every
+    field."""
+    width = LIMB + bound.bit_length() + 2
+    fields = range(0, lat.masks[-1].bit_length() * width, width)
+    half = 1 << width - 1
+    return sum(half << k for k in fields), fields
+
+
 @owned
-def _su_table(lat):
-    """(C, holders, scales) of su on lat: the lattice's holder tuples, and
-    C // (the atoms below element i) per element, 0 on the bottom."""
+def _su_words(lat):
+    """(C, bias, fields, words) of su on lat, from its down-sets.
+
+    su credits the dividend of z times C // |z| to each field of z, and
+    the dividend is the sum of mu(y, z) f(y) over y <= z, so word y is the
+    sum of mu(y, z) S(z) over z >= y, S(z) holding C // |z| in each field
+    of z (nothing on the bottom).  So the words sum to S(y) over every up-
+    set, W(y) = S(y) - (the sum of W(z) over z > y): built from the top
+    down, each finished word is added into the running sums of its down-
+    set in one C-level map pass.
+
+    Field bound.  The three lattices are geometric and so is each interval
+    [y, top], so by Rota's sign theorem (Rota 1964) mu(y, z) alternates in
+    sign with rank and the |mu(y, z)| over z >= y sum to |chi(-1)| of
+    [y, top]: b! on P^N, y with b blocks ([y, top] is the partition
+    lattice of b blocks, chi(t) = (t - 1)(t - 2)...(t - b + 1)), and
+    2^(n - |y|) on 2^N (chi(t) = (t - 1)^(n - |y|)).  Every field of W(y)
+    is at most C times that in absolute value, so a field's absolute
+    values over the words sum to at most C * Fubini(n) (the sum of b! over
+    the partitions) on P^N and C * 3^n on 2^N; E^N reads P^(n+1)'s table.
+    """
+    masks = lat.masks
+    corank = [lat.n - lat.rank(x) for x in lat.elements]  # blocks, or points outside
     common = _common(lat)
-    return common, lat._holders(), tuple(common // m.bit_count() if m else 0 for m in lat.masks)
+    mass = sum(map(pow, repeat(2), corank)) if lat.tag == "2^N" else sum(map(factorial, corank))
+    bias, fields = _layout(lat, common * mass)
+    spread = [0] + _packed_splits(masks[1:], fields, common)  # S, by element
+    sums = [0] * len(masks)  # per element y, the finished words of the z > y
+    words = []
+    for z, down in zip(range(len(masks) - 1, -1, -1), reversed(lat._order_tables())):
+        word = spread.pop() - sums[z]  # each S and sum let go once read
+        words.append(word)
+        # down ends with z itself, whose sum is read already
+        deque(map(sums.__setitem__, down, map(add, map(sums.__getitem__, down), repeat(word))), 0)
+        sums[z] = 0
+    return common, bias, fields, tuple(reversed(words))
 
 
 @owned
@@ -222,16 +275,12 @@ def _cu_words(lat):
     holds, in field k at bit k * width, that weight summed over the edges
     into y whose group holds bit k, minus the same sum over the edges out
     of y.  Each maximal chain adds every atom once, so a field's absolute
-    values sum to at most 2 * C * above[0]; the width holds that times a
-    LIMB-bit int, with a sign bit to spare.  fields is the range of field
-    offsets, and bias puts half the field range in every field, so a sum
-    of ints times words plus bias holds each field's credit plus that half.
+    values sum to at most 2 * C * above[0].
     """
     masks = lat.masks
     covers, below, above = lat._hasse()
     common = _common(lat)
-    width = LIMB + (2 * common * above[0]).bit_length() + 2
-    fields = range(0, masks[-1].bit_length() * width, width)
+    bias, fields = _layout(lat, 2 * common * above[0])
     rows = list(map(len, covers))
     dst = list(chain.from_iterable(covers))
     splits = _packed_splits(map(xor, map(masks.__getitem__, dst),
@@ -246,8 +295,7 @@ def _cu_words(lat):
         pass
     order = list(chain.from_iterable(into))
     weighed = map(mul, map(chains.__getitem__, order), map(splits.__getitem__, order))  # by target
-    half = 1 << width - 1
-    return (common * above[0], sum(half << k for k in fields), fields,
+    return (common * above[0], bias, fields,
             tuple([sum(islice(weighed, len(edges)), -o) for edges, o in zip(into, out)]))
 
 

@@ -1107,7 +1107,7 @@ REMOVED = [
     ("games", ["symmetric_expand"]),
     ("coresep", ["separating_variant"]),
     ("transform", ["_TableOnLattice", "_fractions"]),
-    ("solutions", ["_owner"]),
+    ("solutions", ["_owner", "_su_table"]),
     ("coresep", ["_owner", "_su_table"]),
     ("cli", ["_view_ratios", "_share_ratios", "_total_ratio"]),
     ("", ["separating_variant", "symmetric_expand"]),

@@ -546,7 +546,7 @@ def test_proof_checks_run_under_python_O():
     must still raise.
     A patched _phase1 hands core_feasible bad proof objects, a patched
     meet a wrong top value, patched cached chain counts wrong cu
-    weights, a patched mobius another game's dividends to su, a patched
+    weights, su's word table with its words doubled, a patched
     chain count a wrong total, a patched enumeration one partition short
     or one mask twice.  Two patched atom bitsets reach the Hasse table
     build: one that leaves the singleton {1} out of atom 1's bitset makes
@@ -557,7 +557,7 @@ def test_proof_checks_run_under_python_O():
         import sys
         from fractions import Fraction
         import lattice_games
-        from lattice_games import coresep, games, lattice, solutions, transform
+        from lattice_games import coresep, games, lattice, solutions
         from lattice_games.lattice import lattice_for
         from lattice_games.transform import LatticeGame
 
@@ -607,7 +607,8 @@ def test_proof_checks_run_under_python_O():
             print("counts returned")
         except Exception as err:
             print("counts", type(err).__name__, err)
-        solutions.mobius = lambda g: transform.mobius(2 * g)
+        *head, words = solutions._su_words(lat)
+        lat._store["_su_words"] = (*head, tuple(2 * w for w in words))
         try:
             solutions.su(game)
             print("su returned")

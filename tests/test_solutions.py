@@ -14,7 +14,8 @@ import sys
 import textwrap
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd, lcm
+from math import comb, factorial, gcd, lcm
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -631,6 +632,17 @@ def credit_groups(game, gains, weight):
     return Solution._from_ints(lat, credit, common * weight * game._ints[1])
 
 
+def su_mobius_oracle(game):
+    """su as it ran before its word table: Mobius, then per mask bit the
+    holders' dividends, each times C // (its element's atom count)."""
+    lat = game.lattice
+    common = lcm(*range(1, lat.masks[-1].bit_length() + 1))
+    scales = tuple(common // m.bit_count() if m else 0 for m in lat.masks)
+    weighed = list(map(mul, scales, mobius(game)._ints[0]))
+    return Solution._from_ints(lat, [sum(map(weighed.__getitem__, held)) for held in lat._holders()],
+                               common * game._ints[1])
+
+
 def su_group_oracle(game):
     """su with each dividend credited to its element's mask, bit by bit."""
     return credit_groups(game, zip(game.lattice.masks[1:], mobius(game)._ints[0][1:]), 1)
@@ -652,8 +664,9 @@ def cu_gains_oracle(game):
                          + [("P^N", n) for n in range(1, 9)]
                          + [("E^N", n) for n in range(1, 8)])
 def test_su_and_cu_equal_the_crediting_loops_up_to_the_cap(tag, n):
-    """The table-driven su and cu give the ints of the loops they replaced
-    on random, bottom-shifted, clustered and zero-gain games."""
+    """The packed su and cu give the ints of the loops they replaced on
+    random, bottom-shifted, clustered and zero-gain games: su those of
+    Mobius and the holder sums."""
     rng = random.Random(200 + 10 * n + len(tag))
     lat = lattice_for(tag, n)
     dense = random_game(lat, rng)
@@ -672,18 +685,75 @@ def test_su_and_cu_equal_the_crediting_loops_up_to_the_cap(tag, n):
                                for x in lat.elements})]
     assert len(lat) < 50 or games[-1]._ints[1].bit_length() > 200
     for g in games:
-        assert su(g)._ints == su_group_oracle(g)._ints
+        assert su(g)._ints == su_mobius_oracle(g)._ints == su_group_oracle(g)._ints
         assert cu(g)._ints == cu_gains_oracle(g)._ints
+
+
+def connected_graph(rng, n):
+    """A random spanning tree on 1..n plus a few extra edges."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    edges = {tuple(sorted((v, rng.choice(order[:k])))) for k, v in enumerate(order) if k}
+    return sorted(edges | {e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.2})
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_myerson_equals_the_mobius_oracle_on_connected_graphs(n):
+    """myerson reads su's words of 2^n: the ints of Mobius and the holder
+    sums on the graph-restricted game."""
+    rng = random.Random(300 + n)
+    lat = lattice_for("2^N", n)
+    for _ in range(3):
+        g, edges = random_game(lat, rng), connected_graph(rng, n)
+        assert myerson(g, edges)._ints == su_mobius_oracle(graph_restrict(g, edges))._ints
+
+
+def fubini(n):
+    """The ordered set partitions of n things: the sum of b! over the
+    partitions of n into b blocks."""
+    counts = [1]
+    for m in range(1, n + 1):
+        counts.append(sum(comb(m, k) * counts[m - k] for k in range(1, m + 1)))
+    return counts[n]
+
+
+@pytest.mark.parametrize("tag,n", [("2^N", n) for n in range(1, 9)]
+                         + [("P^N", n) for n in range(1, 9)]
+                         + [("E^N", n) for n in range(1, 8)])
+def test_su_word_fields_keep_the_rota_bound(tag, n):
+    """Every field of su word y is at most C times the |mu(y, z)| summed
+    over z >= y: b! for y of b blocks on P^N (P^(n+1) on E^N), 2^(n - |y|)
+    on 2^N.  So a field's absolute values sum to at most C * Fubini(n) or
+    C * 3^n over the words, and the width holds that times a LIMB-bit int
+    with a sign bit to spare."""
+    lat = lattice_for(tag, n)
+    owner = lat.owner
+    common, bias, fields, words = solutions._su_words(lat)
+    assert common == lcm(*range(1, owner.masks[-1].bit_length() + 1))
+    if owner.tag == "2^N":
+        mass, per_word = 3 ** n, [2 ** (n - len(x)) for x in owner.elements]
+    else:
+        mass, per_word = fubini(owner.n), [factorial(len(x.blocks)) for x in owner.elements]
+    assert sum(per_word) == mass
+    assert (common * mass) << solutions.LIMB < 1 << fields.step - 1
+    mask, half = (1 << fields.step) - 1, 1 << fields.step - 1
+    totals = [0] * len(fields)
+    for word, most in zip(words, per_word):
+        values = [((word + bias) >> k & mask) - half for k in fields]
+        assert sum(values[k] << k * fields.step for k in range(len(fields))) == word
+        assert max(map(abs, values), default=0) <= common * most
+        totals = list(map(add, totals, map(abs, values)))
+    assert max(totals, default=0) <= common * mass
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_embedded_lattices_share_the_partition_tables(n):
     """E^n reads P^(n+1)'s masks, so its incidence, Hasse table and su's
-    and cu's credit tables are P^(n+1)'s: one object each, in P^(n+1)'s
+    and cu's word tables are P^(n+1)'s: one object each, in P^(n+1)'s
     store."""
     emb, part = lattice_for("E^N", n), lattice_for("P^N", n + 1)
     assert emb.owner is part and part.owner is part
-    for table in (Lattice._incidence, Lattice._hasse, solutions._su_table, solutions._cu_words):
+    for table in (Lattice._incidence, Lattice._hasse, solutions._su_words, solutions._cu_words):
         assert table(emb) is table(part) is part._store[table.__name__]
     assert not emb._store
 
@@ -691,28 +761,32 @@ def test_embedded_lattices_share_the_partition_tables(n):
 @pytest.mark.parametrize("n", [3, 4])
 def test_tables_are_built_by_their_readers_alone(monkeypatch, n):
     """On an uncached P^n, cu builds the incidence, the Hasse table and its
-    words, and no down-set.  su, cu, mobius and core_feasible on E^n fill
-    P^(n+1)'s store alone."""
+    words, and no down-set; su builds the incidence, the down-sets and its
+    words, and no getter or holder tuple.  su, cu, mobius and
+    core_feasible on E^n fill P^(n+1)'s store alone."""
     kinds = {t: type(lattice_for(t, 1)) for t in ("P^N", "E^N")}
     monkeypatch.setattr(lattice, "_build", lambda t, m: kinds[t](m))  # uncached lattices
     rng = random.Random(n)
     part = kinds["P^N"](n)
     cu(random_game(part, rng))
     assert set(part._store) == {"_incidence", "_hasse", "_cu_words"}
+    part = kinds["P^N"](n)
+    su(random_game(part, rng))
+    assert set(part._store) == {"_incidence", "_order_tables", "_su_words"}
     emb = kinds["E^N"](n)
     game = random_game(emb, rng)
     for step in (su, cu, mobius, core_feasible):
         step(game)
     assert not emb._store
     assert set(emb.owner._store) == {"_incidence", "_order_tables", "_getters", "_hasse",
-                                     "_holders", "_su_table", "_cu_words"}
+                                     "_holders", "_su_words", "_cu_words"}
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_corrupted_credit_tables_fail_the_efficiency_check(flags):
-    """A credit table with its scales doubled, or cu's word table with its
-    words doubled, makes su and cu raise, also under python -O: the
-    efficiency check is an explicit raise."""
+    """su's or cu's word table with its words doubled makes su and cu
+    raise, also under python -O: the efficiency check is an explicit
+    raise."""
     script = textwrap.dedent("""
         import sys
         from lattice_games import solutions
@@ -723,10 +797,9 @@ def test_corrupted_credit_tables_fail_the_efficiency_check(flags):
         lat = lattice_for("E^N", 3)
         game = LatticeGame(lat, {x: lat.size(x) ** 2 for x in lat.elements})
         store = lat.owner._store
-        total, holders, scales = solutions._su_table(lat)
-        store["_su_table"] = (total, holders, tuple(2 * q for q in scales))
-        *head, words = solutions._cu_words(lat)
-        store["_cu_words"] = (*head, tuple(2 * w for w in words))
+        for name in ("_su_words", "_cu_words"):
+            *head, words = getattr(solutions, name)(lat)
+            store[name] = (*head, tuple(2 * w for w in words))
         for solver in (solutions.su, solutions.cu):
             try:
                 solver(game)
