@@ -168,16 +168,17 @@ def _load_game(args):
         cluster = _parse_cluster(game.lattice, raw, args.cluster_file)
         game = clustering_restrict(game, cluster)
         cluster_label = game.lattice.key(cluster)
-    shift = Fraction(0)
-    if not args.no_bottom_normalize:
-        game, shift = game.normalize_bottom()
-    return game, shift, cluster_label
+    return game, cluster_label
 
 
 def cmd_solve(args):
     if args.graph_file is not None and args.solver != "myerson":
         raise ValueError("--graph-file applies only to the myerson solver")
-    game, shift, cluster_label = _load_game(args)
+    game, cluster_label = _load_game(args)
+    # every solver's shares are unmoved by a constant shift of the game
+    # (graph_restrict shifts its output by the same constant), so the
+    # game goes in unshifted and the shift is only reported
+    shift = Fraction(0) if args.no_bottom_normalize else game.bottom_value
     if args.solver == "myerson":
         if not args.graph_file:
             raise ValueError("the myerson solver needs --graph-file")
@@ -237,7 +238,10 @@ CORE_MAX_ELEMENTS = bell(7)
 
 
 def cmd_core(args):
-    game, shift, _ = _load_game(args)
+    game, _ = _load_game(args)
+    shift = Fraction(0)
+    if not args.no_bottom_normalize:  # the core's bounds read f(bottom)
+        game, shift = game.normalize_bottom()
     lat = game.lattice
     if len(lat) > CORE_MAX_ELEMENTS:
         raise SizeLimitError(f"core decides lattices of at most {CORE_MAX_ELEMENTS} elements "
@@ -734,8 +738,26 @@ def _parser():
     return build_parser()
 
 
+def _parse(argv):
+    """The Namespace _parser().parse_args(argv) gives.  When argv opens
+    with a subcommand, that subcommand's parser reads the rest, as the
+    full parser would hand it on; anything it leaves, and any other argv,
+    goes to the full parser, which words every refusal."""
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv:
+        subs = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+        sub = subs.get(argv[0])
+        if sub is not None:
+            args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+            if not extra:
+                return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except SizeLimitError as err:

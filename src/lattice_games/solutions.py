@@ -497,27 +497,26 @@ def graph_restrict(game, edges):
     A coalition earns v(empty) plus v(C) - v(empty) for each connected
     component C of the subgraph it induces, so connected coalitions keep
     v and the dividends of disconnected ones vanish.  On 2^N bit i-1 of
-    an element's mask is node i.  The restricted game holds only its
-    integer view.
+    an element's mask is node i.  So S earns v(C) - v(empty) plus what
+    S - C earns, C the component of S's lowest node: one component walk
+    per coalition, as S - C comes before S in the element order (a
+    linear extension).  The restricted game holds only its integer view.
     """
     _subset_only(game, "graph_restrict")
     lat = game.lattice
     near = _neighbours(lat.n, edges)
     vals, d = game._ints
     empty = vals[0]
-    restricted = []
-    for rest in lat.masks:
-        acc = empty
-        while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                low = frontier & -frontier
-                grown = near[low.bit_length() - 1] & rest & ~comp
-                comp |= grown
-                frontier = (frontier ^ low) | grown
-            acc += vals[lat.mask_index(comp)] - empty
-            rest &= ~comp
-        restricted.append(acc)
+    restricted = [empty]  # the bottom, the empty coalition, comes first
+    for coalition in islice(lat.masks, 1, None):
+        comp = frontier = coalition & -coalition
+        while frontier:
+            low = frontier & -frontier
+            grown = near[low.bit_length() - 1] & coalition & ~comp
+            comp |= grown
+            frontier = (frontier ^ low) | grown
+        restricted.append(vals[lat.mask_index(comp)] - empty
+                          + restricted[lat.mask_index(coalition ^ comp)])
     return LatticeGame._from_ints(lat, restricted, d)
 
 

@@ -15,14 +15,15 @@ the same rationals exactly when their ints are equal.
 Every value that enters the package is read once into a numerator and
 a denominator, by the grammar ``parse_fraction`` also uses, and a table
 takes its view over the lcm of the denominators with no Fraction built.
-A game payload whose keys are all canonical and whose values are all
-plain ("p/q" or "p" in JSON's number grammar with nothing around them,
-or JSON ints) is read in one pass: one lookup of the keys; the values
-joined into one text, a whole number p as "p/1", and checked by one
-``translate`` and one search; one ``json.loads`` of that text, each "/"
-read as ",", for every p and q in one flat list, the numerators at the
-even places and the denominators at the odd; one lcm over the distinct
-denominators; and the ints placed in index order.  Any other payload is
+A game payload whose keys are the lattice's canonical keys and whose
+values are all plain ("p/q" or "p" in JSON's number grammar with nothing
+around them, or JSON ints) is read in one pass: the values gathered in
+element order through the key table; joined into one text, a whole
+number p as "p/1", and checked by one ``translate`` and one search; one
+``json.loads`` of that text, each "/" read as ",", for every p and q in
+one flat list, the numerators at the even places and the denominators at
+the odd; and one lcm over the distinct denominators.  The ints come out
+in element order, so nothing is placed.  Any other payload is
 read item by item, and that loop is the only one that words a refusal,
 of a number past Python's int-string limit too.
 
@@ -310,11 +311,11 @@ class LatticeGame(_IntView):
     def from_payload(cls, payload, max_n=None):
         """Read {"lattice", "n", "values": {element key: "p/q"}}; strict totality.
 
-        When every key is canonical (found in the lattice's key table)
-        and every value plain, the values are read in one pass
-        (_plain_over_lcm) and placed in index order.  Any other payload is
-        read item by item: a key in another spelling is parsed, and that
-        loop words every refusal.
+        When the keys are the lattice's canonical keys (its key table's)
+        and every value is plain, the values are gathered in element order
+        through the key table and read in one pass (_plain_over_lcm).  Any
+        other payload is read item by item: a key in another spelling is
+        parsed, and that loop words every refusal.
         """
         if not isinstance(payload, dict):
             raise ValueError("payload must be a JSON object")
@@ -330,15 +331,14 @@ class LatticeGame(_IntView):
         if not isinstance(raw, dict):
             raise ValueError("payload needs a \"values\" object")
         keys = lat.key_indices()
-        at = list(map(keys.get, raw))
-        if len(at) == len(lat) and None not in at:  # canonical keys, one per element
-            view = _plain_over_lcm(raw.values())
-            if view is not None:
-                ints = [None] * len(at)
-                for i, q in zip(at, view[0]):
-                    ints[i] = q
-                if None not in ints:  # no two keys name one element
-                    return cls._from_ints(lat, ints, view[1])
+        if len(raw) == len(keys):  # with every canonical key, no other key
+            try:
+                texts = list(map(raw.__getitem__, keys))
+            except KeyError:  # a key in another spelling
+                texts = None
+            view = texts and _plain_over_lcm(texts)
+            if view:
+                return cls._from_ints(lat, *view)
         pairs = [None] * len(lat)
         for key, text in raw.items():
             i = keys.get(key)

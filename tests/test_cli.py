@@ -171,6 +171,45 @@ def test_solve_bottom_normalization_note(tmp_path, capsys):
     assert json.loads(out)["bottomShift"] == "0"
 
 
+def test_every_solver_ignores_the_bottom_shift(tmp_path, capsys):
+    """Seeded games with a random f(bottom), on every lattice up to n = 6:
+    each solver's report is the same with and without
+    --no-bottom-normalize, and the same as for the game with f(bottom)
+    taken off, clustered or not; myerson on a random connected graph."""
+    rng = random.Random(31)
+    for tag in ("2^N", "P^N", "E^N"):
+        for n in range(1, 7):
+            lat = lattice_for(tag, n)
+            keys = [lat.key(x) for x in lat.elements]
+            values = [Fraction(rng.randint(-40, 40), rng.randint(1, 6)) for _ in keys]
+            values[0] = values[0] or Fraction(5, 2)
+            files = [write_json(tmp_path / f"{name}.json", {
+                "lattice": tag, "n": n,
+                "values": {k: str(q - low) for k, q in zip(keys, values)}})
+                for name, low in (("game", 0), ("floored", values[0]))]
+            clusters = [[], ["--cluster-file", write_json(tmp_path / "c.json", rng.choice(keys))]]
+            solvers = [["--solver", s] for s in ("su", "cu", "egalitarian")]
+            if tag == "2^N":
+                edges = [[rng.randint(1, k - 1), k] for k in range(2, n + 1)]  # a spanning tree
+                edges += [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                          if rng.random() < 0.3]
+                graph = write_json(tmp_path / "graph.json", {"edges": edges})
+                solvers += [["--solver", "shapley"], ["--solver", "myerson", "--graph-file", graph]]
+            for solver in solvers:
+                for cluster in clusters:
+                    reports = []
+                    for game in files:
+                        for flag in ([], ["--no-bottom-normalize"]):
+                            code, out, err = run_cli(["solve", game, *solver, *cluster, *flag],
+                                                     capsys)
+                            assert (code, err) == (0, "")
+                            report = json.loads(out)
+                            assert report.pop("normalized") == (not flag)
+                            reports.append((report.pop("bottomShift"), report))
+                    assert len({json.dumps(r) for _, r in reports}) == 1, (tag, n, solver, cluster)
+                    assert [shift for shift, _ in reports] == [str(values[0]), "0", "0", "0"]
+
+
 def test_solve_with_cluster_file(tmp_path, capsys):
     cluster = write_json(tmp_path / "cluster.json", "1,2|3")
     game = write_json(tmp_path / "z13.json", {
@@ -866,6 +905,68 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])
     assert info.value.code == 2
+
+
+ARGV_CORPUS = [
+    # valid, for every subcommand and option, in both spellings
+    ["solve", "g.json"],
+    ["solve", "g.json", "--solver", "cu", "--format", "csv", "--no-bottom-normalize",
+     "--max-n", "5", "--split", "equal", "--cluster-file", "c.json"],
+    ["solve", "--solver=myerson", "--graph-file=e.json", "g.json", "--split=w.json"],
+    ["solve", "g.json", "--solver", "shapley", "--format=json", "--max-n=8"],
+    ["solve", "g.json", "--solver", "egalitarian", "--solver", "su"],
+    ["core", "g.json", "--cluster-file", "c.json", "--no-bottom-normalize",
+     "--max-n=3", "--format=csv"],
+    ["netshare", "t.json", "--solver", "egalitarian", "--split", "w.json",
+     "--cluster-file=c.json", "--max-n", "4", "--format", "json"],
+    ["netshare", "t.csv"],
+    ["selfcheck"],
+    ["selfcheck", "--max-n", "3"],
+    ["solve", "-1"],
+    # abbreviated options, one of them ambiguous
+    ["solve", "g.json", "--solv", "cu", "--no-b", "--form", "csv", "--max", "6"],
+    ["core", "g.json", "--no", "--clu=c.json"],
+    ["netshare", "t.json", "--sp", "equal", "--so=cu"],
+    ["solve", "g.json", "--s", "cu"],
+    # help at both levels
+    ["-h"], ["--help"], ["--he"], ["-h", "solve"],
+    ["solve", "-h"], ["core", "--help"], ["netshare", "t.json", "-h"],
+    ["selfcheck", "-h"], ["solve", "g.json", "--he"], ["solve", "g.json", "--solver", "x", "-h"],
+    # "--" before and after the subcommand
+    ["--", "solve", "g.json"], ["--"], ["solve", "--", "g.json"], ["solve", "g.json", "--"],
+    ["solve", "--", "--solver"],
+    # unknown subcommands, nothing at all, or an option first
+    [], ["bogus"], ["frobnicate", "g.json"], ["Solve", "g.json"], ["--max-n", "3", "solve"],
+    ["-x"],
+    # invalid choices and values
+    ["solve", "g.json", "--solver", "nope"], ["netshare", "t.json", "--solver", "shapley"],
+    ["core", "g.json", "--format", "xml"], ["solve", "g.json", "--format"],
+    ["solve", "g.json", "--max-n", "0"], ["core", "g.json", "--max-n", "x"],
+    ["selfcheck", "--max-n", "-4"], ["solve", "g.json", "--max-n", "\u0663"],
+    ["solve", "g.json", "--no-bottom-normalize=1"],
+    # missing positionals
+    ["solve"], ["core", "--format", "csv"], ["netshare"], ["solve", "--solver", "cu"],
+    # unrecognised extras
+    ["solve", "g.json", "--bogus"], ["solve", "g.json", "extra"], ["selfcheck", "x"],
+    ["core", "g.json", "--solver", "cu"], ["solve", "g.json", "--bogus", "--solver", "nope"],
+    ["netshare", "t.json", "--graph-file", "e.json"], ["solve", "g.json", "-x", "1"],
+]
+
+
+def parsed(parse, argv, capsys):
+    """(vars of the Namespace or None, exit code or None, stdout, stderr)."""
+    try:
+        args, code = vars(parse(list(argv))), None
+    except SystemExit as stop:
+        args, code = None, stop.code
+    return (args, code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=" ".join)
+def test_main_parses_argv_as_the_full_parser_does(argv, capsys):
+    """The subcommand-first parse main runs gives the Namespace, the exit
+    code, the help text and the refusal the full parser gives."""
+    assert parsed(cli._parse, argv, capsys) == parsed(cli.build_parser().parse_args, argv, capsys)
 
 
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):

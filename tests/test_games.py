@@ -213,6 +213,23 @@ def test_rank_game_is_not_supermodular_for_four():
     assert vals[lat.join(x, y)] + vals[lat.meet(x, y)] < vals[x] + vals[y]
 
 
+def test_supermodularity_boundary_on_seven_partitions():
+    """The paper's family where supermodularity stops being sufficient:
+    rank cubed fails the pair scan on P^7 at two pair-plus-quintuple
+    partitions, while 2^rank - 1 stays supermodular."""
+    lat = lattice_for("P^N", 7)
+    ranks = list(map(lat.rank, lat.elements))
+    cubed = is_supermodular(LatticeGame._from_ints(lat, [r ** 3 for r in ranks], 1))
+    assert not cubed
+    x, y = cubed.witness
+    assert (lat.key(x), lat.key(y)) == ("1,7|2,3,4,5,6", "1,6|2,3,4,5,7")
+    vals = dict(zip(lat.elements, ranks))
+    assert (vals[lat.join(x, y)] ** 3 + vals[lat.meet(x, y)] ** 3
+            < vals[x] ** 3 + vals[y] ** 3)
+    powers = is_supermodular(LatticeGame._from_ints(lat, [2 ** r - 1 for r in ranks], 1))
+    assert powers and powers.witness is None
+
+
 def test_totally_positive_games_are_supermodular_here():
     """f(x v y) + f(x ^ y) - f(x) - f(y) is the Mobius mass on the z below
     x v y and below neither x nor y, so nonnegative mass passes the full

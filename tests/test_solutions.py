@@ -1045,6 +1045,44 @@ def test_graph_restriction_matches_component_sums(n):
         assert graph_restrict(g, edges) == components_oracle(g, edges)
 
 
+def component_walk_oracle(game, edges):
+    """The restriction walked component by component: each coalition
+    earns v(empty) plus v(C) - v(empty) for every component C it splits
+    into, each grown from its lowest node over a bitmask frontier."""
+    lat = game.lattice
+    near = solutions._neighbours(lat.n, edges)
+    vals, d = game._ints
+    empty = vals[0]
+    restricted = []
+    for rest in lat.masks:
+        acc = empty
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                low = frontier & -frontier
+                grown = near[low.bit_length() - 1] & rest & ~comp
+                comp |= grown
+                frontier = (frontier ^ low) | grown
+            acc += vals[lat.mask_index(comp)] - empty
+            rest &= ~comp
+        restricted.append(acc)
+    return LatticeGame._from_ints(lat, restricted, d)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_graph_restriction_equals_the_component_walk(n):
+    """One component per coalition, the rest read off S - C, gives what
+    walking every component gives, on seeded graphs of every density."""
+    rng = random.Random(110 + n)
+    lat = lattice_for("2^N", n)
+    pairs = list(combinations(range(1, n + 1), 2))
+    for p in (0, 0.2, 0.5, 0.8, 1):
+        g = random_game(lat, rng)
+        edges = [e if rng.random() < 0.5 else e[::-1] for e in pairs if rng.random() < p]
+        restricted = graph_restrict(g, edges)
+        assert restricted._ints == component_walk_oracle(g, edges)._ints
+
+
 def dividend_graph_restrict(game, edges):
     """The restriction by dividend recursion: connected coalitions keep v,
     disconnected ones get a zero dividend and the sum of those below."""
