@@ -98,21 +98,21 @@ def _print_csv(header, rows):
         buffer.write(out.getvalue().encode("utf-8"))
 
 
-def _approx(p, d):
-    """Decimal rendering of p/d (d > 0) for the approximate column, as
-    repr(float(Fraction(p, d))): int true division rounds correctly, so
-    it reads the same off unreduced ints; empty past a float's range."""
+def _approx(text):
+    """Decimal rendering of a printed "p/q" or "p" for the approximate
+    column, as repr(float(Fraction(text))): int true division rounds
+    correctly; empty past a float's range.  The text was printed from
+    ints, so it is within Python's int-string limit."""
+    p, _, q = text.partition("/")
     try:
-        return repr(p / d)
+        return repr(int(p) / int(q or 1))
     except OverflowError:
         return ""
 
 
-def _rows(kind, texts, ratios, *lead):
-    """One CSV row (*lead, kind, key, value, approx) per entry of texts;
-    ratios holds the (p, d) each value was printed from, in that order."""
-    return [(*lead, kind, key, text, _approx(p, d))
-            for (key, text), (p, d) in zip(texts.items(), ratios)]
+def _rows(kind, texts, *lead):
+    """One CSV row (*lead, kind, key, value, approx) per entry of texts."""
+    return [(*lead, kind, key, text, _approx(text)) for key, text in texts.items()]
 
 
 def _parse_edge(key, n):
@@ -185,33 +185,25 @@ def cmd_solve(args):
         sol = myerson(game, _load_edges(args.graph_file))
     else:
         sol = SOLVERS[args.solver](game)
-    as_csv = args.format == "csv"
-    if as_csv:
-        lat = sol.lattice
-        shares, total = sol._rendered()
-        rows = [("meta", "lattice", lat.tag, ""),
-                ("meta", "n", str(lat.n), ""),
-                ("meta", "solver", args.solver, ""),
-                ("meta", "bottomShift", format_fraction(shift), "")]
-        rows += _rows("share", *shares)
-        rows += _rows("efficiency", *total)
-    else:
-        report = {"command": "solve", "solver": args.solver}
-        report.update(sol.payload())
-        report["normalized"] = not args.no_bottom_normalize
-        report["bottomShift"] = format_fraction(shift)
-        if cluster_label is not None:
-            report["clustering"] = cluster_label
+    report = {"command": "solve", "solver": args.solver}
+    report.update(sol.payload())
+    report["normalized"] = not args.no_bottom_normalize
+    report["bottomShift"] = format_fraction(shift)
+    if cluster_label is not None:
+        report["clustering"] = cluster_label
     if args.split is not None:
         weights = None
         if args.split != "equal":
             weights = _parse_weights(args.split, game.lattice.n)
-        nodes = split_to_nodes(sol, weights)
-        if as_csv:
-            rows += _rows("node", *nodes._rendered())
-        else:
-            report["nodeShares"] = nodes.payload()["shares"]
-    if as_csv:
+        report["nodeShares"] = split_to_nodes(sol, weights).payload()["shares"]
+    if args.format == "csv":
+        rows = [("meta", "lattice", report["lattice"], ""),
+                ("meta", "n", str(report["n"]), ""),
+                ("meta", "solver", report["solver"], ""),
+                ("meta", "bottomShift", report["bottomShift"], "")]
+        rows += _rows("share", report["shares"])
+        rows += _rows("efficiency", {"": report["efficiencyCheck"]})
+        rows += _rows("node", report.get("nodeShares", {}))
         _print_csv(("kind", "key", "value", "approx"), rows)
     else:
         _print_json(report)
@@ -268,14 +260,11 @@ def cmd_core(args):
                 ("status", "", report["status"], ""),
                 ("supermodular", "", str(report["supermodular"]).lower(), ""),
                 ("totallyPositive", "", str(report["totallyPositive"]).lower(), "")]
-        if result.witness is not None:
-            rows += _rows("witness", *result.witness._rendered()[0])
-        if result.certificate is not None:
-            cert, (multipliers, lam) = report["certificate"], result.certificate
-            rows += _rows("certificateLowerBound", cert["lowerBounds"],
-                          map(Fraction.as_integer_ratio, multipliers.values()))
-            rows += _rows("certificateEfficiency", {"": cert["efficiency"]},
-                          [lam.as_integer_ratio()])
+        rows += _rows("witness", report.get("witness", {}))
+        if "certificate" in report:
+            cert = report["certificate"]
+            rows += _rows("certificateLowerBound", cert["lowerBounds"])
+            rows += _rows("certificateEfficiency", {"": cert["efficiency"]})
         _print_csv(("kind", "key", "value", "approx"), rows)
     else:
         _print_json(report)
@@ -400,7 +389,6 @@ def cmd_netshare(args):
         weights = _parse_weights(args.split, n)
     edge_keys = [f"{i},{j}" for i, j in combinations(range(1, n + 1), 2)]  # mask-bit order
     out_periods = []
-    rendered = []  # per period, its rendered edge shares, node shares and total
     for entry in periods:
         # a file entry wins, even a null one, which _parse_cluster refuses
         key = str(entry["period"])
@@ -410,14 +398,12 @@ def cmd_netshare(args):
         mu = _period_dividends(lat, entry["volumes"], cluster)
         sol = solver(mu.zeta_expand())
         edges, total = sol._rendered(edge_keys)
-        nodes = split_to_nodes(sol, weights)._rendered()
-        rendered.append((edges, nodes, total))
         out_periods.append({
             "period": entry["period"],
             "clustering": None if cluster is None else lat.key(cluster),
-            "edgeShares": edges[0],
-            "nodeShares": nodes[0],
-            "efficiencyCheck": total[0][""],
+            "edgeShares": edges,
+            "nodeShares": split_to_nodes(sol, weights).payload()["shares"],
+            "efficiencyCheck": total,
             "fixedPoint": sol.matches(mu),
         })
     report = {"command": "netshare", "n": n, "solver": args.solver,
@@ -425,12 +411,12 @@ def cmd_netshare(args):
               "periods": out_periods}
     if args.format == "csv":
         rows = []
-        for entry, (edges, nodes, total) in zip(out_periods, rendered):
+        for entry in report["periods"]:
             label = entry["period"]
             rows.append((label, "clustering", "", entry["clustering"] or "", ""))
-            rows += _rows("edgeShare", *edges, label)
-            rows += _rows("nodeShare", *nodes, label)
-            rows += _rows("efficiency", *total, label)
+            rows += _rows("edgeShare", entry["edgeShares"], label)
+            rows += _rows("nodeShare", entry["nodeShares"], label)
+            rows += _rows("efficiency", {"": entry["efficiencyCheck"]}, label)
             rows.append((label, "fixedPoint", "", str(entry["fixedPoint"]).lower(), ""))
         _print_csv(("period", "kind", "key", "value", "approx"), rows)
     else:
@@ -685,6 +671,19 @@ def _max_n(text):
     return cap
 
 
+def _add_shared_options(parser, report=True):
+    """--max-n, and --format on a subcommand that prints a report: added
+    last, with one help text each for every subcommand."""
+    over = "a larger input exits with 3" if report else "checks that need more are skipped"
+    parser.add_argument("--max-n", type=_max_n,
+                        help="cap on the ground-set size n (default 8, or the "
+                             f"LATTICE_GAMES_MAX_N environment variable); {over}")
+    if report:
+        parser.add_argument("--format", default="json", choices=["json", "csv"],
+                            help="report format (default json); csv adds an approx "
+                                 "column, a decimal read off each exact value")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lattice-games",
@@ -695,39 +694,42 @@ def build_parser():
     solve = sub.add_parser("solve", help="solve a game file for atom shares")
     solve.add_argument("game", help="JSON game file")
     solve.add_argument("--solver", default="su",
-                       choices=["shapley", "su", "cu", "egalitarian", "myerson"])
+                       choices=["shapley", "su", "cu", "egalitarian", "myerson"],
+                       help="solution to compute (default su)")
     solve.add_argument("--graph-file", help="JSON edge list for the myerson solver")
     solve.add_argument("--split", metavar="equal|WEIGHTS",
                        help="split edge shares to nodes (partition games only)")
     solve.add_argument("--cluster-file", help="JSON element key to restrict to")
-    solve.add_argument("--no-bottom-normalize", action="store_true")
-    solve.add_argument("--max-n", type=_max_n)
-    solve.add_argument("--format", default="json", choices=["json", "csv"])
+    solve.add_argument("--no-bottom-normalize", action="store_true",
+                       help="report bottomShift as 0; the shares are the same either way")
+    _add_shared_options(solve)
     solve.set_defaults(func=cmd_solve)
 
     core = sub.add_parser("core", help="decide core feasibility of a game file")
     core.add_argument("game", help="JSON game file")
     core.add_argument("--cluster-file", help="JSON element key to restrict to")
-    core.add_argument("--no-bottom-normalize", action="store_true")
-    core.add_argument("--max-n", type=_max_n)
-    core.add_argument("--format", default="json", choices=["json", "csv"])
+    core.add_argument("--no-bottom-normalize", action="store_true",
+                      help="decide the core of the game as given, f(bottom) not shifted to 0")
+    _add_shared_options(core)
     core.set_defaults(func=cmd_core)
 
     net = sub.add_parser("netshare",
                          help="share per-period traffic surplus across edges")
     net.add_argument("trace", help="JSON trace or CSV with period,i,j,volume")
     net.add_argument("--solver", default="su",
-                     choices=["su", "cu", "egalitarian"])
-    net.add_argument("--split", default="equal", metavar="equal|WEIGHTS")
+                     choices=["su", "cu", "egalitarian"],
+                     help="solution that shares each period over edges (default su)")
+    net.add_argument("--split", default="equal", metavar="equal|WEIGHTS",
+                     help="split edge shares to nodes evenly (default) or by a JSON "
+                          "weight file")
     net.add_argument("--cluster-file",
                      help="partition key, or JSON object period -> key")
-    net.add_argument("--max-n", type=_max_n)
-    net.add_argument("--format", default="json", choices=["json", "csv"])
+    _add_shared_options(net)
     net.set_defaults(func=cmd_netshare)
 
     check = sub.add_parser("selfcheck",
                            help="run the bundled worked examples and report")
-    check.add_argument("--max-n", type=_max_n)
+    _add_shared_options(check, report=False)
     check.set_defaults(func=cmd_selfcheck)
     return parser
 

@@ -662,7 +662,9 @@ class Lattice:
         """gets[j] reads the entries of down-set j off an index vector as one
         sequence; each holds its down-set tuple itself, the bottom's one-
         element down-set as a slice.  Built on the first Mobius or zeta
-        call, apart from the down-sets, which a lattice's set-up builds."""
+        call.  ``lattice_for`` builds no table: the down-sets are built by
+        their first reader, ``downset_indices``, ``mobius``, ``zeta_expand``
+        or su's first call on the lattice."""
         return tuple(itemgetter(*down) if len(down) > 1 else itemgetter(slice(j, j + 1))
                      for j, down in enumerate(self._order_tables()))
 

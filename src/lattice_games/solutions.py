@@ -37,8 +37,8 @@ from math import factorial, lcm
 from operator import add, and_, attrgetter, mul, rshift, xor
 
 from .lattice import VerificationError, lattice_for, owned
-from .transform import (LatticeGame, _IntView, _canonical, _over_lcm, _ratio, mobius,
-                        parse_fraction)
+from .transform import (LatticeGame, _IntView, _canonical, _format_ratio, _over_lcm, _ratio,
+                        mobius, parse_fraction)
 from .games import SymmetricGame, is_symmetric
 
 LIMB = 32  # bits of a game int that one packed su or cu pass reads
@@ -108,19 +108,18 @@ class Solution(_IntView):
         return all(p == q * d for p, q in zip(want[1:], mass[1:]))  # bottom first
 
     def _rendered(self, keys=None):
-        """The rendered shares (``_render``), keyed by atom key in atoms
-        order or by keys in mask-bit order, and their rendered total,
-        keyed ""."""
-        ints = self._ints[0]
+        """The share texts (``_render``), keyed by atom key in atoms order
+        or by keys in mask-bit order, and the text of their total."""
+        ints, d = self._ints
         if keys is None:
             keyed = self.lattice.atom_key_bits()
             keys, ints = [key for key, _ in keyed], [ints[k] for _, k in keyed]
-        return self._render(keys, ints), self._render([""], [sum(ints)])
+        return self._render(keys, ints), _format_ratio(sum(ints), d)
 
     def payload(self):
         lat = self.lattice
-        (shares, _), (total, _) = self._rendered()
-        return {"lattice": lat.tag, "n": lat.n, "shares": shares, "efficiencyCheck": total[""]}
+        shares, total = self._rendered()
+        return {"lattice": lat.tag, "n": lat.n, "shares": shares, "efficiencyCheck": total}
 
 
 def _subset_only(game, who):
@@ -428,12 +427,8 @@ class NodeShares(_IntView):
     def __repr__(self):
         return f"NodeShares({self.vector()!r})"
 
-    def _rendered(self):
-        """The rendered totals (``_render``), keyed by node "1".."n"."""
-        return self._render(map(str, range(1, self.n + 1)), self._ints[0])
-
     def payload(self):
-        return {"n": self.n, "shares": self._rendered()[0]}
+        return {"n": self.n, "shares": self._render(map(str, range(1, self.n + 1)), self._ints[0])}
 
 
 def split_to_nodes(sol, weights=None):

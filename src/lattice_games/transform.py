@@ -41,7 +41,9 @@ Fractions exist only as the view's cache, built on the first call of
 exact Fraction.  ``_format_ratio`` prints a rational (p, d) as
 ``str(Fraction(p, d))`` would, after one gcd; ``format_fraction`` and
 the view's one renderer, ``_render``, print through it, and every
-payload and CSV row prints through ``_render``.
+payload prints its values through ``_render`` as {key: "p/q"}.  The
+command line's CSV rows are read off those texts, the approximate
+column too.
 
 Zeta expansion still sums Fractions, read off its Mobius table's
 ``vector()`` by the getters, before it takes the view of the sums.
@@ -228,12 +230,10 @@ class _IntView:
         return Fraction(sum(ints), d)
 
     def _render(self, keys, ints):
-        """({key: "p/q"}, [(p, d)]) for ints of this view over its d,
-        paired in order with keys: the texts a payload prints, and the
-        ratios the CSV approx column reads off the same ints."""
+        """{key: "p/q"} for ints of this view over its d, paired in order
+        with keys: the texts a payload prints."""
         d = self._ints[1]
-        ratios = [(p, d) for p in ints]
-        return {key: _format_ratio(p, d) for key, (p, d) in zip(keys, ratios)}, ratios
+        return {key: _format_ratio(p, d) for key, p in zip(keys, ints)}
 
     def __eq__(self, other):
         return (type(other) is type(self)
@@ -305,7 +305,7 @@ class LatticeGame(_IntView):
     def payload(self):
         lat = self.lattice
         return {"lattice": lat.tag, "n": lat.n,
-                "values": self._render(lat.key_indices(), self._ints[0])[0]}
+                "values": self._render(lat.key_indices(), self._ints[0])}
 
     @classmethod
     def from_payload(cls, payload, max_n=None):

@@ -8,6 +8,7 @@ installer writes it, so the declared console script is checked to run
 cli.main and pass its exit code through without installing the package.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -121,9 +122,9 @@ def test_csv_leaves_the_approximation_empty_beyond_float_range(tmp_path, capsys)
 
 
 def test_csv_approximation_is_the_float_of_the_printed_value():
-    """_approx reads (p, d) as repr(float(Fraction(text))) reads the text
-    printed from it: signed, unreduced, integer, huge and tiny values, and
-    an empty cell for a value past a float's range."""
+    """_approx reads the text printed from (p, d) as repr(float(Fraction(text)))
+    does: signed, unreduced, integer, huge and tiny values, and an empty
+    cell for a value past a float's range."""
     rng = random.Random(17)
     big = 10 ** 400
     cases = [(0, 1), (0, 7), (5, 1), (-5, 1), (6, 4), (-6, 4), (1, 3), (-2, 3),
@@ -139,8 +140,8 @@ def test_csv_approximation_is_the_float_of_the_printed_value():
             want = repr(float(Fraction(text)))
         except OverflowError:
             want = ""
-        assert cli._approx(p, d) == want, (p, d)
-    assert cli._approx(big, 1) == cli._approx(-big, 7) == ""
+        assert cli._approx(text) == want, (p, d)
+    assert cli._approx(_format_ratio(big, 1)) == cli._approx(_format_ratio(-big, 7)) == ""
 
 
 def test_egalitarian_on_a_lattice_without_atoms(tmp_path, capsys):
@@ -476,6 +477,127 @@ def test_netshare_rejects_an_edge_named_twice_in_either_form(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert "duplicate edge 2,1" in err
+
+
+# ---------------------------------------------------------------------------
+# CSV reports against JSON reports
+
+
+HUGE = 10 ** 320  # past a float's range, within the lowest int-string limit CI sets
+
+
+def huge_atom_game_file(tmp_path, tag, n):
+    """A seeded game on tag^n plus HUGE on every element above one atom,
+    so that atom's mass, and every share that carries it, is past a
+    float's range."""
+    lat = lattice_for(tag, n)
+    rng = random.Random(len(lat))
+    atom = lat.atoms[-1]
+    values = {lat.key(x): str(Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+                              + HUGE * lat.leq(atom, x))
+              for x in lat.elements}
+    return write_json(tmp_path / f"game{tag[0]}{n}.json", {"lattice": tag, "n": n, "values": values})
+
+
+def middle_cluster_file(tmp_path, tag, n):
+    lat = lattice_for(tag, n)
+    return write_json(tmp_path / f"cluster{tag[0]}{n}.json", lat.key(lat.elements[len(lat) // 2]))
+
+
+def csv_and_json_runs(tmp_path):
+    """{run name: argv} for the CSV-against-JSON check."""
+    runs = {}
+    for tag, n in (("2^N", 3), ("P^N", 4), ("E^N", 3)):
+        game = huge_atom_game_file(tmp_path, tag, n)
+        cluster = middle_cluster_file(tmp_path, tag, n)
+        for solver in ("su", "cu", "egalitarian"):
+            runs[f"solve {solver} {tag}"] = ["solve", game, "--solver", solver]
+            runs[f"solve {solver} {tag} cluster"] = ["solve", game, "--solver", solver,
+                                                     "--cluster-file", cluster]
+    game = huge_atom_game_file(tmp_path, "P^N", 4)
+    weights = write_json(tmp_path / "w4.json", {"1,2": ["1/3", "2/3"], "3,4": ["1", "0"]})
+    runs["solve su P^N split equal"] = ["solve", game, "--split", "equal"]
+    runs["solve su P^N split weights"] = ["solve", game, "--split", weights]
+    game = huge_atom_game_file(tmp_path, "2^N", 3)
+    graph = write_json(tmp_path / "path.json", {"edges": [[1, 2], [2, 3]]})
+    runs["solve shapley 2^N"] = ["solve", game, "--solver", "shapley"]
+    runs["solve myerson 2^N"] = ["solve", game, "--solver", "myerson", "--graph-file", graph]
+    runs["core empty"] = ["core", rank_game_file(tmp_path)]
+    runs["core nonempty"] = ["core", write_json(tmp_path / "size.json", {
+        "lattice": "P^N", "n": 3,
+        "values": {"1|2|3": "0", "1,2|3": "1/3", "1,3|2": "1", "1|2,3": "1", "1,2,3": "7/2"}})]
+    trace = write_json(tmp_path / "trace.json", {"n": 3, "periods": [
+        {"period": "t0", "volumes": {"1,2": "4", "1,3": "1/3", "2,3": str(HUGE)}},
+        {"period": 7, "volumes": {"1,2": "4", "1,3": "1"}, "clustering": "1,2|3"}]})
+    weights = write_json(tmp_path / "w3.json", {"1,2": ["3/4", "1/4"], "2,3": ["1/7", "6/7"]})
+    runs["netshare"] = ["netshare", trace]
+    runs["netshare cu weights"] = ["netshare", trace, "--solver", "cu", "--split", weights]
+    return runs
+
+
+VALUE_KINDS = {"share", "efficiency", "node", "witness", "certificateLowerBound",
+               "certificateEfficiency", "edgeShare", "nodeShare"}
+
+
+def csv_fields(report):
+    """The rows (lead..., kind, key, value) a CSV report holds for a JSON
+    report, approx aside: each value the JSON field it names, in the
+    JSON's key order."""
+    def keyed(kind, texts, *lead):
+        return [(*lead, kind, key, text) for key, text in texts.items()]
+
+    if report["command"] == "solve":
+        rows = [("meta", key, str(report[key])) for key in ("lattice", "n", "solver", "bottomShift")]
+        rows += keyed("share", report["shares"])
+        rows += [("efficiency", "", report["efficiencyCheck"])]
+        return rows + keyed("node", report.get("nodeShares", {}))
+    if report["command"] == "core":
+        rows = [("meta", "lattice", report["lattice"]), ("meta", "n", str(report["n"])),
+                ("status", "", report["status"]),
+                ("supermodular", "", json.dumps(report["supermodular"])),
+                ("totallyPositive", "", json.dumps(report["totallyPositive"]))]
+        rows += keyed("witness", report.get("witness", {}))
+        if "certificate" in report:
+            rows += keyed("certificateLowerBound", report["certificate"]["lowerBounds"])
+            rows += [("certificateEfficiency", "", report["certificate"]["efficiency"])]
+        return rows
+    rows = []
+    for entry in report["periods"]:
+        label = str(entry["period"])
+        rows.append((label, "clustering", "", entry["clustering"] or ""))
+        rows += keyed("edgeShare", entry["edgeShares"], label)
+        rows += keyed("nodeShare", entry["nodeShares"], label)
+        rows.append((label, "efficiency", "", entry["efficiencyCheck"]))
+        rows.append((label, "fixedPoint", "", json.dumps(entry["fixedPoint"])))
+    return rows
+
+
+def float_text(value):
+    try:
+        return repr(float(Fraction(value)))
+    except OverflowError:
+        return ""
+
+
+def test_csv_report_is_the_json_report_row_for_row(tmp_path, capsys):
+    """Every CSV value is the JSON field it names, in the JSON's key
+    order; every approx cell is the float of that value, empty past a
+    float's range, and empty on a row that holds no rational."""
+    past_range = 0
+    for run, argv in csv_and_json_runs(tmp_path).items():
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, ""), run
+        report = json.loads(out)
+        code, out, err = run_cli([*argv, "--format", "csv"], capsys)
+        assert (code, err) == (0, ""), run
+        header, *rows = csv.reader(io.StringIO(out))
+        lead = ["period"] if report["command"] == "netshare" else []
+        assert header == [*lead, "kind", "key", "value", "approx"], run
+        assert [tuple(row[:-1]) for row in rows] == csv_fields(report), run
+        want = [float_text(row[-2]) if row[-4] in VALUE_KINDS else "" for row in rows]
+        assert [row[-1] for row in rows] == want, run
+        past_range += sum(row[-4] in VALUE_KINDS and not row[-1] for row in rows)
+    assert past_range > 0
 
 
 class JSONText(str):
@@ -1001,6 +1123,23 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     calls.clear()
     assert [run(argv) for argv in runs] == alone
     assert len(calls) == 1
+
+
+def test_every_option_has_a_help_line():
+    """Each subcommand's options print a help line, the shared --max-n and
+    --format last and in the same words on every subcommand that reads
+    an input."""
+    subs = next(action.choices for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    shared = {}
+    for name, sub in subs.items():
+        options = [action for action in sub._actions if action.option_strings]
+        assert all(action.help for action in options), name
+        last = [action.dest for action in options[-2:]]
+        assert last == (["help", "max_n"] if name == "selfcheck" else ["max_n", "format"]), name
+        if name != "selfcheck":
+            shared.setdefault(tuple(action.help for action in options[-2:]), []).append(name)
+    assert list(shared.values()) == [["solve", "core", "netshare"]]
 
 
 # ---------------------------------------------------------------------------

@@ -1182,9 +1182,9 @@ def test_graph_restriction_rejects_bad_edges():
 @pytest.mark.parametrize("tag,n", SMALL_LATTICES + [("2^N", 1), ("P^N", 1), ("E^N", 1)])
 def test_payload_equals_the_fraction_rendering(tag, n):
     """Shares print off the integer view, keyed by the atom keys in atoms
-    order, as format_fraction prints each share and the total; the CSV
-    ratios of the shares, the total and the node shares are the rationals
-    printed, and their approx cells read as the floats of those texts."""
+    order, as format_fraction prints each share and the total; the texts
+    of the shares, the total and the node shares read back as the
+    rationals printed, and their approx cells as the floats of those."""
     lat = lattice_for(tag, n)
     assert [key for key, _ in lat.atom_key_bits()] == [lat.key(a) for a in lat.atoms]
     assert [1 << k for _, k in lat.atom_key_bits()] == [lat.masks[lat.index(a)]
@@ -1198,11 +1198,12 @@ def test_payload_equals_the_fraction_rendering(tag, n):
                                      for a, q in zip(lat.atoms, sol.vector())}
         assert list(payload["shares"]) == [lat.key(a) for a in lat.atoms]
         assert payload["efficiencyCheck"] == format_fraction(sol.efficiency())
-        views = [(sol._rendered()[0], sol.vector()), (sol._rendered()[1], (sol.efficiency(),))]
+        shares, total = sol._rendered()
+        views = [(shares, sol.vector()), ({"": total}, (sol.efficiency(),))]
         if tag == "P^N":
             nodes = split_to_nodes(sol)
-            views.append((nodes._rendered(), nodes.vector()))
-        for (texts, ratios), want in views:
+            views.append((nodes.payload()["shares"], nodes.vector()))
+        for texts, want in views:
             assert list(texts.values()) == list(map(str, want))
-            assert [Fraction(p, d) for p, d in ratios] == list(want)
-            assert [_approx(p, d) for p, d in ratios] == [repr(float(q)) for q in want]
+            assert [Fraction(text) for text in texts.values()] == list(want)
+            assert [_approx(text) for text in texts.values()] == [repr(float(q)) for q in want]

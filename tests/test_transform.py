@@ -822,7 +822,8 @@ def test_game_payload_equals_the_fraction_rendering(tag, n):
     assert game.payload()["values"] == want
     assert list(game.payload()["values"]) == list(want)
     for table in (game, mobius(game)):
-        texts, ratios = table._render(lat.key_indices(), table._ints[0])
+        texts = table._render(lat.key_indices(), table._ints[0])
         assert texts == {lat.key(x): str(q) for x, q in zip(lat.elements, table.vector())}
-        assert [Fraction(p, d) for p, d in ratios] == list(table.vector())
-        assert [_approx(p, d) for p, d in ratios] == [repr(float(q)) for q in table.vector()]
+        assert [Fraction(text) for text in texts.values()] == list(table.vector())
+        assert [_approx(text) for text in texts.values()] == [repr(float(q))
+                                                              for q in table.vector()]
